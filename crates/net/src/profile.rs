@@ -9,19 +9,20 @@
 //! baseline, so the §4 orderings can be checked across regimes.
 //!
 //! [`simulate_fair_share`] is the companion fluid model: N concurrent
-//! flows on one front-end link split its bandwidth max-min-fairly, with
-//! deterministic recompute-on-arrival/departure events on the `mcs-sim`
-//! queue. It is O(events) instead of O(packets), which is what the
-//! fleet-replay path needs; DESIGN.md §14 spells out when it is
-//! authoritative versus the packet-level [`try_simulate_shared_report`]
-//! simulator and pins the parity tolerance between the two.
+//! flows on one front-end link split its bandwidth max-min-fairly, the
+//! allocation recomputed once per instant at which flows arrive or
+//! depart. One loop walks the time-sorted arrivals beside the single
+//! pending completion, so a run costs a sort plus O(active flows) per such
+//! instant instead of O(packets), which is what the fleet-replay path
+//! needs; DESIGN.md §14 spells out when it is authoritative versus the
+//! packet-level [`try_simulate_shared_report`] simulator and pins the
+//! parity tolerance between the two.
 //!
 //! [`try_simulate_shared_report`]: crate::chunkflow::try_simulate_shared_report
 
 use mcs_stats::rng::Rng;
 
 use mcs_faults::ConfigError;
-use mcs_sim::{CompId, Ctx, Handler, Simulation};
 use mcs_stats::rng::{split_seed, stream_rng, LogNormal};
 
 use crate::chunkflow::FlowConfig;
@@ -389,147 +390,95 @@ pub struct FairShareOutcome {
     pub completions: Vec<Time>,
     /// `completion − arrival` per flow, µs, in input order.
     pub durations: Vec<Time>,
-    /// Bandwidth re-allocation events (arrivals and departures that
-    /// actually changed the active set).
+    /// Bandwidth reallocations: one per arriving flow, plus one per
+    /// instant at which flows depart, none arrive and some keep running.
     pub recomputes: u64,
     /// Largest number of simultaneously active flows.
     pub peak_active: u64,
 }
 
-/// Events of the fluid model: a flow arrives, or the earliest predicted
-/// completion under the current allocation comes due. Ticks carry the
-/// allocation epoch that scheduled them; a reallocation bumps the epoch,
-/// so stale ticks are skipped instead of double-counting progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FsEv {
-    Arrive(usize),
-    Tick(u64),
+/// One admitted flow of the fluid model.
+struct Live {
+    /// Input index; the live set is kept sorted by it.
+    idx: usize,
+    /// Remaining work in bit·µs (bytes × 8 × SEC): integer all the way
+    /// down, so depletion and completion times are exact and bit-identical
+    /// across platforms and thread counts.
+    remaining: u128,
+    cap: u64,
+    rate: u64,
 }
 
-struct FsEngine {
-    link_rate: u64,
-    comp: CompId,
-    /// Remaining work per flow, in bit·µs (bytes × 8 × SEC): integer all
-    /// the way down, so depletion and completion times are exact and
-    /// bit-identical across platforms and thread counts.
-    remaining: Vec<u128>,
-    caps: Vec<u64>,
-    rates: Vec<u64>,
-    active: Vec<usize>,
-    last: Time,
-    epoch: u64,
-    completions: Vec<Time>,
-    recomputes: u64,
-    peak_active: u64,
-}
-
-impl FsEngine {
-    /// Advances every active flow's remaining work to `now` under the
-    /// current allocation, retiring flows that hit zero.
-    fn drain(&mut self, now: Time) {
-        let dt = now.saturating_sub(self.last) as u128;
-        self.last = now;
-        if dt == 0 {
-            return;
+/// Max-min waterfill over the live set, respecting per-flow caps, and the
+/// time until the first live flow depletes at the new rates.
+///
+/// Each round binds the open flows whose cap fits the round's equal share
+/// of what is left. That share never shrinks from one round to the next,
+/// so a round only needs the caps between the previous share and its own,
+/// and in the end a flow is bound exactly when its cap is at most the last
+/// share. Once a round binds none, the open flows split what is left
+/// evenly, the division remainder going one bit/s each to the earliest
+/// arrivals (input order). Every flow is granted at least 1 bit/s, so
+/// progress (and termination) is unconditional even when more flows than
+/// bits-per-second share the link.
+///
+/// The depletion time is min ⌈remaining / rate⌉, saturating at the end of
+/// time. The ceiling is monotone, so it is the ceiling of the smallest
+/// ratio, found by cross-multiplying (exact while the work fits a `u64`)
+/// and divided out once.
+fn reallocate(link_rate: u64, live: &mut [Live]) -> Time {
+    let mut rate_left = link_rate;
+    let mut open = u64::try_from(live.len()).unwrap_or(u64::MAX);
+    let mut bound_at = 0;
+    while open > 0 {
+        let share = rate_left / open;
+        let (mut sum, mut count) = (0, 0);
+        for f in live.iter().filter(|f| f.cap > bound_at && f.cap <= share) {
+            sum += f.cap;
+            count += 1;
         }
-        let rates = &self.rates;
-        let remaining = &mut self.remaining;
-        let completions = &mut self.completions;
-        self.active.retain(|&i| {
-            let spent = (rates[i] as u128).saturating_mul(dt);
-            remaining[i] = remaining[i].saturating_sub(spent);
-            if remaining[i] == 0 {
-                completions[i] = now;
-                false
-            } else {
-                true
-            }
-        });
+        bound_at = share;
+        if count == 0 {
+            break;
+        }
+        rate_left -= sum;
+        open -= count;
     }
-
-    /// Max-min waterfill over the active set, respecting per-flow caps,
-    /// then schedules the next completion tick. Every flow is granted at
-    /// least 1 bit/s so progress (and termination) is unconditional even
-    /// when more flows than bits-per-second share the link.
-    fn reallocate(&mut self, now: Time, ctx: &mut Ctx<'_, FsEv>) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.active.is_empty() {
-            return;
-        }
-        self.recomputes += 1;
-        self.peak_active = self
-            .peak_active
-            .max(u64::try_from(self.active.len()).unwrap_or(u64::MAX));
-        let mut rate_left = self.link_rate;
-        let mut open = self.active.clone();
-        loop {
-            let n = u64::try_from(open.len()).unwrap_or(u64::MAX);
-            if n == 0 {
-                break;
+    let (base, extra) = match open {
+        0 => (0, 0),
+        _ => (rate_left / open, rate_left % open),
+    };
+    let mut k = 0;
+    // The smallest remaining/rate ratio so far; u64::MAX / 1 bounds them.
+    let (mut r, mut q) = (u64::MAX, 1);
+    let mut dt = u128::MAX;
+    for f in live.iter_mut() {
+        let bound = f.cap <= bound_at;
+        k += u64::from(!bound);
+        f.rate = if bound {
+            f.cap
+        } else {
+            (base + u64::from(k <= extra)).max(1)
+        };
+        match u64::try_from(f.remaining) {
+            Ok(rem) if u128::from(rem) * u128::from(q) < u128::from(r) * u128::from(f.rate) => {
+                (r, q) = (rem, f.rate);
             }
-            let share = rate_left / n;
-            let caps = &self.caps;
-            let rates = &mut self.rates;
-            let mut bound_any = false;
-            open.retain(|&i| {
-                if caps[i] <= share {
-                    rates[i] = caps[i].max(1);
-                    rate_left = rate_left.saturating_sub(rates[i]);
-                    bound_any = true;
-                    false
-                } else {
-                    true
-                }
-            });
-            if !bound_any {
-                // Unbounded flows split what's left evenly; the division
-                // remainder goes to the earliest arrivals (input order)
-                // one bit/s each, keeping the split integral and exact.
-                let base = rate_left / n;
-                let extra = rate_left % n;
-                for (k, &i) in open.iter().enumerate() {
-                    let bump = u64::from((u64::try_from(k).unwrap_or(u64::MAX)) < extra);
-                    self.rates[i] = (base + bump).max(1);
-                }
-                break;
-            }
-        }
-        let mut dt_min = u128::MAX;
-        for &i in &self.active {
-            let dt = self.remaining[i].div_ceil(self.rates[i] as u128);
-            dt_min = dt_min.min(dt);
-        }
-        let dt = u64::try_from(dt_min).unwrap_or(Time::MAX);
-        ctx.schedule(now.saturating_add(dt), self.comp, FsEv::Tick(self.epoch));
-    }
-}
-
-impl Handler<FsEv> for FsEngine {
-    fn handle(&mut self, ctx: &mut Ctx<'_, FsEv>, ev: FsEv) {
-        let now = ctx.now();
-        match ev {
-            FsEv::Arrive(i) => {
-                self.drain(now);
-                let pos = self.active.partition_point(|&j| j < i);
-                self.active.insert(pos, i);
-                self.reallocate(now, ctx);
-            }
-            FsEv::Tick(epoch) => {
-                if epoch != self.epoch {
-                    return;
-                }
-                self.drain(now);
-                self.reallocate(now, ctx);
-            }
+            Ok(_) => {}
+            Err(_) => dt = dt.min(f.remaining.div_ceil(u128::from(f.rate))),
         }
     }
+    dt = dt.min(u128::from(r.div_ceil(q)));
+    u64::try_from(dt).unwrap_or(Time::MAX)
 }
 
 /// Runs the fluid fair-share model: `flows` share one front-end link of
 /// `link_rate_bps`, each additionally bounded by its own
 /// [`rate_cap_bps`](FairFlowSpec::rate_cap_bps). Allocation is max-min
-/// fair and recomputed only on arrivals and departures; between events
-/// every flow depletes linearly, in exact integer arithmetic.
+/// fair and recomputed once per instant at which flows arrive or depart;
+/// in between, every flow depletes linearly, in exact integer arithmetic.
+/// Flows still running when the µs clock saturates complete at
+/// `Time::MAX`.
 ///
 /// ```
 /// use mcs_net::profile::{simulate_fair_share, FairFlowSpec};
@@ -564,53 +513,94 @@ pub fn simulate_fair_share(
             });
         }
     }
-    if flows.is_empty() {
-        return Ok(FairShareOutcome::default());
-    }
-    let mut sim: Simulation<FsEv> = Simulation::new();
-    let comp = sim.add_component("net/fairshare");
-    for (i, f) in flows.iter().enumerate() {
-        sim.schedule(f.arrival, comp, FsEv::Arrive(i));
-    }
-    let n = flows.len();
-    let mut eng = FsEngine {
-        link_rate: link_rate_bps,
-        comp,
-        remaining: flows
-            .iter()
-            .map(|f| (f.bytes as u128).saturating_mul(8 * SEC as u128))
-            .collect(),
-        caps: flows
-            .iter()
-            .map(|f| {
-                if f.rate_cap_bps == 0 {
-                    u64::MAX
-                } else {
-                    f.rate_cap_bps
-                }
-            })
-            .collect(),
-        rates: vec![0; n],
-        active: Vec::with_capacity(n),
-        last: 0,
-        epoch: 0,
-        completions: vec![0; n],
-        recomputes: 0,
-        peak_active: 0,
+    let mut out = FairShareOutcome {
+        completions: vec![0; flows.len()],
+        ..FairShareOutcome::default()
     };
-    sim.run(&mut eng);
-    let durations = eng
+    // Arrivals in time order. Those of one µs are admitted together, and
+    // the live set is kept in input order whatever order they join in.
+    let mut arrivals: Vec<(Time, usize)> = flows
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.arrival, i))
+        .collect();
+    arrivals.sort_unstable();
+    let mut arrivals = arrivals.into_iter().peekable();
+    let mut live: Vec<Live> = Vec::new();
+    let mut last: Time = 0;
+    // The one live completion tick: when the first live flow depletes.
+    let mut tick: Option<Time> = None;
+    loop {
+        // The next instant is the next arrival or the tick, whichever
+        // comes first; one that coincides with both handles both.
+        let now = match (arrivals.peek(), tick) {
+            (Some(&(at, _)), Some(t)) => at.min(t),
+            (Some(&(at, _)), None) => at,
+            (None, Some(t)) => t,
+            (None, None) => break,
+        };
+        // Deplete every live flow up to `now`, retiring those that finish.
+        let dt = now.saturating_sub(last);
+        last = now;
+        if dt > 0 {
+            let mut finished = false;
+            for f in live.iter_mut() {
+                let spent = u128::from(f.rate) * u128::from(dt);
+                f.remaining = f.remaining.saturating_sub(spent);
+                finished |= f.remaining == 0;
+            }
+            if finished {
+                live.retain(|f| {
+                    if f.remaining == 0 {
+                        out.completions[f.idx] = now;
+                    }
+                    f.remaining > 0
+                });
+            }
+        }
+        let mut arrived = 0;
+        while let Some((_, idx)) = arrivals.next_if(|&(at, _)| at == now) {
+            let f = &flows[idx];
+            let pos = live.partition_point(|g| g.idx < idx);
+            let cap = if f.rate_cap_bps == 0 {
+                u64::MAX
+            } else {
+                f.rate_cap_bps
+            };
+            let remaining = u128::from(f.bytes) * u128::from(8 * SEC);
+            live.insert(
+                pos,
+                Live {
+                    idx,
+                    remaining,
+                    cap,
+                    rate: 0,
+                },
+            );
+            arrived += 1;
+        }
+        if live.is_empty() {
+            tick = None;
+            continue;
+        }
+        if now == Time::MAX {
+            // The clock cannot advance: what still runs completes here.
+            live.iter().for_each(|f| out.completions[f.idx] = now);
+            break;
+        }
+        // One reallocation per arrival, or one for a departure alone.
+        out.recomputes += arrived.max(1);
+        let active = u64::try_from(live.len()).unwrap_or(u64::MAX);
+        out.peak_active = out.peak_active.max(active);
+        tick = Some(now.saturating_add(reallocate(link_rate_bps, &mut live)));
+    }
+    out.durations = out
         .completions
         .iter()
         .zip(flows)
         .map(|(&c, f)| c.saturating_sub(f.arrival))
         .collect();
-    Ok(FairShareOutcome {
-        completions: eng.completions,
-        durations,
-        recomputes: eng.recomputes,
-        peak_active: eng.peak_active,
-    })
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -619,6 +609,242 @@ mod tests {
     use crate::chunkflow::try_simulate_shared_report;
     use crate::sim::MS;
     use mcs_faults::Windows;
+    use mcs_sim::{CompId, Ctx, Handler, Simulation};
+
+    /// Events of the reference solver: a flow arrives, or the earliest
+    /// predicted completion under the current allocation comes due. Ticks
+    /// carry the allocation epoch that scheduled them; a reallocation bumps
+    /// the epoch, so stale ticks are skipped instead of double-counting
+    /// progress.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum FsEv {
+        Arrive(usize),
+        Tick(u64),
+    }
+
+    struct FsEngine {
+        link_rate: u64,
+        comp: CompId,
+        /// Remaining work per flow, in bit·µs (bytes × 8 × SEC): integer all
+        /// the way down, so depletion and completion times are exact and
+        /// bit-identical across platforms and thread counts.
+        remaining: Vec<u128>,
+        caps: Vec<u64>,
+        rates: Vec<u64>,
+        active: Vec<usize>,
+        last: Time,
+        epoch: u64,
+        completions: Vec<Time>,
+        recomputes: u64,
+        peak_active: u64,
+    }
+
+    impl FsEngine {
+        /// Advances every active flow's remaining work to `now` under the
+        /// current allocation, retiring flows that hit zero.
+        fn drain(&mut self, now: Time) {
+            let dt = now.saturating_sub(self.last) as u128;
+            self.last = now;
+            if dt == 0 {
+                return;
+            }
+            let rates = &self.rates;
+            let remaining = &mut self.remaining;
+            let completions = &mut self.completions;
+            self.active.retain(|&i| {
+                let spent = (rates[i] as u128).saturating_mul(dt);
+                remaining[i] = remaining[i].saturating_sub(spent);
+                if remaining[i] == 0 {
+                    completions[i] = now;
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+
+        /// Max-min waterfill over the active set, respecting per-flow caps,
+        /// then schedules the next completion tick. Every flow is granted at
+        /// least 1 bit/s so progress (and termination) is unconditional even
+        /// when more flows than bits-per-second share the link.
+        fn reallocate(&mut self, now: Time, ctx: &mut Ctx<'_, FsEv>) {
+            self.epoch = self.epoch.wrapping_add(1);
+            if self.active.is_empty() {
+                return;
+            }
+            self.recomputes += 1;
+            self.peak_active = self
+                .peak_active
+                .max(u64::try_from(self.active.len()).unwrap_or(u64::MAX));
+            let mut rate_left = self.link_rate;
+            let mut open = self.active.clone();
+            loop {
+                let n = u64::try_from(open.len()).unwrap_or(u64::MAX);
+                if n == 0 {
+                    break;
+                }
+                let share = rate_left / n;
+                let caps = &self.caps;
+                let rates = &mut self.rates;
+                let mut bound_any = false;
+                open.retain(|&i| {
+                    if caps[i] <= share {
+                        rates[i] = caps[i].max(1);
+                        rate_left = rate_left.saturating_sub(rates[i]);
+                        bound_any = true;
+                        false
+                    } else {
+                        true
+                    }
+                });
+                if !bound_any {
+                    // Unbounded flows split what's left evenly; the division
+                    // remainder goes to the earliest arrivals (input order)
+                    // one bit/s each, keeping the split integral and exact.
+                    let base = rate_left / n;
+                    let extra = rate_left % n;
+                    for (k, &i) in open.iter().enumerate() {
+                        let bump = u64::from((u64::try_from(k).unwrap_or(u64::MAX)) < extra);
+                        self.rates[i] = (base + bump).max(1);
+                    }
+                    break;
+                }
+            }
+            let mut dt_min = u128::MAX;
+            for &i in &self.active {
+                let dt = self.remaining[i].div_ceil(self.rates[i] as u128);
+                dt_min = dt_min.min(dt);
+            }
+            let dt = u64::try_from(dt_min).unwrap_or(Time::MAX);
+            ctx.schedule(now.saturating_add(dt), self.comp, FsEv::Tick(self.epoch));
+        }
+    }
+
+    impl Handler<FsEv> for FsEngine {
+        fn handle(&mut self, ctx: &mut Ctx<'_, FsEv>, ev: FsEv) {
+            let now = ctx.now();
+            match ev {
+                FsEv::Arrive(i) => {
+                    self.drain(now);
+                    let pos = self.active.partition_point(|&j| j < i);
+                    self.active.insert(pos, i);
+                    self.reallocate(now, ctx);
+                }
+                FsEv::Tick(epoch) => {
+                    if epoch != self.epoch {
+                        return;
+                    }
+                    self.drain(now);
+                    self.reallocate(now, ctx);
+                }
+            }
+        }
+    }
+
+    /// The queue-based solver the merged loop replaced, kept as the
+    /// reference it must match: arrivals and completion ticks are events on
+    /// the `mcs-sim` queue, dispatched in (time, insertion) order, and every
+    /// arrival reallocates.
+    fn queue_fair_share(link_rate_bps: u64, flows: &[FairFlowSpec]) -> FairShareOutcome {
+        let mut sim: Simulation<FsEv> = Simulation::new();
+        let comp = sim.add_component("net/fairshare");
+        for (i, f) in flows.iter().enumerate() {
+            sim.schedule(f.arrival, comp, FsEv::Arrive(i));
+        }
+        let n = flows.len();
+        let mut eng = FsEngine {
+            link_rate: link_rate_bps,
+            comp,
+            remaining: flows
+                .iter()
+                .map(|f| (f.bytes as u128).saturating_mul(8 * SEC as u128))
+                .collect(),
+            caps: flows
+                .iter()
+                .map(|f| {
+                    if f.rate_cap_bps == 0 {
+                        u64::MAX
+                    } else {
+                        f.rate_cap_bps
+                    }
+                })
+                .collect(),
+            rates: vec![0; n],
+            active: Vec::with_capacity(n),
+            last: 0,
+            epoch: 0,
+            completions: vec![0; n],
+            recomputes: 0,
+            peak_active: 0,
+        };
+        sim.run(&mut eng);
+        let durations = eng
+            .completions
+            .iter()
+            .zip(flows)
+            .map(|(&c, f)| c.saturating_sub(f.arrival))
+            .collect();
+        FairShareOutcome {
+            completions: eng.completions,
+            durations,
+            recomputes: eng.recomputes,
+            peak_active: eng.peak_active,
+        }
+    }
+
+    /// A cap of 0 (uncapped) one time in three, else one in `caps`.
+    fn draw_cap(rng: &mut impl Rng, caps: std::ops::Range<u64>) -> u64 {
+        if rng.random_range(0..3u32) == 0 {
+            0
+        } else {
+            rng.random_range(caps)
+        }
+    }
+
+    /// Seeded solver input `case`: a link rate and flows whose arrivals sit
+    /// on a coarse grid, so several share one µs. The family, by
+    /// `case % 4`, forces one corner:
+    /// 0. a contended link, flows capped and uncapped;
+    /// 1. a link slower than the flow count (the 1 bit/s floor);
+    /// 2. work past `u64::MAX` bit·µs (terabyte flows on Gbit/s links);
+    /// 3. caps banded around the fair share, all arriving together, so
+    ///    the waterfill binds over several rounds.
+    fn solver_case(case: u64) -> (u64, Vec<FairFlowSpec>) {
+        let mut rng = stream_rng(0x5EED, case);
+        let n = rng.random_range(2..24u64);
+        let (link, grid) = match case % 4 {
+            0 => (rng.random_range(1_000_000..50_000_000), 200 * MS),
+            1 => (rng.random_range(1..n), 10 * SEC),
+            2 => (rng.random_range(1_000_000_000..20_000_000_000), 1_000 * SEC),
+            _ => (rng.random_range(1_000_000..50_000_000), 0),
+        };
+        let flows = (0..n)
+            .map(|_| {
+                let arrival = rng.random_range(0..6u64) * grid;
+                let (bytes, cap) = match case % 4 {
+                    0 => (
+                        rng.random_range(1..2_000_000),
+                        draw_cap(&mut rng, 100_000..20_000_000),
+                    ),
+                    1 => (rng.random_range(1..64), draw_cap(&mut rng, 1..4)),
+                    2 => (
+                        rng.random_range(2_400_000_000_000..10_000_000_000_000),
+                        draw_cap(&mut rng, 100_000_000..20_000_000_000),
+                    ),
+                    _ => (
+                        rng.random_range(1..2_000_000),
+                        draw_cap(&mut rng, link / (2 * n)..2 * link / n),
+                    ),
+                };
+                FairFlowSpec {
+                    arrival,
+                    bytes,
+                    rate_cap_bps: cap,
+                }
+            })
+            .collect();
+        (link, flows)
+    }
 
     #[test]
     fn baseline_median_link_is_the_default_link() {
@@ -779,6 +1005,70 @@ mod tests {
         assert!(a.completions.iter().all(|&c| c > 0));
         assert!(a.peak_active >= 32 && a.peak_active <= 64);
         assert!(a.recomputes >= 64); // at least one per arrival
+    }
+
+    #[test]
+    fn merged_loop_matches_the_queue_solver() {
+        // Caps that bind one per waterfill round: the shares 200 000,
+        // 225 000, 226 666 and 227 000 each bind one flow, and the
+        // uncapped flow takes the 227 100 bit/s left.
+        let ladder = [100_000, 220_000, 226_000, 226_900, 0]
+            .map(|cap| FairFlowSpec {
+                arrival: 0,
+                bytes: 500_000,
+                rate_cap_bps: cap,
+            })
+            .to_vec();
+        let mut cases = vec![(1_000_000, ladder)];
+        cases.extend((0..512).map(solver_case));
+        let mut on_tick = 0;
+        for (case, (link, mut flows)) in cases.into_iter().enumerate() {
+            let want = queue_fair_share(link, &flows);
+            assert_eq!(
+                simulate_fair_share(link, &flows).unwrap(),
+                want,
+                "case {case}"
+            );
+            // One more flow arriving on the µs a flow completes: that is
+            // when the live tick fires, unless an arrival shares the µs.
+            let tick = want
+                .completions
+                .iter()
+                .find(|&&c| flows.iter().all(|f| f.arrival != c));
+            if let Some(&at) = tick {
+                flows.push(FairFlowSpec {
+                    arrival: at,
+                    ..flows[0]
+                });
+                on_tick += 1;
+                assert_eq!(
+                    simulate_fair_share(link, &flows).unwrap(),
+                    queue_fair_share(link, &flows),
+                    "case {case}, arrival on the tick at {at}"
+                );
+            }
+        }
+        assert!(on_tick > 400, "{on_tick} arrivals on a tick");
+    }
+
+    #[test]
+    fn fair_share_ends_at_the_end_of_time() {
+        // 2^64 − 1 bytes at 1 bit/s outlast the µs clock: the flow
+        // completes when the clock saturates instead of ticking there
+        // forever.
+        let huge = FairFlowSpec {
+            arrival: 0,
+            bytes: u64::MAX,
+            rate_cap_bps: 0,
+        };
+        let late = FairFlowSpec {
+            arrival: Time::MAX,
+            bytes: 1,
+            rate_cap_bps: 0,
+        };
+        let out = simulate_fair_share(1, &[huge, late]).unwrap();
+        assert_eq!(out.completions, vec![Time::MAX, Time::MAX]);
+        assert_eq!(out.durations, vec![Time::MAX, 0]);
     }
 
     /// The acceptance-criteria parity test: on small contention cases the

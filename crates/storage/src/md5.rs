@@ -28,14 +28,6 @@ impl std::fmt::Display for Digest {
     }
 }
 
-/// Per-round shift amounts.
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-];
-
 /// Sine-derived constants `K[i] = floor(2^32 · |sin(i + 1)|)`.
 const K: [u32; 64] = [
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
@@ -105,11 +97,11 @@ impl Md5 {
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.length_bytes.wrapping_mul(8);
         // Padding: 0x80 then zeros to 56 mod 64, then the length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // Careful: the two updates above also bump length_bytes, but the
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        let pad_len = (119 - self.buffered) % 64 + 1;
+        self.update(&pad[..pad_len]);
+        // Careful: the update above also bumps length_bytes, but the
         // length field must be the original message length (captured
         // before padding).
         let mut block = self.buffer;
@@ -129,25 +121,52 @@ impl Md5 {
             m[i] = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
         }
         let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            let sum = a.wrapping_add(f).wrapping_add(K[i]).wrapping_add(m[g]);
-            b = b.wrapping_add(sum.rotate_left(S[i]));
-            a = tmp;
+        // Each round runs 16 steps, four per iteration with the round's
+        // four shifts; step j of the 64 adds K[j] and the message word the
+        // round's schedule picks.
+        for i in (0..16).step_by(4) {
+            let k = &K[i..4 + i];
+            a = step(a, b, (b & c) | (!b & d), m[i], k[0], 7);
+            d = step(d, a, (a & b) | (!a & c), m[i + 1], k[1], 12);
+            c = step(c, d, (d & a) | (!d & b), m[i + 2], k[2], 17);
+            b = step(b, c, (c & d) | (!c & a), m[i + 3], k[3], 22);
+        }
+        for i in (0..16).step_by(4) {
+            let k = &K[16 + i..20 + i];
+            a = step(a, b, (d & b) | (!d & c), m[(5 * i + 1) % 16], k[0], 5);
+            d = step(d, a, (c & a) | (!c & b), m[(5 * i + 6) % 16], k[1], 9);
+            c = step(c, d, (b & d) | (!b & a), m[(5 * i + 11) % 16], k[2], 14);
+            b = step(b, c, (a & c) | (!a & d), m[5 * i % 16], k[3], 20);
+        }
+        for i in (0..16).step_by(4) {
+            let k = &K[32 + i..36 + i];
+            a = step(a, b, b ^ c ^ d, m[(3 * i + 5) % 16], k[0], 4);
+            d = step(d, a, a ^ b ^ c, m[(3 * i + 8) % 16], k[1], 11);
+            c = step(c, d, d ^ a ^ b, m[(3 * i + 11) % 16], k[2], 16);
+            b = step(b, c, c ^ d ^ a, m[(3 * i + 14) % 16], k[3], 23);
+        }
+        for i in (0..16).step_by(4) {
+            let k = &K[48 + i..52 + i];
+            a = step(a, b, c ^ (b | !d), m[7 * i % 16], k[0], 6);
+            d = step(d, a, b ^ (a | !c), m[(7 * i + 7) % 16], k[1], 10);
+            c = step(c, d, a ^ (d | !b), m[(7 * i + 14) % 16], k[2], 15);
+            b = step(b, c, d ^ (c | !a), m[(7 * i + 5) % 16], k[3], 21);
         }
         self.state[0] = self.state[0].wrapping_add(a);
         self.state[1] = self.state[1].wrapping_add(b);
         self.state[2] = self.state[2].wrapping_add(c);
         self.state[3] = self.state[3].wrapping_add(d);
     }
+}
+
+/// One MD5 step: `b + ((a + f + x + k) <<< s)`, where `f` is the round
+/// function of the other three state words.
+fn step(a: u32, b: u32, f: u32, x: u32, k: u32, s: u32) -> u32 {
+    a.wrapping_add(f)
+        .wrapping_add(k)
+        .wrapping_add(x)
+        .rotate_left(s)
+        .wrapping_add(b)
 }
 
 /// One-shot digest of a byte slice.

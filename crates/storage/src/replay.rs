@@ -155,9 +155,15 @@ impl ReplayStats {
     }
 }
 
+/// Size of popular-pool object 0, bytes.
+const POPULAR_BASE: u64 = 1_000_000;
+/// Size step between consecutive popular-pool objects, bytes.
+const POPULAR_STEP: u64 = 450_000;
+
 /// Deterministic size of a popular-pool object (photo- to clip-sized).
+/// [`validate`] rejects every pool whose largest size would overflow.
 fn popular_size(seed: u64) -> u64 {
-    1_000_000 + seed * 450_000
+    POPULAR_BASE + seed * POPULAR_STEP
 }
 
 /// Replays every planned session of `gen` into a fresh service under
@@ -175,8 +181,9 @@ fn popular_size(seed: u64) -> u64 {
 /// are stateless hashes and faulted operations execute in global timeline
 /// order (not per-user plan order), so the outputs are bit-identical
 /// across runs and thread counts. Fails only on invalid configuration
-/// (zero front-ends, an empty popular-content pool, an invalid profile
-/// mix or retry policy).
+/// (zero front-ends, an empty popular-content pool or one whose object
+/// sizes overflow, a duplicate probability outside [0, 1], an invalid
+/// profile mix or retry policy).
 pub fn replay(
     gen: &TraceGenerator,
     cfg: &ReplayConfig,
@@ -213,16 +220,30 @@ pub fn replay(
     Ok((svc, stats, obs.snapshot()))
 }
 
-/// Plans and runs the trace, then exports `sim.*` and frees the timeline.
-fn execute(
-    gen: &TraceGenerator,
-    cfg: &ReplayConfig,
-    plan: &FaultPlan,
-    retry: RetryPolicy,
-) -> Result<ReplayEngine, ConfigError> {
-    if cfg.popular_pool == 0 {
+/// Rejects what the planner cannot take: an empty popular-content pool, a
+/// pool whose largest object size would overflow a `u64`, a duplicate
+/// probability outside [0, 1] (or NaN), and an invalid profile mix or
+/// front-end link rate when the network pass is on. Front-end counts and
+/// fault plans are the service's to check.
+fn validate(cfg: &ReplayConfig) -> Result<(), ConfigError> {
+    let Some(largest_seed) = cfg.popular_pool.checked_sub(1) else {
         return Err(ConfigError::ZeroCount {
             what: "popular-content pool",
+        });
+    };
+    let largest = largest_seed
+        .checked_mul(POPULAR_STEP)
+        .and_then(|step| step.checked_add(POPULAR_BASE));
+    if largest.is_none() {
+        return Err(ConfigError::OutOfRange {
+            what: "popular-content pool",
+            requirement: "must keep every object's size within u64",
+        });
+    }
+    if !(0.0..=1.0).contains(&cfg.duplicate_prob) {
+        return Err(ConfigError::OutOfRange {
+            what: "duplicate probability",
+            requirement: "must be in [0, 1]",
         });
     }
     if let Some(mix) = &cfg.profiles {
@@ -234,6 +255,17 @@ fn execute(
             });
         }
     }
+    Ok(())
+}
+
+/// Plans and runs the trace, then exports `sim.*` and frees the timeline.
+fn execute(
+    gen: &TraceGenerator,
+    cfg: &ReplayConfig,
+    plan: &FaultPlan,
+    retry: RetryPolicy,
+) -> Result<ReplayEngine, ConfigError> {
+    validate(cfg)?;
     let horizon_hours = (gen.config().horizon_ms() / 3_600_000) as usize;
     let mut svc = StorageService::new(cfg.frontends, horizon_hours)?;
     let mode = if cfg.resumable {
@@ -561,23 +593,36 @@ fn book_profile_flows(
     let recomputes = eng.obs.counter("net.profile.recomputes");
     let peak = eng.obs.histogram("net.profile.peak_active");
     let mut ids: BTreeMap<&'static str, (CounterId, CounterId, HistId)> = BTreeMap::new();
+    // The last user's profile name and upload and download caps. A user's
+    // ops are contiguous in their front-end's list, which keeps plan
+    // order, so each user's draws are made once.
+    let mut last: Option<(u64, &'static str, u64, u64)> = None;
     for op_ids in per_fe.iter().filter(|ops| !ops.is_empty()) {
         let (flows, flow_names): (Vec<FairFlowSpec>, Vec<&'static str>) = op_ids
             .iter()
             .map(|&i| {
                 let op = &eng.ops[i];
-                let profile = mix.draw(cfg.seed, op.user);
-                let link = profile.user_link(cfg.seed, op.user);
-                let rwnd = match op.kind {
-                    PlannedKind::Store { .. } => UPLOAD_RWND,
-                    PlannedKind::Retrieve { .. } => DOWNLOAD_RWND,
+                let (name, up, down) = match last {
+                    Some((user, name, up, down)) if user == op.user => (name, up, down),
+                    _ => {
+                        let profile = mix.draw(cfg.seed, op.user);
+                        let link = profile.user_link(cfg.seed, op.user);
+                        let up = access_cap_bps(&link, UPLOAD_RWND);
+                        let down = access_cap_bps(&link, DOWNLOAD_RWND);
+                        last = Some((op.user, profile.name, up, down));
+                        (profile.name, up, down)
+                    }
+                };
+                let rate_cap_bps = match op.kind {
+                    PlannedKind::Store { .. } => up,
+                    PlannedKind::Retrieve { .. } => down,
                 };
                 let spec = FairFlowSpec {
                     arrival: op_deadline_us(op.at_ms),
                     bytes: eng.op_bytes[i],
-                    rate_cap_bps: access_cap_bps(&link, rwnd),
+                    rate_cap_bps,
                 };
-                (spec, profile.name)
+                (spec, name)
             })
             .unzip();
         let out = simulate_fair_share(cfg.frontend_link_bps, &flows)?;
@@ -738,6 +783,63 @@ mod tests {
         }
     }
 
+    /// FNV-1a of `format!("{stats:?} {}", snap.to_json())`, the digest
+    /// perfbench reports as a replay's `outputs_digest`.
+    fn replay_digest(gen: &TraceGenerator, cfg: &ReplayConfig, plan: &FaultPlan) -> String {
+        let (_, stats, snap) = replay(gen, cfg, plan, RetryPolicy::default()).unwrap();
+        let text = format!("{stats:?} {}", snap.to_json());
+        let h = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        format!("{h:016x}")
+    }
+
+    /// Golden digests of three replays: every `replay.*`, `storage.*`,
+    /// `transfer.*`, `sim.*` and `net.profile.*` output, so a change to
+    /// the planner, the service, the chunk digests or the fair-share
+    /// solver that moves any of them fails here. To re-record after a
+    /// deliberate change, run this test on the parent and take the
+    /// digests from its failure message.
+    #[test]
+    fn replay_golden_digests() {
+        let gen = small_gen(43);
+        let cfg = ReplayConfig {
+            profiles: Some(ProfileMix::mobile()),
+            // Slow enough that each front-end's flows contend.
+            frontend_link_bps: 2_000_000,
+            ..ReplayConfig::default()
+        };
+        // The fleet_replay example's rough week.
+        let rough = FaultPlan::generate(&FaultPlanConfig {
+            seed: 43,
+            horizon_ms: gen.config().horizon_ms(),
+            n_frontends: cfg.frontends,
+            frontend_outages_per_day: 2.0,
+            frontend_outage_mean_ms: 10.0 * 60_000.0,
+            frontend_brownouts_per_day: 4.0,
+            frontend_brownout_mean_ms: 20.0 * 60_000.0,
+            chunk_timeout_prob: 0.25,
+            metadata_outages_per_day: 1.0,
+            metadata_outage_mean_ms: 5.0 * 60_000.0,
+            ..FaultPlanConfig::default()
+        })
+        .unwrap();
+        let whole_file = ReplayConfig {
+            resumable: false,
+            ..cfg
+        };
+        let got = [
+            replay_digest(&gen, &cfg, &FaultPlan::none(cfg.frontends)),
+            replay_digest(&gen, &cfg, &rough),
+            replay_digest(&gen, &whole_file, &rough),
+        ];
+        assert_eq!(
+            got,
+            ["325945137e06a665", "9b5f1f5793cc938c", "bcdaeff461c91650"],
+            "fair weather, rough week resumable, rough week whole-file"
+        );
+    }
+
     #[test]
     fn planned_op_stays_small() {
         // One per trace op: a million on a paper-sized week.
@@ -883,6 +985,57 @@ mod tests {
                 what: "popular-content pool"
             })
         );
+    }
+
+    #[test]
+    fn duplicate_prob_outside_the_unit_interval_is_a_config_error() {
+        let gen = small_gen(3);
+        for duplicate_prob in [2.0, -1.0, f64::NAN] {
+            let cfg = ReplayConfig {
+                duplicate_prob,
+                ..ReplayConfig::default()
+            };
+            assert_eq!(
+                fair(&gen, &cfg).err(),
+                Some(ConfigError::OutOfRange {
+                    what: "duplicate probability",
+                    requirement: "must be in [0, 1]",
+                }),
+                "duplicate_prob {duplicate_prob}"
+            );
+        }
+        for duplicate_prob in [0.0, 1.0] {
+            let cfg = ReplayConfig {
+                duplicate_prob,
+                ..ReplayConfig::default()
+            };
+            assert!(fair(&gen, &cfg).is_ok(), "duplicate_prob {duplicate_prob}");
+        }
+    }
+
+    #[test]
+    fn popular_pool_whose_sizes_overflow_is_a_config_error() {
+        // Regression: popular_size(seed) wrapped in release builds past
+        // seed ≈ 4.1·10¹³, and a wrapped size ended the process in a
+        // failed allocation.
+        let overflow = Some(ConfigError::OutOfRange {
+            what: "popular-content pool",
+            requirement: "must keep every object's size within u64",
+        });
+        let cfg = ReplayConfig {
+            popular_pool: u64::MAX,
+            duplicate_prob: 0.5,
+            ..ReplayConfig::default()
+        };
+        assert_eq!(fair(&small_gen(3), &cfg).err(), overflow);
+        // The boundary: the largest pool whose last object still fits.
+        let fits = (u64::MAX - POPULAR_BASE) / POPULAR_STEP + 1;
+        let at = |popular_pool| ReplayConfig {
+            popular_pool,
+            ..ReplayConfig::default()
+        };
+        assert_eq!(validate(&at(fits)), Ok(()));
+        assert_eq!(validate(&at(fits + 1)).err(), overflow);
     }
 
     #[test]

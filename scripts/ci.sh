@@ -25,10 +25,14 @@ fi
 cargo build --offline --locked --release
 cargo test --offline --locked -q
 # The storage crate's refcount and byte-total arithmetic again in release
-# mode, where overflow checks and debug_assert! are off (as in perfbench).
+# mode, where overflow checks and debug_assert! are off (as in perfbench),
+# with the replay golden digests (replay_golden_digests), which pin every
+# replay output: service stats, chunk MD5s and the fair-share pass.
 cargo test --offline --locked --release -q -p mcs-storage
-# Likewise the packet engine's pins (golden digest, events per segment)
-# and the mcs-sim queue they run on.
+# Likewise the packet engine's pins (golden digest, events per segment),
+# the mcs-sim queue they run on, and the fair-share solver's differential
+# test against its queue-based reference
+# (merged_loop_matches_the_queue_solver).
 cargo test --offline --locked --release -q -p mcs-net -p mcs-sim
 cargo fmt --check
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
