@@ -7,22 +7,22 @@
 //! * every [`BlockSource`] — resident blocks or a live
 //!   [`TraceGenerator`](mcs_trace::TraceGenerator) — with one user block
 //!   per unit. Walking it cannot fail.
-//! * [`ShardFiles`] — stored trace files, one file per unit, streamed
-//!   holding at most one user's records per worker. Production log files
-//!   are scuffed at the margins, so malformed records are quarantined
-//!   (with per-record diagnostics) under an [`ErrorBudget`]; only a blown
-//!   budget, an I/O failure, corrupt file framing or a broken file
-//!   contract is fatal.
+//! * [`ShardFiles`] — stored trace files, one file per unit, each read
+//!   through [`open_trace`] holding at most one user's records per worker.
+//!   Production log files are scuffed at the margins, so malformed records
+//!   are quarantined (with per-record diagnostics) by one [`ErrorBudget`]
+//!   charged across all the files; only a blown budget, an I/O failure,
+//!   corrupt file framing or a broken file contract is fatal.
 //!
 //! The **file contract** is what
-//! [`TraceGenerator::write_shards`](mcs_trace::TraceGenerator::write_shards)
-//! and [`write_trace_file`](mcs_trace::io::write_trace_file) produce:
-//! every file holds whole users as contiguous, per-user time-ordered
-//! record groups, and user ids ascend strictly across the whole file
-//! sequence. The walk checks the order within a file, across files and
-//! across worker ranges, and stops at the first violation with
-//! [`ReadError::UserOrder`] at every thread count. Under the contract the
-//! result is bit-identical to the in-memory pipeline at any thread count.
+//! [`TraceGenerator::write_shards_observed`](mcs_trace::TraceGenerator::write_shards_observed)
+//! produces, at any shard count (one shard is one file): every file holds
+//! whole users as contiguous, per-user time-ordered record groups, and user
+//! ids ascend strictly across the whole file sequence. The walk checks the
+//! order within a file, across files and across worker ranges, and stops at
+//! the first violation with [`ReadError::UserOrder`] at every thread count.
+//! Under the contract the result is bit-identical to the in-memory pipeline
+//! at any thread count.
 
 use std::convert::Infallible;
 use std::ops::Range;
@@ -160,14 +160,8 @@ impl RecordSource for ShardFiles<'_> {
         let mut block: Vec<LogRecord> = Vec::new();
         for path in &self.paths[units] {
             for item in open_trace(path, self.format)? {
-                let rec = match item {
-                    Ok(rec) => rec,
-                    Err(e) if e.is_record_level() => {
-                        quarantined.push(e);
-                        self.check_budget(quarantined.len())?;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
+                let Some(rec) = self.budget.admit(item, quarantined)? else {
+                    continue;
                 };
                 if block.first().is_none_or(|r| r.user_id != rec.user_id) {
                     if let Some(prev_user) = last.filter(|&prev| rec.user_id <= prev) {
@@ -194,13 +188,7 @@ impl RecordSource for ShardFiles<'_> {
     }
 
     fn check_budget(&self, quarantined: usize) -> Result<(), ReadError> {
-        if quarantined > self.budget.max_errors {
-            return Err(ReadError::ErrorBudgetExceeded {
-                errors: quarantined,
-                budget: self.budget.max_errors,
-            });
-        }
-        Ok(())
+        self.budget.check(quarantined)
     }
 }
 
@@ -225,8 +213,8 @@ pub fn par_analyze_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_trace::io::{write_jsonl, write_trace_file, CSV_HEADER};
-    use mcs_trace::{TraceConfig, TraceGenerator};
+    use mcs_trace::io::CSV_HEADER;
+    use mcs_trace::{TraceConfig, TraceGenerator, TraceWriter};
 
     fn small_gen() -> TraceGenerator {
         TraceGenerator::new(TraceConfig {
@@ -250,8 +238,10 @@ mod tests {
         let mut paths = Vec::new();
         for (i, group) in groups.iter().enumerate() {
             let path = dir.join(format!("{i}.jsonl"));
-            let mut f = std::fs::File::create(&path).unwrap();
-            write_jsonl(&mut f, group.iter().copied()).unwrap();
+            let file = std::fs::File::create(&path).unwrap();
+            let mut w = TraceWriter::new(file, TraceFormat::Jsonl).unwrap();
+            group.iter().for_each(|r| w.push(r).unwrap());
+            w.finish().unwrap();
             paths.push(path);
         }
         paths
@@ -278,20 +268,20 @@ mod tests {
     #[test]
     fn corrupted_file_analyzes_same_as_clean_file() {
         let gen = small_gen();
-        let dir = std::env::temp_dir();
-        let clean = dir.join("mcs-ingest-clean.csv");
-        let dirty = dir.join("mcs-ingest-dirty.csv");
-        let n = write_trace_file(&gen, &clean, TraceFormat::Csv).unwrap();
+        let dir = std::env::temp_dir().join("mcs-ingest-dirty");
+        let sharded = gen.write_shards(&dir, TraceFormat::Csv, 1).unwrap();
+        let (clean, n) = (&sharded.paths[0], sharded.records);
+        let dirty = dir.join("dirty.csv");
 
         // Corrupt a copy: garbage lines sprinkled through the body.
-        let mut text = std::fs::read_to_string(&clean).unwrap();
+        let mut text = std::fs::read_to_string(clean).unwrap();
         assert!(text.starts_with(CSV_HEADER));
         text.push_str("@@@ corrupt flush @@@\n1,2,3\n");
         std::fs::write(&dirty, text).unwrap();
 
         let budget = ErrorBudget::default();
         let (a_clean, r_clean) = par_analyze_shards(
-            std::slice::from_ref(&clean),
+            std::slice::from_ref(clean),
             TraceFormat::Csv,
             budget,
             &cfg(1),
@@ -313,23 +303,22 @@ mod tests {
             a_dirty, a_clean,
             "quarantined lines must not perturb the analysis"
         );
-        let _ = std::fs::remove_file(clean);
-        let _ = std::fs::remove_file(dirty);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn observed_ingest_merges_quarantine_and_pipeline_metrics() {
         let gen = small_gen();
-        let dir = std::env::temp_dir();
-        let path = dir.join("mcs-ingest-observed.csv");
-        let n = write_trace_file(&gen, &path, TraceFormat::Csv).unwrap();
-        let mut text = std::fs::read_to_string(&path).unwrap();
+        let dir = std::env::temp_dir().join("mcs-ingest-observed");
+        let sharded = gen.write_shards(&dir, TraceFormat::Csv, 1).unwrap();
+        let (path, n) = (&sharded.paths[0], sharded.records);
+        let mut text = std::fs::read_to_string(path).unwrap();
         text.push_str("@@@ corrupt flush @@@\n");
-        std::fs::write(&path, text).unwrap();
+        std::fs::write(path, text).unwrap();
 
         let mut obs = Obs::new();
         let src = ShardFiles {
-            paths: std::slice::from_ref(&path),
+            paths: std::slice::from_ref(path),
             format: TraceFormat::Csv,
             budget: ErrorBudget::default(),
         };
@@ -343,7 +332,7 @@ mod tests {
         );
         // The pipeline metrics ride in the same snapshot.
         assert_eq!(snap.counters["pipeline.records"], analysis.total_records);
-        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -132,10 +132,11 @@ pub fn fan_out<T: Send, R: Send, E: Send>(
                 })
             })
             .collect();
+        // A join fails only if its worker panicked: continue that panic,
+        // payload and message intact.
         handles
             .into_iter()
-            // mcs-lint: allow(panic, join only fails if a worker panicked; re-raise it)
-            .flat_map(|h| h.join().expect("fan_out worker panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
     done.sort_unstable_by_key(|&(i, _)| i);
@@ -196,6 +197,15 @@ mod tests {
             assert_eq!(none, Ok(Vec::new()));
             assert_eq!(fan_out(vec![5], threads, square), Ok(vec![25]));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 1 is out of disk")]
+    fn fan_out_re_raises_a_worker_panic_with_its_message() {
+        let _ = fan_out(vec![0u8, 1], 2, |x| {
+            assert!(x != 1, "item {x} is out of disk");
+            Ok::<u8, ()>(x)
+        });
     }
 
     #[test]

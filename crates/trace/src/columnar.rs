@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 
-use crate::io::{collect_records, collect_records_lossy, ErrorBudget, LossyRead, ReadError};
+use crate::io::ReadError;
 use crate::record::{DeviceType, Direction, LogRecord, RequestType};
 
 /// Magic bytes opening every `.mct` shard.
@@ -108,10 +108,11 @@ fn op_decode(code: u8) -> Option<(DeviceType, RequestType, bool)> {
 
 // ---------------------------------------------------------------- writer
 
-/// Streaming `.mct` writer: push records one at a time, blocks flush to
-/// the underlying writer as they fill, [`finish`](Self::finish) flushes
-/// the remainder. Peak memory is one block, never the shard.
-pub struct ColumnarWriter<W: Write> {
+/// Streaming `.mct` writer behind [`crate::TraceWriter`]: push records one
+/// at a time, blocks flush to the underlying writer as they fill,
+/// [`finish`](Self::finish) writes the remainder. Peak memory is one
+/// block, never the shard.
+pub(crate) struct ColumnarWriter<W: Write> {
     w: W,
     block_records: usize,
     /// Shard-wide id → dictionary-index maps (lookup only; iteration
@@ -123,19 +124,18 @@ pub struct ColumnarWriter<W: Write> {
     new_devices: Vec<u64>,
     /// Records buffered for the current block, already interned.
     buf: Vec<(LogRecord, u32, u32)>,
-    written: u64,
 }
 
 impl<W: Write> ColumnarWriter<W> {
     /// Writes the shard header and returns a writer with the default
     /// block size.
-    pub fn new(w: W) -> io::Result<Self> {
+    pub(crate) fn new(w: W) -> io::Result<Self> {
         Self::with_block_records(w, DEFAULT_BLOCK_RECORDS)
     }
 
     /// [`ColumnarWriter::new`] with an explicit records-per-block cap
     /// (mainly for tests exercising multi-block shards).
-    pub fn with_block_records(mut w: W, block_records: usize) -> io::Result<Self> {
+    pub(crate) fn with_block_records(mut w: W, block_records: usize) -> io::Result<Self> {
         let block_records = block_records.clamp(1, MAX_BLOCK_RECORDS as usize);
         let mut header = [0u8; 20];
         header[..4].copy_from_slice(&MAGIC);
@@ -152,35 +152,27 @@ impl<W: Write> ColumnarWriter<W> {
             new_users: Vec::new(),
             new_devices: Vec::new(),
             buf: Vec::with_capacity(block_records),
-            written: 0,
         })
     }
 
     /// Appends one record; flushes a block when the buffer is full.
-    pub fn push(&mut self, r: &LogRecord) -> io::Result<()> {
+    pub(crate) fn push(&mut self, r: &LogRecord) -> io::Result<()> {
         let uidx = intern(&mut self.users, &mut self.new_users, r.user_id)?;
         let didx = intern(&mut self.devices, &mut self.new_devices, r.device_id)?;
         self.buf.push((*r, uidx, didx));
-        self.written += 1;
         if self.buf.len() >= self.block_records {
             self.flush_block()?;
         }
         Ok(())
     }
 
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flushes the trailing partial block and the underlying writer,
-    /// returning it together with the total record count.
-    pub fn finish(mut self) -> io::Result<(W, u64)> {
+    /// Writes the trailing partial block and returns the underlying
+    /// writer.
+    pub(crate) fn finish(mut self) -> io::Result<W> {
         if !self.buf.is_empty() {
             self.flush_block()?;
         }
-        self.w.flush()?;
-        Ok((self.w, self.written))
+        Ok(self.w)
     }
 
     fn flush_block(&mut self) -> io::Result<()> {
@@ -266,13 +258,13 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 // ---------------------------------------------------------------- reader
 
-/// Streaming `.mct` reader: an iterator of `Result<LogRecord, ReadError>`
-/// holding at most one decoded block. Structural damage (bad magic,
-/// truncation, inconsistent framing) is fatal and ends the stream;
-/// per-record damage (a dictionary index out of range, an invalid op
-/// code) is yielded as an `Err` the lossy collectors can quarantine while
-/// the stream continues.
-pub struct ColumnarRecords<R: BufRead> {
+/// Streaming `.mct` reader behind [`crate::RecordStream`]: an iterator of
+/// `Result<LogRecord, ReadError>` holding at most one decoded block.
+/// Structural damage (bad magic, truncation, inconsistent framing) is
+/// fatal and ends the stream; per-record damage (a dictionary index out of
+/// range, an invalid op code) is yielded as an `Err` that a lossy read can
+/// quarantine while the stream continues.
+pub(crate) struct ColumnarRecords<R: BufRead> {
     r: R,
     /// `None` until the header has been read (an empty input is an empty
     /// trace, mirroring the CSV reader).
@@ -290,7 +282,7 @@ pub struct ColumnarRecords<R: BufRead> {
 
 impl<R: BufRead> ColumnarRecords<R> {
     /// Wraps a reader positioned at the start of a shard.
-    pub fn new(r: R) -> Self {
+    pub(crate) fn new(r: R) -> Self {
         Self {
             r,
             started: false,
@@ -553,38 +545,11 @@ impl<R: BufRead> Iterator for ColumnarRecords<R> {
     }
 }
 
-// ---------------------------------------------------------------- adapters
-
-/// Writes records as one `.mct` shard, returning the record count.
-pub fn write_columnar<W: Write>(
-    w: W,
-    records: impl IntoIterator<Item = LogRecord>,
-) -> io::Result<usize> {
-    let mut cw = ColumnarWriter::new(w)?;
-    for r in records {
-        cw.push(&r)?;
-    }
-    let (_, n) = cw.finish()?;
-    Ok(n as usize)
-}
-
-/// Reads a `.mct` shard, failing on the first error.
-pub fn read_columnar<R: BufRead>(r: R) -> Result<Vec<LogRecord>, ReadError> {
-    collect_records(ColumnarRecords::new(r))
-}
-
-/// Reads a `.mct` shard, quarantining per-record damage (bad dictionary
-/// indices, invalid op codes) under the [`ErrorBudget`]; structural
-/// damage stays fatal.
-pub fn read_columnar_lossy<R: BufRead>(r: R, budget: ErrorBudget) -> Result<LossyRead, ReadError> {
-    collect_records_lossy(ColumnarRecords::new(r), budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::{collect_records_lossy, ErrorBudget, LossyRead};
     use crate::record::CHUNK_SIZE;
-    use std::io::BufReader;
 
     fn sample_records() -> Vec<LogRecord> {
         vec![
@@ -637,14 +602,20 @@ mod tests {
         buf
     }
 
+    /// A strict read of `bytes`.
+    fn decode(bytes: &[u8]) -> Result<Vec<LogRecord>, ReadError> {
+        ColumnarRecords::new(bytes).collect()
+    }
+
+    fn decode_lossy(bytes: &[u8], budget: ErrorBudget) -> Result<LossyRead, ReadError> {
+        collect_records_lossy(ColumnarRecords::new(bytes), budget)
+    }
+
     #[test]
     fn round_trip_single_block() {
         let recs = sample_records();
-        let mut buf = Vec::new();
-        let n = write_columnar(&mut buf, recs.clone()).unwrap();
-        assert_eq!(n, 3);
-        let back = read_columnar(BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back, recs);
+        let buf = encode(&recs, DEFAULT_BLOCK_RECORDS);
+        assert_eq!(decode(&buf).unwrap(), recs);
     }
 
     #[test]
@@ -653,7 +624,7 @@ mod tests {
         // entries introduced by the first AND to introduce its own.
         let recs = sample_records();
         let buf = encode(&recs, 2);
-        let back = read_columnar(BufReader::new(&buf[..])).unwrap();
+        let back = decode(&buf).unwrap();
         assert_eq!(back, recs);
     }
 
@@ -682,23 +653,21 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_trace() {
-        assert!(read_columnar(BufReader::new(&b""[..])).unwrap().is_empty());
+        assert!(decode(b"").unwrap().is_empty());
     }
 
     #[test]
     fn empty_shard_with_header_is_empty_trace() {
-        let mut buf = Vec::new();
-        let n = write_columnar(&mut buf, Vec::new()).unwrap();
-        assert_eq!(n, 0);
+        let buf = encode(&[], DEFAULT_BLOCK_RECORDS);
         assert_eq!(buf.len(), 20, "header only");
-        assert!(read_columnar(BufReader::new(&buf[..])).unwrap().is_empty());
+        assert!(decode(&buf).unwrap().is_empty());
     }
 
     #[test]
     fn bad_magic_is_fatal() {
         let mut buf = encode(&sample_records(), 64);
         buf[0] = b'X';
-        let err = read_columnar(BufReader::new(&buf[..])).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert!(matches!(err, ReadError::BadMagic));
     }
 
@@ -710,7 +679,7 @@ mod tests {
         // fires.
         let sum = fnv1a64(&buf[..12]);
         buf[12..20].copy_from_slice(&sum.to_le_bytes());
-        let err = read_columnar(BufReader::new(&buf[..])).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert!(matches!(err, ReadError::UnsupportedVersion { found: 9 }));
     }
 
@@ -718,7 +687,7 @@ mod tests {
     fn corrupt_header_checksum_is_fatal() {
         let mut buf = encode(&sample_records(), 64);
         buf[13] ^= 0xff;
-        let err = read_columnar(BufReader::new(&buf[..])).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert!(matches!(err, ReadError::HeaderChecksum { .. }));
         assert!(err.to_string().contains("checksum"));
     }
@@ -726,17 +695,17 @@ mod tests {
     #[test]
     fn truncated_header_is_fatal() {
         let buf = encode(&sample_records(), 64);
-        let err = read_columnar(BufReader::new(&buf[..10])).unwrap_err();
+        let err = decode(&buf[..10]).unwrap_err();
         assert!(matches!(err, ReadError::Truncated { .. }));
     }
 
     #[test]
     fn truncated_block_is_fatal() {
         let buf = encode(&sample_records(), 64);
-        let err = read_columnar(BufReader::new(&buf[..buf.len() - 7])).unwrap_err();
+        let err = decode(&buf[..buf.len() - 7]).unwrap_err();
         assert!(matches!(err, ReadError::Truncated { .. }));
         // And a cut inside the frame prefix itself:
-        let err = read_columnar(BufReader::new(&buf[..23])).unwrap_err();
+        let err = decode(&buf[..23]).unwrap_err();
         assert!(matches!(err, ReadError::Truncated { .. }));
     }
 
@@ -748,7 +717,7 @@ mod tests {
         // Bump the record count without growing the payload.
         let n = u32::from_le_bytes([buf[20], buf[21], buf[22], buf[23]]);
         buf[20..24].copy_from_slice(&(n + 1).to_le_bytes());
-        let err = read_columnar(BufReader::new(&buf[..])).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert!(matches!(err, ReadError::CorruptBlock { block: 0, .. }));
     }
 
@@ -760,7 +729,7 @@ mod tests {
         // 4 + 2*8 users, 4 + 3*8 devices, then 3*8 timestamps.
         let uidx_off = 20 + 8 + (4 + 16) + (4 + 24) + 24;
         buf[uidx_off..uidx_off + 4].copy_from_slice(&99u32.to_le_bytes());
-        let err = read_columnar(BufReader::new(&buf[..])).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         match err {
             ReadError::DictIndex {
                 block: 0,
@@ -771,7 +740,7 @@ mod tests {
             other => panic!("expected DictIndex, got {other:?}"),
         }
         // Lossy mode quarantines the one record and keeps the rest.
-        let lossy = read_columnar_lossy(BufReader::new(&buf[..]), ErrorBudget::default()).unwrap();
+        let lossy = decode_lossy(&buf, ErrorBudget::default()).unwrap();
         assert_eq!(lossy.records, recs[1..]);
         assert_eq!(lossy.quarantined.len(), 1);
     }
@@ -784,7 +753,7 @@ mod tests {
         let op_off = 20 + 8 + (4 + 16) + (4 + 24) + 24 + 12 + 12;
         buf[op_off] = 240;
         buf[op_off + 1] = 241;
-        let lossy = read_columnar_lossy(BufReader::new(&buf[..]), ErrorBudget::default()).unwrap();
+        let lossy = decode_lossy(&buf, ErrorBudget::default()).unwrap();
         assert_eq!(lossy.records, recs[2..]);
         assert_eq!(lossy.quarantined.len(), 2);
         assert!(matches!(
@@ -795,8 +764,7 @@ mod tests {
                 code: 240
             }
         ));
-        let err = read_columnar_lossy(BufReader::new(&buf[..]), ErrorBudget { max_errors: 1 })
-            .unwrap_err();
+        let err = decode_lossy(&buf, ErrorBudget { max_errors: 1 }).unwrap_err();
         assert!(matches!(
             err,
             ReadError::ErrorBudgetExceeded {
@@ -810,7 +778,7 @@ mod tests {
     fn re_encode_is_byte_identical() {
         let recs = sample_records();
         let buf = encode(&recs, 2);
-        let back = read_columnar(BufReader::new(&buf[..])).unwrap();
+        let back = decode(&buf).unwrap();
         let again = encode(&back, 2);
         assert_eq!(buf, again);
     }

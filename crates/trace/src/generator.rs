@@ -3,18 +3,32 @@
 //! Produces, per session (§2.1 protocol):
 //!
 //! 1. a burst of *file operation* requests at the session start, spaced by
-//!    the within-session gap distribution (Fig. 3's ≈ 10 s mode; the burst
-//!    itself is Fig. 4's "users front-load their operations"),
+//!    the within-session gap distribution (by default a 0.2 s median plus
+//!    2 % straggler gaps of about 8 s; the paper's Fig. 3 mode is near
+//!    10 s, see EXPERIMENTS.md deviation 1). The burst itself is Fig. 4's
+//!    "users front-load their operations";
 //! 2. the *chunk requests* of each file, sequential within the session's
 //!    connection, each spaced by its own processing time plus the client's
 //!    `T_clt` think time (Fig. 11's timeline).
 //!
 //! Generation is streaming: [`TraceGenerator::user_records`] materialises
-//! one user at a time, so paper-scale traces never need to fit in memory;
-//! [`TraceGenerator::generate_sorted`] collects and time-sorts everything
-//! for small configurations.
+//! one user at a time, so paper-scale traces never need to fit in memory.
+//! There is one entry per output:
+//!
+//! * [`TraceGenerator::iter_user_records`]: per-user blocks, lazily, on
+//!   the calling thread;
+//! * [`TraceGenerator::par_user_records`]: every block, in user order;
+//! * [`TraceGenerator::generate_sorted`]: every record, time-sorted, for
+//!   traces that fit in memory;
+//! * [`TraceGenerator::write_shards_observed`]: shard files on disk (see
+//!   [`crate::shard`]).
+//!
+//! The last three run on [`TraceConfig::threads`] workers through one
+//! shared fan-out, which books the same `gen.*` metrics and trace events
+//! for all three.
 
 use std::convert::Infallible;
+use std::ops::Range;
 
 use mcs_obs::{Obs, Registry};
 use mcs_stats::rng::{stream_rng, ChaCha8Rng, LogNormal, Rng};
@@ -106,95 +120,86 @@ impl TraceGenerator {
         self.users.iter().map(|u| self.user_records(u))
     }
 
-    /// All per-user record blocks, generated in parallel over
-    /// [`TraceConfig::threads`] workers. Each user draws from its own RNG
-    /// stream, so the result is identical to collecting
-    /// [`Self::iter_user_records`] regardless of the thread count.
-    pub fn par_user_records(&self) -> Vec<Vec<LogRecord>> {
-        self.par_user_records_observed(&mut Obs::new())
-    }
-
-    /// [`Self::par_user_records`] that also reports into `obs`. Each
-    /// worker fills a *private* registry (`gen.users` / `gen.records`
-    /// counters, `gen.user_records` per-block histogram) which merge by
-    /// name in ascending shard order — so the metric snapshot is
-    /// bit-identical at any thread count. The trace records per-shard
-    /// record counts and the merge fan-in, which describe this particular
-    /// execution.
-    pub fn par_user_records_observed(&self, obs: &mut Obs) -> Vec<Vec<LogRecord>> {
-        let threads = effective_threads(self.cfg.threads);
-        let ranges = shard_ranges(self.users.len(), threads);
-        if ranges.len() <= 1 {
-            let blocks: Vec<Vec<LogRecord>> = self.iter_user_records().collect();
-            observe_blocks(&mut obs.metrics, &blocks);
-            obs.trace.event(1, "gen.merge.fan_in", 1);
-            return blocks;
-        }
-        let Ok(shards) = fan_out(ranges, threads, |range| {
-            let blocks: Vec<Vec<LogRecord>> = self.users[range]
-                .iter()
-                .map(|u| self.user_records(u))
-                .collect();
-            let mut metrics = Registry::new();
-            observe_blocks(&mut metrics, &blocks);
-            Ok::<_, Infallible>((blocks, metrics))
+    /// All per-user record blocks in user order, generated on
+    /// [`TraceConfig::threads`] workers over contiguous user shards. Each
+    /// user draws from its own RNG stream, so the result equals
+    /// [`Self::iter_user_records`] at any thread count.
+    ///
+    /// Reports into `obs`: `gen.users`, `gen.records` and the
+    /// `gen.user_records` histogram, booked per shard and merged in shard
+    /// order (bit-identical at any thread count), plus one
+    /// `gen.shard.records` trace event per shard and `gen.merge.fan_in`.
+    pub fn par_user_records(&self, obs: &mut Obs) -> Vec<Vec<LogRecord>> {
+        let Ok(shards) = self.per_shard(self.thread_ranges(), obs, |_, blocks| {
+            Ok::<_, Infallible>(blocks.collect::<Vec<_>>())
         });
-        let fan_in = shards.len() as u64;
-        for (i, (blocks, metrics)) in shards.iter().enumerate() {
-            let n: u64 = blocks.iter().map(|b| b.len() as u64).sum();
-            obs.trace.event(i as u64, "gen.shard.records", n);
-            obs.metrics.merge(metrics);
-        }
-        obs.trace.event(fan_in, "gen.merge.fan_in", fan_in);
-        shards.into_iter().flat_map(|(blocks, _)| blocks).collect()
+        shards.into_iter().flatten().collect()
     }
 
-    /// Generates everything and sorts globally by timestamp — convenient
-    /// for small configs and for writing trace files. Generation and
-    /// sorting run on [`TraceConfig::threads`] workers over contiguous user
-    /// shards; the per-shard sorted runs are k-way merged, so the output is
-    /// bit-identical to the single-threaded sort for any thread count.
-    pub fn generate_sorted(&self) -> Vec<LogRecord> {
-        self.generate_sorted_observed(&mut Obs::new())
-    }
-
-    /// [`Self::generate_sorted`] that also reports into `obs`, with the
-    /// same per-shard private registries merged in shard order as
-    /// [`Self::par_user_records_observed`] — metric snapshots are
-    /// identical at any thread count, while the trace records the
-    /// per-shard run sizes and k-way merge fan-in of this execution.
-    pub fn generate_sorted_observed(&self, obs: &mut Obs) -> Vec<LogRecord> {
-        let threads = effective_threads(self.cfg.threads);
-        let ranges = shard_ranges(self.users.len(), threads);
-        if ranges.len() <= 1 {
-            let blocks: Vec<Vec<LogRecord>> = self.iter_user_records().collect();
-            observe_blocks(&mut obs.metrics, &blocks);
-            obs.trace.event(1, "gen.merge.fan_in", 1);
-            let mut all: Vec<LogRecord> = blocks.into_iter().flatten().collect();
-            all.sort_by_key(sort_key);
-            return all;
-        }
-        let Ok(shards) = fan_out(ranges, threads, |range| {
-            let blocks: Vec<Vec<LogRecord>> = self.users[range]
-                .iter()
-                .map(|u| self.user_records(u))
-                .collect();
-            let mut metrics = Registry::new();
-            observe_blocks(&mut metrics, &blocks);
-            let mut run: Vec<LogRecord> = blocks.into_iter().flatten().collect();
+    /// Every record, sorted globally by `(timestamp_ms, user_id,
+    /// device_id)`, for traces that fit in memory. Each worker sorts its
+    /// user shard's records and the runs are k-way merged, so the output is
+    /// bit-identical to a single-threaded stable sort for any thread count.
+    /// Reports into `obs` exactly as [`Self::par_user_records`] does.
+    pub fn generate_sorted(&self, obs: &mut Obs) -> Vec<LogRecord> {
+        let Ok(runs) = self.per_shard(self.thread_ranges(), obs, |_, blocks| {
+            let mut run: Vec<LogRecord> = blocks.flatten().collect();
             run.sort_by_key(sort_key);
-            Ok::<_, Infallible>((run, metrics))
+            Ok::<_, Infallible>(run)
         });
+        merge_sorted_runs(runs)
+    }
+
+    /// One contiguous user shard per worker.
+    fn thread_ranges(&self) -> Vec<Range<usize>> {
+        shard_ranges(self.users.len(), effective_threads(self.cfg.threads))
+    }
+
+    /// The one generation fan-out: generates each range's users on
+    /// [`fan_out`] workers, hands shard `i`'s blocks in user order to
+    /// `sink(i, blocks)`, and returns the results in shard order, or the
+    /// first error in shard order. Each shard books its `gen.*` metrics
+    /// into a private registry; the registries merge into `obs` in shard
+    /// order, so the snapshot is the same at any thread or shard count.
+    /// The trace events (records per shard, fan-in) describe this run.
+    pub(crate) fn per_shard<S: Send, E: Send>(
+        &self,
+        ranges: Vec<Range<usize>>,
+        obs: &mut Obs,
+        sink: impl Fn(usize, &mut dyn Iterator<Item = Vec<LogRecord>>) -> Result<S, E> + Sync,
+    ) -> Result<Vec<S>, E> {
+        let shards = fan_out(
+            ranges.into_iter().enumerate().collect(),
+            effective_threads(self.cfg.threads),
+            |(i, range)| {
+                let mut metrics = Registry::new();
+                let users = metrics.counter("gen.users");
+                let records = metrics.counter("gen.records");
+                let per_user = metrics.histogram("gen.user_records");
+                let mut n = 0;
+                let out = sink(
+                    i,
+                    &mut self.users[range].iter().map(|u| {
+                        let block = self.user_records(u);
+                        metrics.inc(users);
+                        metrics.add(records, block.len() as u64);
+                        metrics.observe(per_user, block.len() as u64);
+                        n += block.len() as u64;
+                        block
+                    }),
+                )?;
+                Ok((out, metrics, n))
+            },
+        )?;
         let fan_in = shards.len() as u64;
-        let mut runs: Vec<Vec<LogRecord>> = Vec::with_capacity(shards.len());
-        for (i, (run, metrics)) in shards.into_iter().enumerate() {
-            obs.trace
-                .event(i as u64, "gen.shard.records", run.len() as u64);
+        let mut out = Vec::with_capacity(shards.len());
+        for (i, (s, metrics, n)) in shards.into_iter().enumerate() {
             obs.metrics.merge(&metrics);
-            runs.push(run);
+            obs.trace.event(i as u64, "gen.shard.records", n);
+            out.push(s);
         }
         obs.trace.event(fan_in, "gen.merge.fan_in", fan_in);
-        merge_sorted_runs(runs)
+        Ok(out)
     }
 
     /// Emits the records of one session into `out`.
@@ -298,23 +303,8 @@ impl BlockSource for TraceGenerator {
 }
 
 /// Global trace order: timestamp, then user, then device.
-pub(crate) fn sort_key(r: &LogRecord) -> (u64, u64, u64) {
+fn sort_key(r: &LogRecord) -> (u64, u64, u64) {
     (r.timestamp_ms, r.user_id, r.device_id)
-}
-
-/// Books one shard's per-user blocks into `metrics`: `gen.users` /
-/// `gen.records` counters plus the `gen.user_records` block-size
-/// histogram. Only workload-derived values go in — the registry must
-/// merge to the same snapshot regardless of how users were sharded.
-fn observe_blocks(metrics: &mut Registry, blocks: &[Vec<LogRecord>]) {
-    let users = metrics.counter("gen.users");
-    let records = metrics.counter("gen.records");
-    let per_user = metrics.histogram("gen.user_records");
-    for b in blocks {
-        metrics.inc(users);
-        metrics.add(records, b.len() as u64);
-        metrics.observe(per_user, b.len() as u64);
-    }
 }
 
 /// K-way merges per-shard runs already sorted by [`sort_key`]. Ties prefer
@@ -359,6 +349,34 @@ mod tests {
             ..TraceConfig::default()
         };
         assert!(TraceGenerator::new(cfg).is_err());
+    }
+
+    #[test]
+    fn rejects_values_the_samplers_cannot_take() {
+        // Each edit used to panic inside a sampler or pass silently.
+        let bad: [fn(&mut TraceConfig); 16] = [
+            |c| c.session.intra_op_gap_sigma = 0.0,
+            |c| c.session.intra_op_gap_median_s = f64::NAN,
+            |c| c.session.straggler_gap_median_s = 0.0,
+            |c| c.session.straggler_frac = 2.0,
+            |c| c.session.files_per_session_zipf_s = 0.0,
+            |c| c.activity.max_files = 0,
+            |c| c.network.rtt_sigma = 0.0,
+            |c| c.network.rtt_median_ms = 0.0,
+            |c| c.network.srv_median_ms = -1.0,
+            |c| c.network.chunk_sigma = 0.0,
+            |c| c.network.pc_chunk_median_ms = f64::INFINITY,
+            |c| c.network.window_bound_frac = 5.0,
+            |c| c.engagement.daily_return_prob = 2.0,
+            |c| c.engagement.daily_return_prob_multi = f64::NAN,
+            |c| c.diurnal.weekend_factor = -1.0,
+            |c| c.diurnal.weekend_factor = f64::NAN,
+        ];
+        for (i, edit) in bad.iter().enumerate() {
+            let mut cfg = TraceConfig::default();
+            edit(&mut cfg);
+            assert!(TraceGenerator::new(cfg).is_err(), "edit {i} was accepted");
+        }
     }
 
     #[test]
@@ -443,7 +461,7 @@ mod tests {
         cfg.mobile_users = 300;
         cfg.pc_only_users = 50;
         let g = TraceGenerator::new(cfg).unwrap();
-        let all = g.generate_sorted();
+        let all = g.generate_sorted(&mut Obs::new());
         assert!(!all.is_empty());
         for w in all.windows(2) {
             assert!(w[0].timestamp_ms <= w[1].timestamp_ms);
@@ -457,7 +475,11 @@ mod tests {
             let mut cfg = TraceConfig::small(21);
             cfg.threads = threads;
             let g = TraceGenerator::new(cfg).unwrap();
-            assert_eq!(g.par_user_records(), sequential, "threads = {threads}");
+            assert_eq!(
+                g.par_user_records(&mut Obs::new()),
+                sequential,
+                "threads = {threads}"
+            );
         }
     }
 
@@ -467,12 +489,18 @@ mod tests {
         cfg.mobile_users = 400;
         cfg.pc_only_users = 100;
         cfg.threads = 1;
-        let baseline = TraceGenerator::new(cfg.clone()).unwrap().generate_sorted();
+        let baseline = TraceGenerator::new(cfg.clone())
+            .unwrap()
+            .generate_sorted(&mut Obs::new());
         assert!(!baseline.is_empty());
         for threads in [2usize, 3, 8] {
             cfg.threads = threads;
             let g = TraceGenerator::new(cfg.clone()).unwrap();
-            assert_eq!(g.generate_sorted(), baseline, "threads = {threads}");
+            assert_eq!(
+                g.generate_sorted(&mut Obs::new()),
+                baseline,
+                "threads = {threads}"
+            );
         }
     }
 
@@ -484,7 +512,7 @@ mod tests {
         cfg.threads = 1;
         let g1 = TraceGenerator::new(cfg.clone()).unwrap();
         let mut base = Obs::new();
-        let blocks = g1.par_user_records_observed(&mut base);
+        let blocks = g1.par_user_records(&mut base);
         let base_snap = base.snapshot();
         let total: u64 = blocks.iter().map(|b| b.len() as u64).sum();
         assert_eq!(base_snap.counters["gen.users"], blocks.len() as u64);
@@ -497,13 +525,13 @@ mod tests {
             cfg.threads = threads;
             let g = TraceGenerator::new(cfg.clone()).unwrap();
             let mut obs = Obs::new();
-            assert_eq!(g.par_user_records_observed(&mut obs), blocks);
+            assert_eq!(g.par_user_records(&mut obs), blocks);
             let snap = obs.snapshot();
             assert_eq!(snap, base_snap, "threads = {threads}");
             // The sorted path books the same workload metrics, and its
             // trace names the merge fan-in of this execution.
             let mut sorted_obs = Obs::new();
-            let _ = g.generate_sorted_observed(&mut sorted_obs);
+            let _ = g.generate_sorted(&mut sorted_obs);
             assert_eq!(sorted_obs.snapshot(), base_snap, "threads = {threads}");
             assert!(sorted_obs
                 .trace

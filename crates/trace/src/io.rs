@@ -1,15 +1,20 @@
 //! Trace serialisation: JSON-lines, a compact CSV form, and the binary
 //! columnar `.mct` shard format (see [`crate::columnar`]).
 //!
-//! The public dataset the paper released was a flat log file; these
-//! readers/writers let generated traces round-trip through files so the
-//! analysis pipeline can be pointed at stored traces, not only live
-//! generators. Every format streams record-by-record in both directions:
-//! the readers are thin adapters over iterator cores
-//! ([`JsonlRecords`]/[`CsvRecords`]/[`crate::columnar::ColumnarRecords`],
-//! unified under [`RecordStream`]) that never hold the full trace, and the
-//! writers are push-style ([`TraceWriter`]) so a shard can be produced
-//! without materialising it.
+//! The public dataset the paper released was a flat log file; this module
+//! lets generated traces round-trip through files so the analysis pipeline
+//! can be pointed at stored traces, not only live generators. Every format
+//! streams record by record in both directions, through one reader and one
+//! writer:
+//!
+//! * [`RecordStream`] (or [`open_trace`] for a path) yields
+//!   `Result<LogRecord, ReadError>` without ever holding the full trace. A
+//!   strict read is `stream.collect::<Result<Vec<_>, _>>()`; a lossy read
+//!   is [`collect_records_lossy`], which quarantines record-level damage
+//!   under an [`ErrorBudget`].
+//! * [`TraceWriter`] is push-style, so a shard can be produced without
+//!   materialising it. [`crate::TraceGenerator::write_shards_observed`]
+//!   writes a generated trace through it, one file or many.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -386,7 +391,7 @@ impl<'a> JsonParser<'a> {
 
 /// Parses one JSON line in the [`LogRecord`] encoding.
 /// Unknown fields are skipped; missing fields are errors.
-pub(crate) fn parse_json_record(line: &str) -> Result<LogRecord, JsonError> {
+fn parse_json_record(line: &str) -> Result<LogRecord, JsonError> {
     let mut p = JsonParser {
         b: line.as_bytes(),
         pos: 0,
@@ -480,159 +485,40 @@ pub(crate) fn parse_json_record(line: &str) -> Result<LogRecord, JsonError> {
     })
 }
 
-// ------------------------------------------------------- streaming cores
-
-/// Streaming JSON-lines reader: an iterator of
-/// `Result<LogRecord, ReadError>`. Blank lines are skipped; line numbers
-/// in diagnostics are 1-based and count every physical line. An I/O error
-/// is fatal and ends the stream; a malformed line is yielded as a
-/// record-level `Err` and the stream continues.
-pub struct JsonlRecords<R: BufRead> {
-    lines: io::Lines<R>,
-    line_no: usize,
-    done: bool,
-}
-
-impl<R: BufRead> JsonlRecords<R> {
-    /// Wraps a reader positioned at the start of a JSON-lines trace.
-    pub fn new(r: R) -> Self {
-        Self {
-            lines: r.lines(),
-            line_no: 0,
-            done: false,
-        }
-    }
-}
-
-impl<R: BufRead> Iterator for JsonlRecords<R> {
-    type Item = Result<LogRecord, ReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            let line = match self.lines.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e.into()));
-                }
-                Some(Ok(line)) => line,
-            };
-            self.line_no += 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            return Some(parse_json_record(&line).map_err(|source| ReadError::Json {
-                line: self.line_no,
-                source,
-            }));
-        }
-    }
-}
-
-/// Streaming CSV reader: an iterator of `Result<LogRecord, ReadError>`.
-/// The header is checked on the first pull — empty input is an empty
-/// trace, a wrong header is a fatal [`ReadError::BadHeader`]. Blank body
-/// lines are skipped; line numbers count every physical line including
-/// the header. Malformed body lines are record-level errors; I/O errors
-/// are fatal.
-pub struct CsvRecords<R: BufRead> {
-    lines: io::Lines<R>,
-    line_no: usize,
-    header_checked: bool,
-    done: bool,
-}
-
-impl<R: BufRead> CsvRecords<R> {
-    /// Wraps a reader positioned at the start of a CSV trace (header
-    /// line included).
-    pub fn new(r: R) -> Self {
-        Self {
-            lines: r.lines(),
-            line_no: 0,
-            header_checked: false,
-            done: false,
-        }
-    }
-}
-
-impl<R: BufRead> Iterator for CsvRecords<R> {
-    type Item = Result<LogRecord, ReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if !self.header_checked {
-            self.header_checked = true;
-            match self.lines.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e.into()));
-                }
-                Some(Ok(h)) => {
-                    self.line_no += 1;
-                    if h.trim() != CSV_HEADER {
-                        self.done = true;
-                        return Some(Err(ReadError::BadHeader));
-                    }
-                }
-            }
-        }
-        loop {
-            let line = match self.lines.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e.into()));
-                }
-                Some(Ok(line)) => line,
-            };
-            self.line_no += 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            return Some(parse_csv_record(self.line_no, &line));
-        }
-    }
-}
+// ------------------------------------------------------------- reading
 
 /// A streaming reader over any [`TraceFormat`], yielding
 /// `Result<LogRecord, ReadError>` without ever holding the full trace.
 ///
 /// Record-level errors (see [`ReadError::is_record_level`]) leave the
-/// stream usable; fatal errors end it. [`collect_records`] and
-/// [`collect_records_lossy`] are the strict/quarantining terminal
-/// adapters every `read_*` function in this module is built from.
-pub enum RecordStream<R: BufRead> {
-    /// JSON lines.
-    Jsonl(JsonlRecords<R>),
-    /// CSV with [`CSV_HEADER`].
-    Csv(CsvRecords<R>),
-    /// Binary columnar `.mct` shard.
+/// stream usable; fatal errors end it. Collect it into a
+/// `Result<Vec<_>, _>` for a strict read, or pass it to
+/// [`collect_records_lossy`] to quarantine record-level damage.
+pub struct RecordStream<R: BufRead>(Decoder<R>);
+
+enum Decoder<R: BufRead> {
+    Lines(LineRecords<R>),
     Columnar(ColumnarRecords<R>),
 }
 
 impl<R: BufRead> RecordStream<R> {
     /// Wraps a reader positioned at the start of a trace in `format`.
     pub fn new(r: R, format: TraceFormat) -> Self {
-        match format {
-            TraceFormat::Jsonl => RecordStream::Jsonl(JsonlRecords::new(r)),
-            TraceFormat::Csv => RecordStream::Csv(CsvRecords::new(r)),
-            TraceFormat::Columnar => RecordStream::Columnar(ColumnarRecords::new(r)),
-        }
+        type Parse = fn(usize, &str) -> Result<LogRecord, ReadError>;
+        let (header, parse): (_, Parse) = match format {
+            TraceFormat::Jsonl => (None, |line, text| {
+                parse_json_record(text).map_err(|source| ReadError::Json { line, source })
+            }),
+            TraceFormat::Csv => (Some(CSV_HEADER), parse_csv_record),
+            TraceFormat::Columnar => return Self(Decoder::Columnar(ColumnarRecords::new(r))),
+        };
+        Self(Decoder::Lines(LineRecords {
+            lines: r.lines(),
+            line_no: 0,
+            header,
+            parse,
+            done: false,
+        }))
     }
 }
 
@@ -640,11 +526,52 @@ impl<R: BufRead> Iterator for RecordStream<R> {
     type Item = Result<LogRecord, ReadError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            RecordStream::Jsonl(s) => s.next(),
-            RecordStream::Csv(s) => s.next(),
-            RecordStream::Columnar(s) => s.next(),
+        match &mut self.0 {
+            Decoder::Lines(s) => s.next(),
+            Decoder::Columnar(s) => s.next(),
         }
+    }
+}
+
+/// The text formats: one record per line, blank lines skipped. Line
+/// numbers in diagnostics are 1-based and count every physical line. A
+/// malformed line is a record-level `Err` and the stream continues; an
+/// I/O error, or a CSV first line that is not [`CSV_HEADER`], ends it.
+/// Empty input is an empty trace.
+struct LineRecords<R: BufRead> {
+    lines: io::Lines<R>,
+    line_no: usize,
+    /// The header the first line must be, until it has been checked.
+    header: Option<&'static str>,
+    parse: fn(usize, &str) -> Result<LogRecord, ReadError>,
+    done: bool,
+}
+
+impl<R: BufRead> Iterator for LineRecords<R> {
+    type Item = Result<LogRecord, ReadError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while !self.done {
+            match self.lines.next() {
+                None => self.done = true,
+                Some(Err(e)) => {
+                    self.done = true;
+                    return Some(Err(e.into()));
+                }
+                Some(Ok(line)) => {
+                    self.line_no += 1;
+                    if let Some(header) = self.header.take() {
+                        if line.trim() != header {
+                            self.done = true;
+                            return Some(Err(ReadError::BadHeader));
+                        }
+                    } else if !line.trim().is_empty() {
+                        return Some((self.parse)(self.line_no, &line));
+                    }
+                }
+            }
+        }
+        None
     }
 }
 
@@ -657,93 +584,89 @@ pub fn open_trace(
     Ok(RecordStream::new(io::BufReader::new(file), format))
 }
 
-/// Strict terminal adapter: collects a record stream into a `Vec`,
-/// failing on the first error of any kind.
-pub fn collect_records(
-    stream: impl Iterator<Item = Result<LogRecord, ReadError>>,
-) -> Result<Vec<LogRecord>, ReadError> {
-    let mut out = Vec::new();
-    for item in stream {
-        out.push(item?);
-    }
-    Ok(out)
-}
-
 /// Lossy terminal adapter: collects a record stream, quarantining
-/// record-level errors under `budget`. Fatal errors (I/O, bad header,
-/// truncation, corrupt framing) still fail the whole read, as does
-/// blowing the budget ([`ReadError::ErrorBudgetExceeded`]).
+/// record-level errors under `budget` ([`ErrorBudget::admit`]). Fatal
+/// errors (I/O, bad header, truncation, corrupt framing) still fail the
+/// whole read, as does blowing the budget
+/// ([`ReadError::ErrorBudgetExceeded`]).
 pub fn collect_records_lossy(
     stream: impl Iterator<Item = Result<LogRecord, ReadError>>,
     budget: ErrorBudget,
 ) -> Result<LossyRead, ReadError> {
     let mut out = LossyRead::default();
     for item in stream {
-        match item {
-            Ok(rec) => out.records.push(rec),
-            Err(e) if e.is_record_level() => {
-                out.quarantined.push(e);
-                if out.quarantined.len() > budget.max_errors {
-                    return Err(ReadError::ErrorBudgetExceeded {
-                        errors: out.quarantined.len(),
-                        budget: budget.max_errors,
-                    });
-                }
-            }
-            Err(e) => return Err(e),
+        if let Some(rec) = budget.admit(item, &mut out.quarantined)? {
+            out.records.push(rec);
         }
     }
     Ok(out)
 }
 
-// ------------------------------------------------------------- adapters
-
-/// Writes records as JSON lines (one object per record and line).
-pub fn write_jsonl<W: Write>(
-    mut w: W,
-    records: impl IntoIterator<Item = LogRecord>,
-) -> io::Result<usize> {
-    let mut n = 0;
-    for r in records {
-        write_jsonl_record(&mut w, &r)?;
-        n += 1;
-    }
-    Ok(n)
-}
-
-/// Reads JSON-lines records, failing on the first malformed line.
-pub fn read_jsonl<R: BufRead>(r: R) -> Result<Vec<LogRecord>, ReadError> {
-    collect_records(JsonlRecords::new(r))
-}
-
-/// Cap on malformed lines a lossy reader quarantines before declaring the
-/// whole file unusable.
+/// Cap on malformed records a lossy read quarantines before declaring
+/// the input unusable.
 ///
 /// Real service logs are scuffed at the margins — truncated flushes,
 /// interleaved writers, the odd corrupt block — and an analysis pipeline
-/// that aborts on the first bad line never gets off the ground. The lossy
-/// readers skip-and-quarantine instead, but a bounded budget keeps "a few
+/// that aborts on the first bad line never gets off the ground. Lossy
+/// reads skip-and-quarantine instead, but a bounded budget keeps "a few
 /// bad lines" from silently swallowing a file that is wholesale garbage.
+/// The budget is charged by its caller, not by the stream, so one budget
+/// can span several files ([`collect_records_lossy`] and
+/// `mcs_analysis::ShardFiles` both go through [`Self::admit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ErrorBudget {
-    /// Maximum number of malformed lines to tolerate.
+    /// Maximum number of malformed records to tolerate.
     pub max_errors: usize,
 }
 
 impl Default for ErrorBudget {
-    /// Tolerates up to 1 000 malformed lines.
+    /// Tolerates up to 1 000 malformed records.
     fn default() -> Self {
         Self { max_errors: 1000 }
     }
 }
 
+impl ErrorBudget {
+    /// Admits one stream item: a record comes back as `Some`, record-level
+    /// damage is pushed onto `quarantined` and comes back as `None`, and a
+    /// fatal error, or a quarantine that outgrows the budget
+    /// ([`Self::check`]), is returned as `Err`.
+    pub fn admit(
+        &self,
+        item: Result<LogRecord, ReadError>,
+        quarantined: &mut Vec<ReadError>,
+    ) -> Result<Option<LogRecord>, ReadError> {
+        match item {
+            Ok(rec) => Ok(Some(rec)),
+            Err(e) if e.is_record_level() => {
+                quarantined.push(e);
+                self.check(quarantined.len())?;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// [`ReadError::ErrorBudgetExceeded`] once `quarantined` malformed
+    /// records exceed the budget.
+    pub fn check(&self, quarantined: usize) -> Result<(), ReadError> {
+        if quarantined > self.max_errors {
+            return Err(ReadError::ErrorBudgetExceeded {
+                errors: quarantined,
+                budget: self.max_errors,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Outcome of a lossy read: the records that parsed, plus a quarantine of
-/// per-line diagnostics for those that did not.
+/// per-record diagnostics for those that did not.
 #[derive(Debug, Default)]
 pub struct LossyRead {
     /// Records that parsed cleanly, in file order.
     pub records: Vec<LogRecord>,
-    /// One diagnostic per malformed line, in file order.
+    /// One diagnostic per malformed record, in file order.
     pub quarantined: Vec<ReadError>,
 }
 
@@ -759,15 +682,9 @@ impl LossyRead {
     }
 }
 
-/// Reads JSON-lines records, quarantining malformed lines instead of
-/// failing on the first one. I/O errors stay fatal (the reader itself is
-/// broken, not a line), and blowing the [`ErrorBudget`] returns
-/// [`ReadError::ErrorBudgetExceeded`].
-pub fn read_jsonl_lossy<R: BufRead>(r: R, budget: ErrorBudget) -> Result<LossyRead, ReadError> {
-    collect_records_lossy(JsonlRecords::new(r), budget)
-}
+// ------------------------------------------------------------ line codecs
 
-/// CSV header used by [`write_csv`].
+/// Header line of the CSV format.
 pub const CSV_HEADER: &str =
     "timestamp_ms,device_type,device_id,user_id,request,volume_bytes,processing_ms,srv_ms,rtt_ms,proxied";
 
@@ -823,7 +740,7 @@ impl fmt::Display for JsonF64 {
 
 /// Serialises one record as a JSON line, fields in declaration order
 /// ([`parse_json_record`] is the inverse).
-pub(crate) fn write_jsonl_record<W: Write>(mut w: W, r: &LogRecord) -> io::Result<()> {
+fn write_jsonl_record<W: Write>(w: &mut W, r: &LogRecord) -> io::Result<()> {
     let device_type = match r.device_type {
         DeviceType::Android => "Android",
         DeviceType::Ios => "Ios",
@@ -856,8 +773,9 @@ pub(crate) fn write_jsonl_record<W: Write>(mut w: W, r: &LogRecord) -> io::Resul
     )
 }
 
-/// Serialises one record as a CSV body line.
-fn write_csv_record<W: Write>(mut w: W, r: &LogRecord) -> io::Result<()> {
+/// Serialises one record as a CSV body line. No field can contain
+/// commas, so no quoting is needed.
+fn write_csv_record<W: Write>(w: &mut W, r: &LogRecord) -> io::Result<()> {
     writeln!(
         w,
         "{},{},{},{},{},{},{},{},{},{}",
@@ -872,21 +790,6 @@ fn write_csv_record<W: Write>(mut w: W, r: &LogRecord) -> io::Result<()> {
         r.rtt_ms,
         u8::from(r.proxied),
     )
-}
-
-/// Writes records as CSV with [`CSV_HEADER`]. No field can contain commas,
-/// so no quoting is needed.
-pub fn write_csv<W: Write>(
-    mut w: W,
-    records: impl IntoIterator<Item = LogRecord>,
-) -> io::Result<usize> {
-    writeln!(w, "{CSV_HEADER}")?;
-    let mut n = 0;
-    for r in records {
-        write_csv_record(&mut w, &r)?;
-        n += 1;
-    }
-    Ok(n)
 }
 
 /// Parses one CSV body line (`line_no` is 1-based, for diagnostics).
@@ -920,18 +823,7 @@ fn parse_csv_record(line_no: usize, line: &str) -> Result<LogRecord, ReadError> 
     })
 }
 
-/// Reads CSV produced by [`write_csv`] (header required).
-pub fn read_csv<R: BufRead>(r: R) -> Result<Vec<LogRecord>, ReadError> {
-    collect_records(CsvRecords::new(r))
-}
-
-/// Reads CSV, quarantining malformed body lines instead of failing on the
-/// first one. A missing or wrong header is still fatal — that is the whole
-/// file misidentified, not a scuffed line — as are I/O errors. Blowing the
-/// [`ErrorBudget`] returns [`ReadError::ErrorBudgetExceeded`].
-pub fn read_csv_lossy<R: BufRead>(r: R, budget: ErrorBudget) -> Result<LossyRead, ReadError> {
-    collect_records_lossy(CsvRecords::new(r), budget)
-}
+// ------------------------------------------------------------- writing
 
 /// Trace file format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -962,102 +854,57 @@ impl TraceFormat {
 ///
 /// [`push`]: TraceWriter::push
 /// [`finish`]: TraceWriter::finish
-pub enum TraceWriter<W: Write> {
-    /// JSON lines.
-    Jsonl {
-        /// Underlying writer.
-        w: W,
-        /// Records written so far.
-        written: u64,
-    },
-    /// CSV ([`CSV_HEADER`] already written).
-    Csv {
-        /// Underlying writer.
-        w: W,
-        /// Records written so far.
-        written: u64,
-    },
-    /// Binary columnar `.mct` shard (header already written).
+pub struct TraceWriter<W: Write> {
+    sink: Sink<W>,
+    written: u64,
+}
+
+enum Sink<W: Write> {
+    /// A text format: one line per record.
+    Lines(W, fn(&mut W, &LogRecord) -> io::Result<()>),
     Columnar(ColumnarWriter<W>),
 }
 
 impl<W: Write> TraceWriter<W> {
     /// Starts a trace in `format`, writing any header immediately.
     pub fn new(mut w: W, format: TraceFormat) -> io::Result<Self> {
-        Ok(match format {
-            TraceFormat::Jsonl => TraceWriter::Jsonl { w, written: 0 },
+        let sink = match format {
+            TraceFormat::Jsonl => Sink::Lines(w, write_jsonl_record),
             TraceFormat::Csv => {
                 writeln!(w, "{CSV_HEADER}")?;
-                TraceWriter::Csv { w, written: 0 }
+                Sink::Lines(w, write_csv_record)
             }
-            TraceFormat::Columnar => TraceWriter::Columnar(ColumnarWriter::new(w)?),
-        })
+            TraceFormat::Columnar => Sink::Columnar(ColumnarWriter::new(w)?),
+        };
+        Ok(Self { sink, written: 0 })
     }
 
     /// Appends one record.
     pub fn push(&mut self, r: &LogRecord) -> io::Result<()> {
-        match self {
-            TraceWriter::Jsonl { w, written } => {
-                write_jsonl_record(&mut *w, r)?;
-                *written += 1;
-                Ok(())
-            }
-            TraceWriter::Csv { w, written } => {
-                write_csv_record(&mut *w, r)?;
-                *written += 1;
-                Ok(())
-            }
-            TraceWriter::Columnar(cw) => cw.push(r),
+        match &mut self.sink {
+            Sink::Lines(w, line) => line(w, r)?,
+            Sink::Columnar(cw) => cw.push(r)?,
         }
-    }
-
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        match self {
-            TraceWriter::Jsonl { written, .. } | TraceWriter::Csv { written, .. } => *written,
-            TraceWriter::Columnar(cw) => cw.records_written(),
-        }
+        self.written += 1;
+        Ok(())
     }
 
     /// Flushes any buffered tail (the trailing columnar block) and the
     /// underlying writer, returning it with the total record count.
     pub fn finish(self) -> io::Result<(W, u64)> {
-        match self {
-            TraceWriter::Jsonl { mut w, written } | TraceWriter::Csv { mut w, written } => {
-                w.flush()?;
-                Ok((w, written))
-            }
-            TraceWriter::Columnar(cw) => cw.finish(),
-        }
+        let mut w = match self.sink {
+            Sink::Lines(w, _) => w,
+            Sink::Columnar(cw) => cw.finish()?,
+        };
+        w.flush()?;
+        Ok((w, self.written))
     }
-}
-
-/// Writes a full generated trace to `path`, streaming user blocks in
-/// generation order (records are time-ordered *per user*; use
-/// [`crate::TraceGenerator::generate_sorted`] or
-/// [`crate::TraceGenerator::write_sorted_trace_file`] if a globally
-/// sorted file is required).
-pub fn write_trace_file(
-    gen: &crate::TraceGenerator,
-    path: &std::path::Path,
-    format: TraceFormat,
-) -> io::Result<u64> {
-    let file = std::fs::File::create(path)?;
-    let mut w = TraceWriter::new(std::io::BufWriter::new(file), format)?;
-    for block in gen.iter_user_records() {
-        for r in block {
-            w.push(&r)?;
-        }
-    }
-    let (_, written) = w.finish()?;
-    Ok(written)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::CHUNK_SIZE;
-    use std::io::BufReader;
 
     fn sample_records() -> Vec<LogRecord> {
         vec![
@@ -1100,42 +947,72 @@ mod tests {
         ]
     }
 
+    /// `records` written through [`TraceWriter`] in `format`.
+    fn encode(records: &[LogRecord], format: TraceFormat) -> Vec<u8> {
+        let mut w = TraceWriter::new(Vec::new(), format).unwrap();
+        for r in records {
+            w.push(r).unwrap();
+        }
+        let (bytes, n) = w.finish().unwrap();
+        assert_eq!(n, records.len() as u64);
+        bytes
+    }
+
+    /// A strict read of `bytes`.
+    fn read(bytes: &[u8], format: TraceFormat) -> Result<Vec<LogRecord>, ReadError> {
+        RecordStream::new(bytes, format).collect()
+    }
+
+    fn read_lossy(
+        bytes: &[u8],
+        format: TraceFormat,
+        budget: ErrorBudget,
+    ) -> Result<LossyRead, ReadError> {
+        collect_records_lossy(RecordStream::new(bytes, format), budget)
+    }
+
     #[test]
     fn jsonl_round_trip() {
         let recs = sample_records();
-        let mut buf = Vec::new();
-        let n = write_jsonl(&mut buf, recs.clone()).unwrap();
-        assert_eq!(n, 3);
-        let back = read_jsonl(BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back, recs);
+        let buf = encode(&recs, TraceFormat::Jsonl);
+        assert_eq!(read(&buf, TraceFormat::Jsonl).unwrap(), recs);
     }
 
     #[test]
     fn csv_round_trip() {
         let recs = sample_records();
-        let mut buf = Vec::new();
-        let n = write_csv(&mut buf, recs.clone()).unwrap();
-        assert_eq!(n, 3);
-        let back = read_csv(BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back, recs);
+        let buf = encode(&recs, TraceFormat::Csv);
+        assert_eq!(read(&buf, TraceFormat::Csv).unwrap(), recs);
+    }
+
+    #[test]
+    fn trace_writer_writes_the_documented_lines() {
+        let first = &sample_records()[..1];
+        let jsonl = "{\"timestamp_ms\":0,\"device_type\":\"Android\",\"device_id\":1,\
+                     \"user_id\":10,\"request\":{\"FileOp\":\"Store\"},\"volume_bytes\":0,\
+                     \"processing_ms\":12.5,\"srv_ms\":3.0,\"rtt_ms\":88.0,\"proxied\":false}\n";
+        assert_eq!(encode(first, TraceFormat::Jsonl), jsonl.as_bytes());
+        let csv = format!("{CSV_HEADER}\n0,android,1,10,file_store,0,12.5,3,88,0\n");
+        assert_eq!(encode(first, TraceFormat::Csv), csv.as_bytes());
+        assert_eq!(encode(&[], TraceFormat::Jsonl), b"");
+        assert_eq!(
+            read(&encode(&[], TraceFormat::Csv), TraceFormat::Csv).unwrap(),
+            []
+        );
     }
 
     #[test]
     fn jsonl_skips_blank_lines() {
-        let recs = sample_records();
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, recs.clone()).unwrap();
+        let mut buf = encode(&sample_records(), TraceFormat::Jsonl);
         buf.extend_from_slice(b"\n\n");
-        let back = read_jsonl(BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back.len(), 3);
+        assert_eq!(read(&buf, TraceFormat::Jsonl).unwrap().len(), 3);
     }
 
     #[test]
     fn jsonl_rejects_garbage() {
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, sample_records()).unwrap();
+        let mut buf = encode(&sample_records(), TraceFormat::Jsonl);
         buf.extend_from_slice(b"not json\n");
-        let err = read_jsonl(BufReader::new(&buf[..])).unwrap_err();
+        let err = read(&buf, TraceFormat::Jsonl).unwrap_err();
         match err {
             ReadError::Json { line, .. } => assert_eq!(line, 4),
             other => panic!("expected Json error, got {other:?}"),
@@ -1145,20 +1022,18 @@ mod tests {
 
     #[test]
     fn csv_rejects_missing_header() {
-        let err =
-            read_csv(BufReader::new(&b"1,android,1,1,file_store,0,1,1,1,0\n"[..])).unwrap_err();
+        let err = read(b"1,android,1,1,file_store,0,1,1,1,0\n", TraceFormat::Csv).unwrap_err();
         assert!(matches!(err, ReadError::BadHeader));
         assert!(err.to_string().contains("header"));
     }
 
     #[test]
     fn csv_rejects_bad_field() {
-        let mut buf = Vec::new();
-        write_csv(&mut buf, sample_records()).unwrap();
+        let buf = encode(&sample_records(), TraceFormat::Csv);
         let text = String::from_utf8(buf)
             .unwrap()
             .replace("android", "blackberry");
-        let err = read_csv(BufReader::new(text.as_bytes())).unwrap_err();
+        let err = read(text.as_bytes(), TraceFormat::Csv).unwrap_err();
         match err {
             ReadError::Field { line, field } => {
                 assert_eq!(line, 2);
@@ -1171,11 +1046,9 @@ mod tests {
 
     #[test]
     fn csv_rejects_wrong_field_count() {
-        let mut buf = Vec::new();
-        write_csv(&mut buf, sample_records()).unwrap();
-        let mut text = String::from_utf8(buf).unwrap();
+        let mut text = String::from_utf8(encode(&sample_records(), TraceFormat::Csv)).unwrap();
         text.push_str("1,2,3\n");
-        let err = read_csv(BufReader::new(text.as_bytes())).unwrap_err();
+        let err = read(text.as_bytes(), TraceFormat::Csv).unwrap_err();
         match err {
             ReadError::FieldCount { line, got } => {
                 assert_eq!(line, 5);
@@ -1187,7 +1060,7 @@ mod tests {
 
     #[test]
     fn read_error_exposes_sources() {
-        let json_err = read_jsonl(BufReader::new(&b"{\n"[..])).unwrap_err();
+        let json_err = read(b"{\n", TraceFormat::Jsonl).unwrap_err();
         assert!(std::error::Error::source(&json_err).is_some());
         let io_err = ReadError::from(io::Error::other("disk on fire"));
         assert!(std::error::Error::source(&io_err).is_some());
@@ -1197,7 +1070,7 @@ mod tests {
 
     #[test]
     fn csv_empty_input_is_empty_vec() {
-        assert!(read_csv(BufReader::new(&b""[..])).unwrap().is_empty());
+        assert!(read(b"", TraceFormat::Csv).unwrap().is_empty());
     }
 
     #[test]
@@ -1229,11 +1102,10 @@ mod tests {
 
     #[test]
     fn streaming_iterator_continues_past_record_errors() {
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, sample_records()).unwrap();
+        let mut buf = encode(&sample_records(), TraceFormat::Jsonl);
         buf.extend_from_slice(b"not json\n");
-        write_jsonl(&mut buf, sample_records()).unwrap();
-        let items: Vec<_> = JsonlRecords::new(BufReader::new(&buf[..])).collect();
+        buf.extend(encode(&sample_records(), TraceFormat::Jsonl));
+        let items: Vec<_> = RecordStream::new(&buf[..], TraceFormat::Jsonl).collect();
         assert_eq!(items.len(), 7);
         assert!(items[3].is_err());
         assert_eq!(items.iter().filter(|i| i.is_ok()).count(), 6);
@@ -1242,11 +1114,10 @@ mod tests {
     #[test]
     fn lossy_jsonl_quarantines_garbage_lines() {
         let recs = sample_records();
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, recs.clone()).unwrap();
+        let mut buf = encode(&recs, TraceFormat::Jsonl);
         buf.extend_from_slice(b"not json\n{\"half\": \n");
-        write_jsonl(&mut buf, recs.clone()).unwrap();
-        let got = read_jsonl_lossy(BufReader::new(&buf[..]), ErrorBudget::default()).unwrap();
+        buf.extend(encode(&recs, TraceFormat::Jsonl));
+        let got = read_lossy(&buf, TraceFormat::Jsonl, ErrorBudget::default()).unwrap();
         assert_eq!(got.records.len(), 6, "good lines survive the bad ones");
         assert_eq!(got.quarantined.len(), 2);
         assert!(matches!(
@@ -1258,12 +1129,10 @@ mod tests {
 
     #[test]
     fn lossy_csv_quarantines_and_keeps_line_numbers() {
-        let mut buf = Vec::new();
-        write_csv(&mut buf, sample_records()).unwrap();
-        let mut text = String::from_utf8(buf).unwrap();
+        let mut text = String::from_utf8(encode(&sample_records(), TraceFormat::Csv)).unwrap();
         text.push_str("1,2,3\n"); // wrong field count → line 5
         text.push_str("x,android,1,1,file_store,0,1,1,1,0\n"); // bad timestamp → line 6
-        let got = read_csv_lossy(BufReader::new(text.as_bytes()), ErrorBudget::default()).unwrap();
+        let got = read_lossy(text.as_bytes(), TraceFormat::Csv, ErrorBudget::default()).unwrap();
         assert_eq!(got.records.len(), 3);
         assert_eq!(got.quarantined.len(), 2);
         assert!(matches!(
@@ -1281,11 +1150,8 @@ mod tests {
 
     #[test]
     fn lossy_csv_still_rejects_bad_header() {
-        let err = read_csv_lossy(
-            BufReader::new(&b"not,a,header\n"[..]),
-            ErrorBudget::default(),
-        )
-        .unwrap_err();
+        let err =
+            read_lossy(b"not,a,header\n", TraceFormat::Csv, ErrorBudget::default()).unwrap_err();
         assert!(matches!(err, ReadError::BadHeader));
     }
 
@@ -1296,8 +1162,9 @@ mod tests {
         for _ in 0..5 {
             text.push_str("garbage line\n");
         }
-        let err = read_csv_lossy(
-            BufReader::new(text.as_bytes()),
+        let err = read_lossy(
+            text.as_bytes(),
+            TraceFormat::Csv,
             ErrorBudget { max_errors: 3 },
         )
         .unwrap_err();
@@ -1317,10 +1184,9 @@ mod tests {
 
     #[test]
     fn lossy_read_of_clean_input_matches_strict_read() {
-        let mut buf = Vec::new();
-        write_csv(&mut buf, sample_records()).unwrap();
-        let strict = read_csv(BufReader::new(&buf[..])).unwrap();
-        let lossy = read_csv_lossy(BufReader::new(&buf[..]), ErrorBudget::default()).unwrap();
+        let buf = encode(&sample_records(), TraceFormat::Csv);
+        let strict = read(&buf, TraceFormat::Csv).unwrap();
+        let lossy = read_lossy(&buf, TraceFormat::Csv, ErrorBudget::default()).unwrap();
         assert_eq!(lossy.records, strict);
         assert!(lossy.quarantined.is_empty());
         assert_eq!(lossy.error_rate(), 0.0);
@@ -1328,80 +1194,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_writer_matches_batch_writers_per_format() {
-        let recs = sample_records();
-        for format in [TraceFormat::Jsonl, TraceFormat::Csv, TraceFormat::Columnar] {
-            let mut streamed = Vec::new();
-            let mut w = TraceWriter::new(&mut streamed, format).unwrap();
-            for r in &recs {
-                w.push(r).unwrap();
-            }
-            assert_eq!(w.records_written(), 3);
-            let (_, n) = w.finish().unwrap();
-            assert_eq!(n, 3);
-
-            let mut batch = Vec::new();
-            match format {
-                TraceFormat::Jsonl => {
-                    write_jsonl(&mut batch, recs.clone()).unwrap();
-                }
-                TraceFormat::Csv => {
-                    write_csv(&mut batch, recs.clone()).unwrap();
-                }
-                TraceFormat::Columnar => {
-                    crate::columnar::write_columnar(&mut batch, recs.clone()).unwrap();
-                }
-            }
-            assert_eq!(streamed, batch, "{format:?}");
-
-            let back =
-                collect_records(RecordStream::new(BufReader::new(&streamed[..]), format)).unwrap();
-            assert_eq!(back, recs, "{format:?}");
-        }
-    }
-
-    #[test]
     fn format_extensions() {
         assert_eq!(TraceFormat::Jsonl.extension(), "jsonl");
         assert_eq!(TraceFormat::Csv.extension(), "csv");
         assert_eq!(TraceFormat::Columnar.extension(), "mct");
-    }
-
-    #[test]
-    fn trace_file_round_trip() {
-        use crate::{TraceConfig, TraceGenerator};
-        let gen = TraceGenerator::new(TraceConfig {
-            mobile_users: 60,
-            pc_only_users: 10,
-            ..TraceConfig::default()
-        })
-        .unwrap();
-        let dir = std::env::temp_dir();
-        let jsonl_path = dir.join("mcs-io-test.jsonl");
-        let csv_path = dir.join("mcs-io-test.csv");
-        let mct_path = dir.join("mcs-io-test.mct");
-        let n1 = write_trace_file(&gen, &jsonl_path, TraceFormat::Jsonl).unwrap();
-        let n2 = write_trace_file(&gen, &csv_path, TraceFormat::Csv).unwrap();
-        let n3 = write_trace_file(&gen, &mct_path, TraceFormat::Columnar).unwrap();
-        assert_eq!(n1, n2);
-        assert_eq!(n1, n3);
-        assert!(n1 > 100);
-        let back_jsonl =
-            read_jsonl(BufReader::new(std::fs::File::open(&jsonl_path).unwrap())).unwrap();
-        let back_csv = read_csv(BufReader::new(std::fs::File::open(&csv_path).unwrap())).unwrap();
-        let back_mct =
-            crate::columnar::read_columnar(BufReader::new(std::fs::File::open(&mct_path).unwrap()))
-                .unwrap();
-        assert_eq!(back_jsonl, back_csv);
-        assert_eq!(back_jsonl, back_mct);
-        assert_eq!(back_jsonl.len() as u64, n1);
-        assert!(
-            std::fs::metadata(&mct_path).unwrap().len()
-                < std::fs::metadata(&jsonl_path).unwrap().len() / 3,
-            "columnar shard should be far denser than JSONL"
-        );
-        let _ = std::fs::remove_file(jsonl_path);
-        let _ = std::fs::remove_file(csv_path);
-        let _ = std::fs::remove_file(mct_path);
     }
 }

@@ -42,11 +42,10 @@ pub mod sessions;
 pub mod shard;
 
 pub use blocks::{effective_threads, fan_out, shard_ranges, BlockSource};
-pub use columnar::{read_columnar, read_columnar_lossy, write_columnar, ColumnarWriter};
 pub use config::TraceConfig;
 pub use generator::TraceGenerator;
 pub use io::{
-    open_trace, read_csv_lossy, read_jsonl_lossy, ErrorBudget, LossyRead, ReadError, RecordStream,
+    collect_records_lossy, open_trace, ErrorBudget, LossyRead, ReadError, RecordStream,
     TraceFormat, TraceWriter,
 };
 pub use population::{ClientGroup, UserClass, UserProfile};

@@ -9,7 +9,7 @@
 
 use mcs_stats::rng::{stream_rng, Rng};
 
-use crate::io::{collect_records, RecordStream, TraceFormat, TraceWriter};
+use crate::io::{RecordStream, TraceFormat, TraceWriter};
 use crate::record::{DeviceType, Direction, LogRecord, RequestType};
 
 /// splitmix64: deterministic, well-mixed 64-bit stream.
@@ -80,7 +80,9 @@ fn encode(records: &[LogRecord], format: TraceFormat) -> Vec<u8> {
 
 /// Decodes `bytes` in `format` via the streaming reader.
 fn decode(bytes: &[u8], format: TraceFormat) -> Vec<LogRecord> {
-    collect_records(RecordStream::new(std::io::BufReader::new(bytes), format)).unwrap()
+    RecordStream::new(bytes, format)
+        .collect::<Result<_, _>>()
+        .unwrap()
 }
 
 const SEED: u64 = 0x5EED;
@@ -124,7 +126,7 @@ fn prop_columnar_block_size_invariant() {
             for r in &records {
                 w.push(r).unwrap();
             }
-            let (bytes, _) = w.finish().unwrap();
+            let bytes = w.finish().unwrap();
             let back = decode(&bytes, TraceFormat::Columnar);
             assert_eq!(back, records, "case {case}: block size {block_records}");
             // Same records, same default-block re-encode bytes.

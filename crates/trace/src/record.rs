@@ -257,11 +257,13 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
+        use crate::io::{RecordStream, TraceFormat, TraceWriter};
         let r = sample_record();
-        let mut buf = Vec::new();
-        crate::io::write_jsonl(&mut buf, [r]).unwrap();
-        let back = crate::io::read_jsonl(std::io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back, vec![r]);
+        let mut w = TraceWriter::new(Vec::new(), TraceFormat::Jsonl).unwrap();
+        w.push(&r).unwrap();
+        let (buf, _) = w.finish().unwrap();
+        let back = RecordStream::new(&buf[..], TraceFormat::Jsonl).collect::<Result<Vec<_>, _>>();
+        assert_eq!(back.unwrap(), vec![r]);
     }
 
     #[test]

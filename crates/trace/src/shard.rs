@@ -1,40 +1,26 @@
-//! Direct-to-disk trace emission: sharded per-user files and an
-//! external-sort writer for globally time-ordered traces.
+//! Direct-to-disk trace emission: per-user record blocks streamed into
+//! shard files.
 //!
 //! The paper's trace is 349 M records — far past what
-//! [`TraceGenerator::generate_sorted`] should ever materialise. This
-//! module writes traces *as they are generated*:
-//!
-//! * [`TraceGenerator::write_shards`] streams per-user record blocks into
-//!   `shards` files of contiguous user ranges. Peak memory is one user's
-//!   records per worker. The shard layout depends only on the `shards`
-//!   argument (never on the thread count), each shard holds whole users
-//!   in ascending user order with records time-ordered per user — exactly
-//!   the file contract that `mcs_analysis::analyze` checks when it
-//!   streams `ShardFiles`.
-//! * [`TraceGenerator::write_sorted_trace_file`] produces the same bytes
-//!   as writing [`TraceGenerator::generate_sorted`] would, via an
-//!   external sort: bounded sorted runs spill to temporary columnar
-//!   shards, then a k-way merge (lower run wins ties, mirroring
-//!   `merge_sorted_runs`) streams the global order to the output file.
-//!   Peak memory is one run, never the trace.
+//! [`TraceGenerator::generate_sorted`] should ever materialise.
+//! [`TraceGenerator::write_shards_observed`] writes a trace *as it is
+//! generated*: `shards` files of contiguous user ranges, each through one
+//! [`TraceWriter`], with peak memory of one user's records per worker. The
+//! shard layout depends only on the `shards` argument (never on the thread
+//! count), and each shard holds whole users in ascending user order with
+//! records time-ordered per user — exactly the file contract that
+//! `mcs_analysis::analyze` checks when it streams `ShardFiles`. One shard
+//! is the one-file write.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 
-use mcs_obs::{Obs, Registry};
+use mcs_obs::Obs;
 
-use crate::blocks::{effective_threads, fan_out, shard_ranges};
-use crate::columnar::{ColumnarRecords, ColumnarWriter};
+use crate::blocks::shard_ranges;
 use crate::generator::TraceGenerator;
 use crate::io::{TraceFormat, TraceWriter};
-use crate::record::LogRecord;
-
-/// Users per sorted spill run in
-/// [`TraceGenerator::write_sorted_trace_file`] — bounds peak memory at a
-/// few tens of MB regardless of trace size.
-const SORT_RUN_USERS: usize = 50_000;
 
 /// Where a sharded trace landed on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,9 +34,7 @@ pub struct ShardedTrace {
 }
 
 impl TraceGenerator {
-    /// Writes the whole trace as `shards` files under `dir` (created if
-    /// missing), named `shard-NNNN.<ext>`. See the module docs for the
-    /// layout contract. Returns the shard paths and totals.
+    /// [`Self::write_shards_observed`] into a throwaway [`Obs`].
     pub fn write_shards(
         &self,
         dir: &Path,
@@ -60,12 +44,14 @@ impl TraceGenerator {
         self.write_shards_observed(dir, format, shards, &mut Obs::new())
     }
 
-    /// [`Self::write_shards`] that also reports into `obs`: the same
-    /// `gen.users` / `gen.records` / `gen.user_records` workload metrics
-    /// as the in-memory generation paths (booked in per-shard private
-    /// registries, merged in shard order — bit-identical at any thread
-    /// count), plus per-shard `gen.shard.records` trace events describing
-    /// this particular execution.
+    /// Writes the whole trace as `shards` files under `dir` (created if
+    /// missing), named `shard-NNNN.<ext>`, on [`crate::TraceConfig::threads`]
+    /// workers. See the module docs for the layout contract. Returns the
+    /// shard paths and totals, or the first error in shard order.
+    ///
+    /// Reports into `obs` exactly as [`Self::par_user_records`] does: the
+    /// same `gen.*` metrics at any thread or shard count, and one
+    /// `gen.shard.records` trace event per file.
     pub fn write_shards_observed(
         &self,
         dir: &Path,
@@ -74,170 +60,30 @@ impl TraceGenerator {
         obs: &mut Obs,
     ) -> io::Result<ShardedTrace> {
         std::fs::create_dir_all(dir)?;
-        let user_ranges = shard_ranges(self.users().len(), shards.max(1));
-        // Each shard books into a private registry; merging them in shard
-        // order equals one registry filled shard by shard.
-        let written = fan_out(
-            user_ranges.into_iter().enumerate().collect(),
-            effective_threads(self.config().threads),
-            |(shard_idx, range)| -> io::Result<(PathBuf, u64, u64, Registry)> {
-                let path = dir.join(format!("shard-{shard_idx:04}.{}", format.extension()));
-                let file = File::create(&path)?;
-                let mut w = TraceWriter::new(BufWriter::new(file), format)?;
-                let mut metrics = Registry::new();
-                let users = metrics.counter("gen.users");
-                let records = metrics.counter("gen.records");
-                let per_user = metrics.histogram("gen.user_records");
-                for user in &self.users()[range] {
-                    let block = self.user_records(user);
-                    metrics.inc(users);
-                    metrics.add(records, block.len() as u64);
-                    metrics.observe(per_user, block.len() as u64);
-                    for r in &block {
-                        w.push(r)?;
-                    }
-                }
-                let (mut out, n) = w.finish()?;
-                std::io::Write::flush(&mut out)?;
-                drop(out);
-                let bytes = std::fs::metadata(&path)?.len();
-                Ok((path, n, bytes, metrics))
-            },
-        )?;
-
-        let mut out = ShardedTrace {
-            paths: Vec::new(),
-            records: 0,
-            bytes: 0,
-        };
-        for (i, (path, n, bytes, metrics)) in written.into_iter().enumerate() {
-            obs.metrics.merge(&metrics);
-            obs.trace.event(i as u64, "gen.shard.records", n);
-            out.paths.push(path);
-            out.records += n;
-            out.bytes += bytes;
-        }
-        obs.trace.event(
-            out.paths.len() as u64,
-            "gen.merge.fan_in",
-            out.paths.len() as u64,
-        );
-        Ok(out)
-    }
-
-    /// Writes the globally time-sorted trace to `path` in `format`,
-    /// producing byte-for-byte what serialising
-    /// [`Self::generate_sorted`] would — without ever holding the full
-    /// trace. Sorted runs of at most 50 000 users spill to
-    /// temporary `.mct` files beside `path` (generated on
-    /// [`crate::TraceConfig::threads`] workers), then a sequential k-way
-    /// merge streams the global order into the output. Spills are
-    /// deleted on success and on error.
-    pub fn write_sorted_trace_file(&self, path: &Path, format: TraceFormat) -> io::Result<u64> {
-        let n_users = self.users().len();
-        let run_ranges = shard_ranges(n_users, n_users.div_ceil(SORT_RUN_USERS).max(1));
-
-        let sorted_run = |range: std::ops::Range<usize>| -> Vec<LogRecord> {
-            let mut run: Vec<LogRecord> = self.users()[range]
-                .iter()
-                .flat_map(|u| self.user_records(u))
-                .collect();
-            run.sort_by_key(crate::generator::sort_key);
-            run
-        };
-
-        // Single run: sort in place and stream straight out, no spills.
-        if run_ranges.len() <= 1 {
-            let run = run_ranges
-                .into_iter()
-                .next()
-                .map(sorted_run)
-                .unwrap_or_default();
-            let mut w = TraceWriter::new(BufWriter::new(File::create(path)?), format)?;
-            for r in &run {
-                w.push(r)?;
+        let ranges = shard_ranges(self.users().len(), shards);
+        let files = self.per_shard(ranges, obs, |i, blocks| {
+            let path = dir.join(format!("shard-{i:04}.{}", format.extension()));
+            let mut w = TraceWriter::new(BufWriter::new(File::create(&path)?), format)?;
+            for r in blocks.flatten() {
+                w.push(&r)?;
             }
             let (_, n) = w.finish()?;
-            return Ok(n);
-        }
-
-        let spill_path =
-            |i: usize| -> PathBuf { path.with_extension(format!("run{i:04}.spill.mct")) };
-        let n_runs = run_ranges.len();
-        let spilled = fan_out(
-            run_ranges.into_iter().enumerate().collect(),
-            effective_threads(self.config().threads),
-            |(i, range)| -> io::Result<()> {
-                let run = sorted_run(range);
-                let mut w = ColumnarWriter::new(BufWriter::new(File::create(spill_path(i))?))?;
-                for r in &run {
-                    w.push(r)?;
-                }
-                let (mut out, _) = w.finish()?;
-                std::io::Write::flush(&mut out)
-            },
-        );
-
-        let merged = spilled.and_then(|_| merge_spills_to(path, format, &spill_path, n_runs));
-        for i in 0..n_runs {
-            let _ = std::fs::remove_file(spill_path(i));
-        }
-        merged
+            let bytes = std::fs::metadata(&path)?.len();
+            Ok::<_, io::Error>((path, n, bytes))
+        })?;
+        Ok(ShardedTrace {
+            records: files.iter().map(|f| f.1).sum(),
+            bytes: files.iter().map(|f| f.2).sum(),
+            paths: files.into_iter().map(|f| f.0).collect(),
+        })
     }
-}
-
-/// K-way merges `n_runs` sorted columnar spill files into `path`,
-/// streaming one record at a time. Ties prefer the lower run index —
-/// with runs being contiguous ascending user ranges this reproduces the
-/// stable global sort of `merge_sorted_runs`.
-fn merge_spills_to(
-    path: &Path,
-    format: TraceFormat,
-    spill_path: &dyn Fn(usize) -> PathBuf,
-    n_runs: usize,
-) -> io::Result<u64> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let next_record = |s: &mut ColumnarRecords<BufReader<File>>| -> io::Result<Option<LogRecord>> {
-        match s.next() {
-            None => Ok(None),
-            Some(Ok(r)) => Ok(Some(r)),
-            Some(Err(e)) => Err(io::Error::other(format!("sort spill unreadable: {e}"))),
-        }
-    };
-
-    let mut streams = Vec::with_capacity(n_runs);
-    let mut heads: Vec<Option<LogRecord>> = Vec::with_capacity(n_runs);
-    let mut heap = BinaryHeap::with_capacity(n_runs);
-    for i in 0..n_runs {
-        let mut s = ColumnarRecords::new(BufReader::new(File::open(spill_path(i))?));
-        let head = next_record(&mut s)?;
-        if let Some(r) = &head {
-            heap.push(Reverse((crate::generator::sort_key(r), i)));
-        }
-        streams.push(s);
-        heads.push(head);
-    }
-
-    let mut w = TraceWriter::new(BufWriter::new(File::create(path)?), format)?;
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let next = next_record(&mut streams[i])?;
-        if let Some(r) = std::mem::replace(&mut heads[i], next) {
-            w.push(&r)?;
-        }
-        if let Some(r) = &heads[i] {
-            heap.push(Reverse((crate::generator::sort_key(r), i)));
-        }
-    }
-    let (_, n) = w.finish()?;
-    Ok(n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{collect_records, open_trace, write_trace_file};
+    use crate::io::open_trace;
+    use crate::record::LogRecord;
     use crate::{TraceConfig, TraceGenerator};
 
     fn small_gen(seed: u64, threads: usize) -> TraceGenerator {
@@ -257,7 +103,9 @@ mod tests {
     fn read_shards(sharded: &ShardedTrace, format: TraceFormat) -> Vec<LogRecord> {
         let mut all = Vec::new();
         for p in &sharded.paths {
-            all.extend(collect_records(open_trace(p, format).unwrap()).unwrap());
+            for r in open_trace(p, format).unwrap() {
+                all.push(r.unwrap());
+            }
         }
         all
     }
@@ -266,6 +114,7 @@ mod tests {
     fn shards_concatenate_to_the_full_trace_in_every_format() {
         let g = small_gen(31, 1);
         let expected: Vec<LogRecord> = g.iter_user_records().flatten().collect();
+        let mut bytes = Vec::new();
         for format in [TraceFormat::Jsonl, TraceFormat::Csv, TraceFormat::Columnar] {
             let dir = temp_dir(&format!("concat-{}", format.extension()));
             let sharded = g.write_shards(&dir, format, 4).unwrap();
@@ -273,8 +122,13 @@ mod tests {
             assert_eq!(sharded.records, expected.len() as u64);
             assert!(sharded.bytes > 0);
             assert_eq!(read_shards(&sharded, format), expected, "{format:?}");
+            bytes.push(sharded.bytes);
             let _ = std::fs::remove_dir_all(&dir);
         }
+        assert!(
+            bytes[2] < bytes[0] / 3,
+            "columnar shards should be far denser than JSONL: {bytes:?}"
+        );
     }
 
     #[test]
@@ -310,7 +164,7 @@ mod tests {
     fn shard_metrics_match_in_memory_generation_at_any_thread_count() {
         let g1 = small_gen(33, 1);
         let mut base = Obs::new();
-        let _ = g1.par_user_records_observed(&mut base);
+        let _ = g1.par_user_records(&mut base);
         let base_snap = base.snapshot();
         for threads in [1usize, 3] {
             let dir = temp_dir(&format!("metrics-t{threads}"));
@@ -324,6 +178,36 @@ mod tests {
     }
 
     #[test]
+    fn one_shard_agrees_with_the_in_memory_paths() {
+        // One worker, one shard: the file is the in-memory blocks as one
+        // TraceWriter writes them, and all three paths leave equal metrics
+        // *and* trace events.
+        let g = small_gen(38, 1);
+        let mut blocks = Obs::new();
+        let mut w = TraceWriter::new(Vec::new(), TraceFormat::Columnar).unwrap();
+        for r in g.par_user_records(&mut blocks).iter().flatten() {
+            w.push(r).unwrap();
+        }
+        let mut sorted = Obs::new();
+        let _ = g.generate_sorted(&mut sorted);
+        let dir = temp_dir("one");
+        let mut written = Obs::new();
+        let sharded = g
+            .write_shards_observed(&dir, TraceFormat::Columnar, 1, &mut written)
+            .unwrap();
+        assert_eq!(sharded.paths.len(), 1);
+        assert_eq!(
+            std::fs::read(&sharded.paths[0]).unwrap(),
+            w.finish().unwrap().0
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let names: Vec<&str> = blocks.trace.events().iter().map(|e| &*e.name).collect();
+        assert_eq!(names, ["gen.shard.records", "gen.merge.fan_in"]);
+        assert_eq!(sorted, blocks);
+        assert_eq!(written, blocks);
+    }
+
+    #[test]
     fn more_shards_than_users_degrades_gracefully() {
         let mut cfg = TraceConfig::small(34);
         cfg.mobile_users = 3;
@@ -334,112 +218,6 @@ mod tests {
         assert_eq!(sharded.paths.len(), 4, "one shard per user, no empties");
         let expected: Vec<LogRecord> = g.iter_user_records().flatten().collect();
         assert_eq!(read_shards(&sharded, TraceFormat::Columnar), expected);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sorted_file_matches_generate_sorted_byte_for_byte() {
-        let g = small_gen(35, 2);
-        let dir = temp_dir("sorted");
-        std::fs::create_dir_all(&dir).unwrap();
-        for format in [TraceFormat::Jsonl, TraceFormat::Csv, TraceFormat::Columnar] {
-            let streamed = dir.join(format!("streamed.{}", format.extension()));
-            let n = g.write_sorted_trace_file(&streamed, format).unwrap();
-            let expected = g.generate_sorted();
-            assert_eq!(n, expected.len() as u64);
-            let back = collect_records(open_trace(&streamed, format).unwrap()).unwrap();
-            assert_eq!(back, expected, "{format:?}");
-            // Byte-for-byte against the in-memory path serialised the
-            // same way.
-            let in_memory = dir.join(format!("in-memory.{}", format.extension()));
-            {
-                let mut w =
-                    TraceWriter::new(BufWriter::new(File::create(&in_memory).unwrap()), format)
-                        .unwrap();
-                for r in &expected {
-                    w.push(r).unwrap();
-                }
-                w.finish().unwrap();
-            }
-            assert_eq!(
-                std::fs::read(&streamed).unwrap(),
-                std::fs::read(&in_memory).unwrap(),
-                "{format:?}"
-            );
-            // Spills were cleaned up.
-            assert!(std::fs::read_dir(&dir).unwrap().all(|e| !e
-                .unwrap()
-                .file_name()
-                .to_string_lossy()
-                .contains("spill")));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sorted_file_external_merge_path_is_exercised() {
-        // Force multiple spill runs by shrinking nothing: with 190 users
-        // the single-run fast path would fire, so this test instead pins
-        // the merge helper directly through a tiny SORT_RUN_USERS stand-in
-        // is impossible without recompiling — so exercise merge_spills_to
-        // against hand-written spills.
-        let g = small_gen(36, 1);
-        let expected = g.generate_sorted();
-        let dir = temp_dir("merge");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Split the sorted trace into 3 interleaved-by-user sorted runs,
-        // mimicking contiguous user ranges.
-        let users: Vec<u64> = {
-            let mut u: Vec<u64> = expected.iter().map(|r| r.user_id).collect();
-            u.sort_unstable();
-            u.dedup();
-            u
-        };
-        let cut1 = users[users.len() / 3];
-        let cut2 = users[2 * users.len() / 3];
-        let spill_path = |i: usize| dir.join(format!("hand.run{i:04}.spill.mct"));
-        for (i, pred) in [
-            Box::new(|r: &LogRecord| r.user_id <= cut1) as Box<dyn Fn(&LogRecord) -> bool>,
-            Box::new(|r: &LogRecord| r.user_id > cut1 && r.user_id <= cut2),
-            Box::new(|r: &LogRecord| r.user_id > cut2),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let run: Vec<LogRecord> = expected.iter().copied().filter(|r| pred(r)).collect();
-            let mut w =
-                ColumnarWriter::new(BufWriter::new(File::create(spill_path(i)).unwrap())).unwrap();
-            for r in &run {
-                w.push(r).unwrap();
-            }
-            w.finish().unwrap();
-        }
-        let out = dir.join("merged.csv");
-        let n = merge_spills_to(&out, TraceFormat::Csv, &spill_path, 3).unwrap();
-        assert_eq!(n, expected.len() as u64);
-        let back = collect_records(open_trace(&out, TraceFormat::Csv).unwrap()).unwrap();
-        assert_eq!(back, expected);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shards_agree_with_write_trace_file_concatenation() {
-        // write_trace_file (the one-file path) and write_shards with one
-        // shard must produce identical bytes.
-        let g = small_gen(37, 1);
-        let dir = temp_dir("onefile");
-        std::fs::create_dir_all(&dir).unwrap();
-        for format in [TraceFormat::Jsonl, TraceFormat::Columnar] {
-            let single = dir.join(format!("single.{}", format.extension()));
-            write_trace_file(&g, &single, format).unwrap();
-            let sharded = g.write_shards(&dir.join("s"), format, 1).unwrap();
-            assert_eq!(sharded.paths.len(), 1);
-            assert_eq!(
-                std::fs::read(&single).unwrap(),
-                std::fs::read(&sharded.paths[0]).unwrap(),
-                "{format:?}"
-            );
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

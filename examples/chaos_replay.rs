@@ -12,13 +12,13 @@
 //!
 //! Run with `cargo run --release --example chaos_replay`.
 
-use std::fs::File;
-use std::io::BufReader;
+use std::path::Path;
 
 use mcs::faults::{FaultPlan, FaultPlanConfig, RetryPolicy};
 use mcs::storage::{replay, ReplayConfig};
-use mcs::trace::io::read_csv_lossy;
-use mcs::trace::{ErrorBudget, TraceConfig, TraceGenerator};
+use mcs::trace::{
+    collect_records_lossy, open_trace, ErrorBudget, TraceConfig, TraceFormat, TraceGenerator,
+};
 
 fn main() {
     // 1. Lenient ingestion over the corrupted fixture.
@@ -26,8 +26,8 @@ fn main() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/corrupted_trace.csv"
     );
-    let file = BufReader::new(File::open(fixture).expect("fixture file present"));
-    let lossy = read_csv_lossy(file, ErrorBudget::default()).expect("within error budget");
+    let stream = open_trace(Path::new(fixture), TraceFormat::Csv).expect("fixture file present");
+    let lossy = collect_records_lossy(stream, ErrorBudget::default()).expect("within error budget");
     println!(
         "lossy ingest: {} records kept, {} lines quarantined ({:.0}% error rate)",
         lossy.records.len(),

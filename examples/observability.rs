@@ -29,7 +29,7 @@ fn main() {
     };
     let gen = TraceGenerator::new(cfg.clone()).expect("valid trace config");
     let mut obs = Obs::new();
-    let blocks = gen.par_user_records_observed(&mut obs);
+    let blocks = gen.par_user_records(&mut obs);
 
     // 2. Observed analysis over the same obs bundle: ingest.* and
     //    pipeline.* metrics ride alongside gen.*.
@@ -52,7 +52,7 @@ fn main() {
         tcfg.threads = threads;
         let g = TraceGenerator::new(tcfg).expect("valid trace config");
         let mut run = Obs::new();
-        let _ = g.par_user_records_observed(&mut run);
+        let _ = g.par_user_records(&mut run);
         let pcfg = PipelineConfig {
             threads,
             ..PipelineConfig::default()

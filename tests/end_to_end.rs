@@ -1,12 +1,11 @@
 //! End-to-end integration: synthetic trace → file round trip → analysis
 //! pipeline → paper-shaped findings.
 
-use std::io::BufReader;
-
 use mcs::analysis::{analyze, PipelineConfig};
 use mcs::obs::Obs;
-use mcs::trace::io::{read_csv, read_jsonl, write_csv, write_jsonl};
-use mcs::trace::{TraceConfig, TraceGenerator};
+use mcs::trace::{
+    LogRecord, ReadError, RecordStream, TraceConfig, TraceFormat, TraceGenerator, TraceWriter,
+};
 
 fn small_generator(seed: u64) -> TraceGenerator {
     TraceGenerator::new(TraceConfig {
@@ -18,22 +17,24 @@ fn small_generator(seed: u64) -> TraceGenerator {
     .expect("valid config")
 }
 
+/// `records` written and read back in `format`.
+fn round_trip(records: &[LogRecord], format: TraceFormat) -> Result<Vec<LogRecord>, ReadError> {
+    let mut w = TraceWriter::new(Vec::new(), format).unwrap();
+    records.iter().for_each(|r| w.push(r).unwrap());
+    let (bytes, _) = w.finish().unwrap();
+    RecordStream::new(&bytes[..], format).collect()
+}
+
 #[test]
 fn trace_survives_file_round_trip_and_analysis_agrees() {
     let gen = small_generator(11);
-    let records = gen.generate_sorted();
+    let records = gen.generate_sorted(&mut Obs::new());
 
     // CSV round trip.
-    let mut csv = Vec::new();
-    write_csv(&mut csv, records.clone()).unwrap();
-    let from_csv = read_csv(BufReader::new(&csv[..])).unwrap();
-    assert_eq!(from_csv, records);
+    assert_eq!(round_trip(&records, TraceFormat::Csv).unwrap(), records);
 
     // JSONL round trip.
-    let mut jsonl = Vec::new();
-    write_jsonl(&mut jsonl, records.iter().take(500).copied()).unwrap();
-    let from_jsonl = read_jsonl(BufReader::new(&jsonl[..])).unwrap();
-    assert_eq!(from_jsonl.len(), 500);
+    let from_jsonl = round_trip(&records[..500], TraceFormat::Jsonl).unwrap();
     assert_eq!(from_jsonl[..], records[..500]);
 }
 
@@ -95,8 +96,8 @@ fn analysis_is_deterministic_across_runs() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = small_generator(1).generate_sorted();
-    let b = small_generator(2).generate_sorted();
+    let a = small_generator(1).generate_sorted(&mut Obs::new());
+    let b = small_generator(2).generate_sorted(&mut Obs::new());
     assert_ne!(a, b);
 }
 
