@@ -1199,4 +1199,40 @@ mod tests {
         assert_eq!(TraceFormat::Csv.extension(), "csv");
         assert_eq!(TraceFormat::Columnar.extension(), "mct");
     }
+
+    #[test]
+    fn trace_file_round_trip() {
+        use crate::{TraceConfig, TraceGenerator};
+        let gen = TraceGenerator::new(TraceConfig {
+            mobile_users: 60,
+            pc_only_users: 10,
+            ..TraceConfig::default()
+        })
+        .unwrap();
+        let expected: Vec<LogRecord> = gen.iter_user_records().flatten().collect();
+        assert!(expected.len() > 100);
+        let dir = std::env::temp_dir();
+        let mut sizes = Vec::new();
+        for format in [TraceFormat::Jsonl, TraceFormat::Csv, TraceFormat::Columnar] {
+            let path = dir.join(format!("mcs-io-test.{}", format.extension()));
+            let file = io::BufWriter::new(std::fs::File::create(&path).unwrap());
+            let mut w = TraceWriter::new(file, format).unwrap();
+            for r in &expected {
+                w.push(r).unwrap();
+            }
+            let (_, n) = w.finish().unwrap();
+            assert_eq!(n, expected.len() as u64, "{format:?}");
+            let back: Vec<LogRecord> = open_trace(&path, format)
+                .unwrap()
+                .collect::<Result<_, _>>()
+                .unwrap();
+            assert_eq!(back, expected, "{format:?}");
+            sizes.push(std::fs::metadata(&path).unwrap().len());
+            let _ = std::fs::remove_file(path);
+        }
+        assert!(
+            sizes[2] < sizes[0] / 3,
+            "columnar file should be far denser than JSONL: {sizes:?}"
+        );
+    }
 }

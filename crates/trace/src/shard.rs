@@ -114,7 +114,6 @@ mod tests {
     fn shards_concatenate_to_the_full_trace_in_every_format() {
         let g = small_gen(31, 1);
         let expected: Vec<LogRecord> = g.iter_user_records().flatten().collect();
-        let mut bytes = Vec::new();
         for format in [TraceFormat::Jsonl, TraceFormat::Csv, TraceFormat::Columnar] {
             let dir = temp_dir(&format!("concat-{}", format.extension()));
             let sharded = g.write_shards(&dir, format, 4).unwrap();
@@ -122,13 +121,8 @@ mod tests {
             assert_eq!(sharded.records, expected.len() as u64);
             assert!(sharded.bytes > 0);
             assert_eq!(read_shards(&sharded, format), expected, "{format:?}");
-            bytes.push(sharded.bytes);
             let _ = std::fs::remove_dir_all(&dir);
         }
-        assert!(
-            bytes[2] < bytes[0] / 3,
-            "columnar shards should be far denser than JSONL: {bytes:?}"
-        );
     }
 
     #[test]
