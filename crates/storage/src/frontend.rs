@@ -5,17 +5,18 @@
 //! and per-hour load counters (the server-side view of Fig. 1). The chunk
 //! store is the one record of which chunks a front-end holds: one reference
 //! count per chunk, no sizes (callers hold the manifests sizes follow from).
+//! It is hashed by the digest itself (`DigestHash`); uploads probe it once.
 
-use std::collections::{hash_map::Entry, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use crate::content::FileManifest;
-use crate::md5::Digest;
+use crate::md5::{Digest, DigestHash};
 
 /// A storage front-end server.
 #[derive(Debug)]
 pub struct FrontEnd {
     /// Resident chunks: digest → completed uploads homed here that hold it.
-    chunks: HashMap<Digest, u32>,
+    chunks: HashMap<Digest, u32, DigestHash>,
     /// Bytes of the resident chunks.
     stored_bytes: u64,
     /// Bytes received per hour-of-trace (uploads).
@@ -34,7 +35,7 @@ impl FrontEnd {
     /// Creates a front-end covering `horizon_hours` of load accounting.
     pub fn new(horizon_hours: usize) -> Self {
         Self {
-            chunks: HashMap::new(),
+            chunks: HashMap::default(),
             stored_bytes: 0,
             upload_load: vec![0.0; horizon_hours.max(1)],
             download_load: vec![0.0; horizon_hours.max(1)],
@@ -53,13 +54,17 @@ impl FrontEnd {
     /// so a chunk an unfinished upload left behind is resident with no
     /// reference.
     pub fn put_chunk(&mut self, digest: Digest, size: u64, now_ms: u64) {
+        self.ingest(digest, size, self.hour(now_ms));
+    }
+
+    /// Books one chunk put in hour `h`; returns its reference count.
+    fn ingest(&mut self, digest: Digest, size: u64, h: usize) -> &mut u32 {
         self.chunk_puts += 1;
-        let h = self.hour(now_ms);
         self.upload_load[h] += size as f64;
-        if let Entry::Vacant(e) = self.chunks.entry(digest) {
-            e.insert(0);
+        self.chunks.entry(digest).or_insert_with(|| {
             self.stored_bytes = self.stored_bytes.saturating_add(size);
-        }
+            0
+        })
     }
 
     /// Takes one reference on every chunk of an upload that completed
@@ -87,12 +92,13 @@ impl FrontEnd {
     }
 
     /// Ingests all chunks of a manifest and retains them: a whole upload
-    /// in one step.
+    /// in one step, one probe per chunk.
     pub fn put_file(&mut self, manifest: &FileManifest, now_ms: u64) {
+        let h = self.hour(now_ms);
         for (i, &d) in manifest.chunk_digests.iter().enumerate() {
-            self.put_chunk(d, manifest.chunk_size(i as u64), now_ms);
+            let refs = self.ingest(d, manifest.chunk_size(i as u64), h);
+            *refs = refs.saturating_add(1);
         }
-        self.retain_file(manifest);
     }
 
     /// Serves all chunks of a manifest; returns bytes served.
@@ -443,7 +449,7 @@ mod tests {
     #[test]
     fn chunk_store_entry_stays_small() {
         // One entry per resident chunk: 3.3 M on a paper-sized week.
-        fn entry_size<K, V>(_: &HashMap<K, V>) -> usize {
+        fn entry_size<K, V, S>(_: &HashMap<K, V, S>) -> usize {
             std::mem::size_of::<(K, V)>()
         }
         assert!(entry_size(&FrontEnd::new(1).chunks) <= 20);

@@ -12,11 +12,11 @@ pub struct Digest(pub [u8; 16]);
 impl Digest {
     /// Lowercase hexadecimal rendering (the form log files carry).
     pub fn to_hex(&self) -> String {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(32);
         for b in self.0 {
-            // mcs-lint: allow(panic, nibbles are < 16, always valid hex digits)
-            s.push(char::from_digit(u32::from(b >> 4), 16).expect("nibble"));
-            s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble"));
+            s.push(char::from(HEX[usize::from(b >> 4)]));
+            s.push(char::from(HEX[usize::from(b & 0xf)]));
         }
         s
     }
@@ -27,6 +27,27 @@ impl std::fmt::Display for Digest {
         f.write_str(&self.to_hex())
     }
 }
+
+/// Hashes a [`Digest`] by its first 8 bytes, already uniform (DESIGN.md
+/// §2.5). A map still compares whole keys, so a shared prefix costs one
+/// probe, never a wrong answer. `Hash` writes a length, then the 16 bytes.
+#[derive(Default)]
+pub(crate) struct DigestHasher(u64);
+
+impl std::hash::Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        if let Some(head) = bytes.first_chunk() {
+            self.0 = u64::from_le_bytes(*head);
+        }
+    }
+}
+
+/// The `BuildHasher` of the service's digest-keyed tables.
+pub(crate) type DigestHash = std::hash::BuildHasherDefault<DigestHasher>;
 
 /// Sine-derived constants `K[i] = floor(2^32 · |sin(i + 1)|)`.
 const K: [u32; 64] = [
@@ -116,9 +137,8 @@ impl Md5 {
 
     fn compress(&mut self, block: &[u8; 64]) {
         let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            // mcs-lint: allow(panic, chunks_exact(4) guarantees 4-byte slices)
-            m[i] = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
+        for (i, c) in block.chunks_exact(4).enumerate() {
+            m[i] = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
         }
         let [mut a, mut b, mut c, mut d] = self.state;
         // Each round runs 16 steps, four per iteration with the round's
@@ -247,6 +267,31 @@ mod tests {
         let a = md5(b"file-content-1");
         let b = md5(b"file-content-2");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn digest_hash_keeps_digests_that_share_their_first_8_bytes() {
+        use std::collections::HashMap;
+        use std::hash::BuildHasher;
+        let a = md5(b"abc");
+        let (mut b, mut c) = (a, a);
+        b.0[15] ^= 1;
+        c.0[8] ^= 0x80;
+        let hash = |d: &Digest| DigestHash::default().hash_one(d);
+        let head = a.0.first_chunk().copied().unwrap();
+        assert_eq!(hash(&a), u64::from_le_bytes(head), "the first 8 bytes");
+        assert_eq!((hash(&b), hash(&c)), (hash(&a), hash(&a)));
+        let mut map: HashMap<Digest, usize, DigestHash> = HashMap::default();
+        for (v, d) in [a, b, c].into_iter().enumerate() {
+            assert_eq!(map.insert(d, v), None, "digest {v} is new");
+        }
+        assert_eq!(map.len(), 3);
+        assert_eq!((map[&a], map[&b], map[&c]), (0, 1, 2));
+        assert_eq!(map.remove(&b), Some(1));
+        assert_eq!(
+            (map.get(&a), map.get(&b), map.get(&c)),
+            (Some(&0), None, Some(&2))
+        );
     }
 
     /// Up to `max_len - 1` uniformly random bytes.

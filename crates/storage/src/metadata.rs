@@ -7,12 +7,12 @@
 //! Otherwise it directs the client to the closest front-end. For retrieval
 //! it resolves a path or shared URL to the manifest and a front-end.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use mcs_faults::ConfigError;
 
 use crate::content::FileManifest;
-use crate::md5::Digest;
+use crate::md5::{Digest, DigestHash};
 
 /// User account identifier.
 pub type UserId = u64;
@@ -84,14 +84,14 @@ impl ContentRecord {
 
 /// The metadata server.
 ///
-/// All tables are B-tree maps: GC listings, namespace listings, and any
-/// future iteration come out in key order with no per-call sorting, which
-/// keeps every output structurally deterministic (the PR-2 contract that
-/// `mcs-lint` rule R1 enforces).
+/// The content table, where every store's dedup lookup goes, is hashed by
+/// the digest itself (`DigestHash`); [`Self::orphans`] sorts its listing.
+/// The other tables are B-tree maps, listed in key order. So every output
+/// is structurally deterministic (the contract `mcs-lint` rule R1 enforces).
 #[derive(Debug, Default)]
 pub struct MetadataServer {
     /// Content known to exist on storage servers, by file digest.
-    known: BTreeMap<Digest, ContentRecord>,
+    known: HashMap<Digest, ContentRecord, DigestHash>,
     /// Per-user namespaces: path → entry.
     namespaces: BTreeMap<UserId, BTreeMap<String, FileEntry>>,
     /// Published share URLs.
@@ -199,7 +199,8 @@ impl MetadataServer {
     }
 
     /// Contents with no remaining namespace links (eligible for GC):
-    /// each manifest (unnamed) with the front-end holding it.
+    /// each manifest (unnamed) with the front-end holding it, in digest
+    /// order.
     pub fn orphans(&self) -> Vec<(FileManifest, usize)> {
         let mut linked: BTreeSet<Digest> = BTreeSet::new();
         for ns in self.namespaces.values() {
@@ -207,12 +208,14 @@ impl MetadataServer {
                 linked.insert(e.digest);
             }
         }
-        // `known` is a BTreeMap, so the result is already digest-sorted.
-        self.known
+        let mut orphans: Vec<_> = self
+            .known
             .iter()
             .filter(|(d, _)| !linked.contains(d))
             .map(|(d, record)| record.manifest(String::new(), *d))
-            .collect()
+            .collect();
+        orphans.sort_unstable_by_key(|(m, _)| m.file_digest);
+        orphans
     }
 
     /// Forgets an orphaned content (after the front-end reclaimed it).
@@ -402,6 +405,23 @@ mod tests {
         assert!(md.forget(&m.file_digest));
         assert!(!md.forget(&m.file_digest));
         assert_eq!(md.distinct_contents(), 0);
+    }
+
+    #[test]
+    fn orphans_are_listed_in_digest_order() {
+        let mut md = MetadataServer::new(2).unwrap();
+        for seed in 0..12u64 {
+            let m = manifest(&format!("f{seed}"), seed, 1000 + seed);
+            let _ = md.begin_store(seed, &m, 0);
+            md.complete_upload(m, 0);
+            md.delete(seed, &format!("f{seed}")).unwrap();
+        }
+        let digests: Vec<Digest> = md.orphans().iter().map(|(m, _)| m.file_digest).collect();
+        assert_eq!(digests.len(), 12);
+        assert!(
+            digests.windows(2).all(|w| w[0] < w[1]),
+            "GC walks contents in digest order: {digests:?}"
+        );
     }
 
     #[test]

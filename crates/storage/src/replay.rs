@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use mcs_faults::{ConfigError, FaultPlan, RetryPolicy};
 use mcs_net::profile::{access_cap_bps, simulate_fair_share, FairFlowSpec, ProfileMix};
 use mcs_obs::{CounterId, HistId, Registry, Snapshot};
-use mcs_sim::{CompId, Ctx, Handler, Simulation, MS};
+use mcs_sim::{CompId, Ctx, Handler, Simulation, Time, MS};
 use mcs_stats::rng::{stream_rng, Rng};
 use mcs_trace::{Direction, TraceGenerator};
 
@@ -258,13 +258,29 @@ fn validate(cfg: &ReplayConfig) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Plans and runs the trace, then exports `sim.*` and frees the timeline.
+/// Plans and runs the trace, each op queueing the next, and exports `sim.*`.
 fn execute(
     gen: &TraceGenerator,
     cfg: &ReplayConfig,
     plan: &FaultPlan,
     retry: RetryPolicy,
 ) -> Result<ReplayEngine, ConfigError> {
+    let (mut eng, mut sim) = setup(gen, cfg, plan, retry)?;
+    if let Some((op, at, comp)) = eng.slot(0) {
+        sim.schedule(at, comp, (0, op));
+    }
+    sim.run(&mut eng);
+    sim.export_metrics(&mut eng.obs);
+    Ok(eng)
+}
+
+/// Plans the trace and builds the engine and its timeline.
+fn setup(
+    gen: &TraceGenerator,
+    cfg: &ReplayConfig,
+    plan: &FaultPlan,
+    retry: RetryPolicy,
+) -> Result<(ReplayEngine, Simulation<(usize, usize)>), ConfigError> {
     validate(cfg)?;
     let horizon_hours = (gen.config().horizon_ms() / 3_600_000) as usize;
     let mut svc = StorageService::new(cfg.frontends, horizon_hours)?;
@@ -277,36 +293,27 @@ fn execute(
     let mut obs = Registry::new();
     let ids = ReplayIds::register(&mut obs);
 
-    let mut sim: Simulation<usize> = Simulation::new();
+    let mut sim: Simulation<(usize, usize)> = Simulation::new();
     let comps: Vec<CompId> = (0..cfg.frontends)
         .map(|fe| sim.add_component(format!("frontend/{fe}")))
         .collect();
     let ops = plan_ops(gen, cfg);
-    let mut eng = ReplayEngine {
+    let by_deadline = (!plan.is_empty()).then(|| {
+        let mut order: Vec<usize> = (0..ops.len()).collect();
+        order.sort_by_key(|&i| op_deadline_us(ops[i].at_ms));
+        order
+    });
+    let eng = ReplayEngine {
         svc,
         obs,
         ids,
         op_bytes: vec![0; ops.len()],
         ops,
         owned: BTreeMap::new(),
+        comps,
+        by_deadline,
     };
-    // Each planned operation becomes one event on its front-end's
-    // component, at its trace time or at its plan tick (module docs);
-    // insertion order breaks ties, so each user's operations still
-    // execute chronologically.
-    let time_gated = !plan.is_empty();
-    for (i, op) in eng.ops.iter().enumerate() {
-        let fe = eng.svc.metadata().closest_frontend(op.user);
-        let at = if time_gated {
-            op_deadline_us(op.at_ms)
-        } else {
-            i as u64
-        };
-        sim.schedule(at, comps[fe], i);
-    }
-    sim.run(&mut eng);
-    sim.export_metrics(&mut eng.obs);
-    Ok(eng)
+    Ok((eng, sim))
 }
 
 /// [`replay`] in fair weather (under [`FaultPlan::none`]).
@@ -469,16 +476,31 @@ struct ReplayEngine {
     /// The plan number of the last file each user stored successfully,
     /// which that user's retrieves fetch. Per-user execution order equals
     /// plan order on both timelines: sessions are chronologically sorted
-    /// and the queue breaks time ties by insertion.
+    /// and the dispatch order keeps plan order among equal deadlines.
     owned: BTreeMap<u64, u64>,
     /// Bytes each planned op actually moved over the network (post-dedup
     /// uploads, served downloads; 0 for metadata-only or failed ops).
     /// Input to the fair-share network pass when
     /// [`ReplayConfig::profiles`] is set.
     op_bytes: Vec<u64>,
+    /// Each front-end's component on the timeline.
+    comps: Vec<CompId>,
+    /// Under a plan, the dispatch order: plan indices stably sorted by
+    /// deadline, so ties keep plan order. `None` in fair weather (plan order).
+    by_deadline: Option<Vec<usize>>,
 }
 
 impl ReplayEngine {
+    /// Position `pos` of the dispatch order: plan index, time, component.
+    fn slot(&self, pos: usize) -> Option<(usize, Time, CompId)> {
+        let order = self.by_deadline.as_ref();
+        let i = order.map_or(Some(pos), |order| order.get(pos).copied())?;
+        let op = self.ops.get(i)?;
+        let at = order.map_or(pos as u64, |_| op_deadline_us(op.at_ms));
+        let fe = self.svc.metadata().closest_frontend(op.user);
+        Some((i, at, self.comps[fe]))
+    }
+
     /// Books the outcome of planned op `op`'s counted retrieve.
     fn book_retrieve(&mut self, op: usize, got: Result<RetrieveOutcome, ServiceError>) {
         match got {
@@ -493,10 +515,9 @@ impl ReplayEngine {
             Err(_) => self.obs.inc(self.ids.failed_retrieves),
         }
     }
-}
 
-impl Handler<usize> for ReplayEngine {
-    fn handle(&mut self, _ctx: &mut Ctx<'_, usize>, op: usize) {
+    /// Runs planned op `op` against the service.
+    fn dispatch(&mut self, op: usize) {
         let now_ms = self.ops[op].at_ms;
         let user = self.ops[op].user;
         match self.ops[op].kind {
@@ -557,6 +578,16 @@ impl Handler<usize> for ReplayEngine {
                 }
             }
         }
+    }
+}
+
+impl Handler<(usize, usize)> for ReplayEngine {
+    /// Queues the next position of the dispatch order, then runs op `op`.
+    fn handle(&mut self, ctx: &mut Ctx<'_, (usize, usize)>, (pos, op): (usize, usize)) {
+        if let Some((next, at, comp)) = self.slot(pos + 1) {
+            ctx.schedule(at, comp, (pos + 1, next));
+        }
+        self.dispatch(op);
     }
 }
 
@@ -779,6 +810,92 @@ mod tests {
                 let peak = &got.histograms["net.profile.peak_active"];
                 assert_eq!(peak.count, cfg.frontends as u64, "every front-end priced");
                 assert!(peak.max > 1, "flows must overlap: {peak:?}");
+            }
+        }
+    }
+
+    /// Records each dispatch as (plan index, sim time) while running either
+    /// the chained schedule `execute` runs or the pre-filled queue.
+    struct Recorder<'a> {
+        eng: &'a mut ReplayEngine,
+        prefilled: bool,
+        seq: Vec<(usize, Time)>,
+    }
+
+    impl Handler<(usize, usize)> for Recorder<'_> {
+        fn handle(&mut self, ctx: &mut Ctx<'_, (usize, usize)>, (pos, op): (usize, usize)) {
+            self.seq.push((op, ctx.now()));
+            if self.prefilled {
+                self.eng.dispatch(op);
+            } else {
+                self.eng.handle(ctx, (pos, op));
+            }
+        }
+    }
+
+    /// Runs the execute phase and returns its dispatch sequence and its
+    /// snapshot JSON. With `prefilled`, it runs the schedule as it was
+    /// before the timeline held one pending event: every op queued up
+    /// front in plan order, at its deadline under a plan or at its plan
+    /// index in fair weather, dispatched in the queue's (time, insertion)
+    /// order.
+    fn dispatch_sequence(
+        gen: &TraceGenerator,
+        cfg: &ReplayConfig,
+        plan: &FaultPlan,
+        prefilled: bool,
+    ) -> (Vec<(usize, Time)>, String) {
+        let (mut eng, mut sim) = setup(gen, cfg, plan, RetryPolicy::default()).unwrap();
+        if prefilled {
+            for (i, op) in eng.ops.iter().enumerate() {
+                let fe = eng.svc.metadata().closest_frontend(op.user);
+                let at = if plan.is_empty() {
+                    i as u64
+                } else {
+                    op_deadline_us(op.at_ms)
+                };
+                sim.schedule(at, eng.comps[fe], (i, i));
+            }
+        } else if let Some((op, at, comp)) = eng.slot(0) {
+            sim.schedule(at, comp, (0, op));
+        }
+        let mut rec = Recorder {
+            eng: &mut eng,
+            prefilled,
+            seq: Vec::new(),
+        };
+        sim.run(&mut rec);
+        let seq = rec.seq;
+        assert_eq!(sim.pending(), 0);
+        sim.export_metrics(&mut eng.obs);
+        eng.obs.merge(eng.svc.metrics());
+        (seq, eng.obs.snapshot().to_json())
+    }
+
+    #[test]
+    fn chained_schedule_dispatches_what_the_prefilled_queue_did() {
+        let gen = small_gen(57);
+        let cfg = ReplayConfig::default();
+        let rough = FaultPlan::generate(&FaultPlanConfig {
+            seed: 57,
+            horizon_ms: gen.config().horizon_ms(),
+            n_frontends: cfg.frontends,
+            ..FaultPlanConfig::default()
+        })
+        .unwrap();
+        for plan in [FaultPlan::none(cfg.frontends), rough] {
+            let (want, want_json) = dispatch_sequence(&gen, &cfg, &plan, true);
+            let (got, got_json) = dispatch_sequence(&gen, &cfg, &plan, false);
+            assert!(got.len() > 1000, "{} ops", got.len());
+            assert_eq!(got, want, "time-gated: {}", !plan.is_empty());
+            assert_eq!(got_json, want_json);
+            let (_, _, snap) = replay(&gen, &cfg, &plan, RetryPolicy::default()).unwrap();
+            assert_eq!(snap.to_json(), got_json, "replay runs the chained schedule");
+            if !plan.is_empty() {
+                // All files of a session share its start: the stable sort
+                // must keep plan order among these.
+                let ties = got.windows(2).filter(|w| w[0].1 == w[1].1).count();
+                assert!(ties > 100, "only {ties} same-deadline ties");
             }
         }
     }

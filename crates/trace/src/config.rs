@@ -121,11 +121,6 @@ pub struct SessionModel {
     pub straggler_frac: f64,
     /// Median straggler gap, seconds.
     pub straggler_gap_median_s: f64,
-    /// Median gap between sessions of the same user, seconds.
-    /// (Fig. 3's inter-session component has mean ≈ 1 day.)
-    pub inter_session_gap_median_s: f64,
-    /// σ of ln(gap) for inter-session gaps.
-    pub inter_session_gap_sigma: f64,
     /// Fraction of sessions that only store (paper: 0.682).
     pub store_only_frac: f64,
     /// Fraction of sessions that only retrieve (paper: 0.299).
@@ -144,8 +139,6 @@ impl Default for SessionModel {
             intra_op_gap_sigma: 0.9,
             straggler_frac: 0.02,
             straggler_gap_median_s: 8.0,
-            inter_session_gap_median_s: 60_000.0, // ≈ 0.7 day median; mean ≈ 1 day
-            inter_session_gap_sigma: 1.0,
             store_only_frac: 0.682,
             retrieve_only_frac: 0.299,
             files_per_session_zipf_s: 1.55,
@@ -157,6 +150,8 @@ impl Default for SessionModel {
 impl SessionModel {
     /// Validates fractions and positivity.
     pub fn validate(&self) -> Result<(), String> {
+        probability("store_only_frac", self.store_only_frac)?;
+        probability("retrieve_only_frac", self.retrieve_only_frac)?;
         if self.store_only_frac + self.retrieve_only_frac > 1.0 {
             return Err("session type fractions exceed 1".into());
         }
@@ -164,9 +159,6 @@ impl SessionModel {
         positive("intra_op_gap_sigma", self.intra_op_gap_sigma)?;
         positive("straggler_gap_median_s", self.straggler_gap_median_s)?;
         probability("straggler_frac", self.straggler_frac)?;
-        if self.inter_session_gap_median_s <= self.intra_op_gap_median_s {
-            return Err("session gap medians must be positive and ordered".into());
-        }
         positive("files_per_session_zipf_s", self.files_per_session_zipf_s)?;
         if self.files_per_session_max == 0 {
             return Err("files_per_session_max must be >= 1".into());
@@ -473,8 +465,13 @@ impl TraceConfig {
         probability("proxied_frac", n.proxied_frac)?;
         probability("window_bound_frac", n.window_bound_frac)?;
         let e = &self.engagement;
+        probability("oneshot_1dev", e.oneshot_1dev)?;
+        probability("oneshot_2dev", e.oneshot_2dev)?;
+        probability("oneshot_3dev", e.oneshot_3dev)?;
+        probability("oneshot_mobile_pc", e.oneshot_mobile_pc)?;
         probability("daily_return_prob", e.daily_return_prob)?;
         probability("daily_return_prob_multi", e.daily_return_prob_multi)?;
+        probability("pc_sync_same_day_prob", e.pc_sync_same_day_prob)?;
         if !self
             .diurnal
             .hour_weights

@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn rejects_values_the_samplers_cannot_take() {
         // Each edit used to panic inside a sampler or pass silently.
-        let bad: [fn(&mut TraceConfig); 16] = [
+        let bad: [fn(&mut TraceConfig); 24] = [
             |c| c.session.intra_op_gap_sigma = 0.0,
             |c| c.session.intra_op_gap_median_s = f64::NAN,
             |c| c.session.straggler_gap_median_s = 0.0,
@@ -369,6 +369,14 @@ mod tests {
             |c| c.network.window_bound_frac = 5.0,
             |c| c.engagement.daily_return_prob = 2.0,
             |c| c.engagement.daily_return_prob_multi = f64::NAN,
+            |c| c.engagement.oneshot_1dev = 1.5,
+            |c| c.engagement.oneshot_2dev = -0.1,
+            |c| c.engagement.oneshot_3dev = f64::NAN,
+            |c| c.engagement.oneshot_mobile_pc = 2.0,
+            |c| c.engagement.pc_sync_same_day_prob = f64::NAN,
+            |c| c.session.store_only_frac = -0.5,
+            |c| c.session.retrieve_only_frac = f64::NAN,
+            |c| c.session.store_only_frac = f64::NAN,
             |c| c.diurnal.weekend_factor = -1.0,
             |c| c.diurnal.weekend_factor = f64::NAN,
         ];
