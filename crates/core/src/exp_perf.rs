@@ -9,8 +9,7 @@ use mcs_net::device::{DeviceProfile, Direction as NetDirection};
 use mcs_net::experiments::{
     run_campaign, run_fig13, run_mitigations, run_parallel_upload, run_resume_ablation,
 };
-use mcs_net::sim::SEC;
-use mcs_net::simulate_flow;
+use mcs_net::{simulate_flow, SEC};
 
 use crate::render::{pct, series, sig, table, thin};
 use crate::report::{ExperimentId, Metric, Report};

@@ -17,8 +17,8 @@
 //! * [`stats`] — statistics (EM fits, ECDFs, SE rank models, GoF tests),
 //! * [`trace`] — Table 1 log schema + paper-calibrated workload generator,
 //! * [`analysis`] — the paper's analysis pipeline,
-//! * [`sim`] — the seeded discrete-event scheduler: the one timeline the
-//!   net, storage and fault layers share (DESIGN.md §10),
+//! * [`sim`] — the seeded discrete-event queue: the one µs timeline the
+//!   packet and chunk-transfer engines loop over (DESIGN.md §10),
 //! * [`net`] — the discrete-event TCP / chunk-transfer simulator (§4),
 //! * [`storage`] — the §2.1 service substrate and Table 4 optimisations,
 //! * [`faults`] — deterministic fault-injection plans and retry policies,

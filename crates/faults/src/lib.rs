@@ -7,7 +7,7 @@
 //!
 //! * [`windows`] — sorted, disjoint half-open time windows ([`Windows`]),
 //!   the representation every fault schedule shares,
-//! * [`plan`] — [`FaultPlan`]: per-component outage/brownout/blackout
+//! * [`plan`] — [`FaultPlan`]: per-component outage and brownout
 //!   schedules generated from a single seed via
 //!   [`mcs_stats::rng::stream_rng`], plus stateless per-operation fault
 //!   coins ([`unit_coin`]) that do not depend on draw order,
@@ -22,12 +22,10 @@
 //! per-send decisions are pure hashes of `(seed, stream, op, chunk, send)`
 //! rather than draws from shared mutable RNG state.
 //!
-//! Fault windows are authored in *milliseconds* (the service clock); the
-//! shared `mcs-sim` timeline runs in *microseconds*. The conversion lives
-//! in exactly two places — [`FaultPlan::link_blackouts_us`] for the packet
-//! layer and the `*_at` helpers ([`FaultPlan::frontend_down_at`] et al.)
-//! for components reading the simulation clock directly — so no caller
-//! ever divides or multiplies by 1 000 itself (DESIGN.md §10).
+//! A plan's windows are in *milliseconds*, the service clock its
+//! predicates are asked about. The packet layer takes its blackout
+//! [`Windows`] in *microseconds* from its own caller; this crate converts
+//! between the clocks nowhere (DESIGN.md §10.2).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

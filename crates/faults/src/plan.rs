@@ -24,7 +24,6 @@ const DAY_MS: f64 = 86_400_000.0;
 const STREAM_FE_OUTAGE: u64 = 0xFA01_0000;
 const STREAM_FE_BROWNOUT: u64 = 0xFA02_0000;
 const STREAM_METADATA: u64 = 0xFA03_0000;
-const STREAM_LINK: u64 = 0xFA04_0000;
 
 /// Maps a SplitMix64 output to a uniform in `[0, 1)` using the top 53 bits.
 fn to_unit(z: u64) -> f64 {
@@ -68,10 +67,6 @@ pub struct FaultPlanConfig {
     pub metadata_outages_per_day: f64,
     /// Mean metadata outage duration in ms.
     pub metadata_outage_mean_ms: f64,
-    /// Link blackouts per day (the path drops everything mid-window).
-    pub link_blackouts_per_day: f64,
-    /// Mean link blackout duration in ms.
-    pub link_blackout_mean_ms: f64,
 }
 
 impl Default for FaultPlanConfig {
@@ -87,8 +82,6 @@ impl Default for FaultPlanConfig {
             chunk_timeout_prob: 0.5,
             metadata_outages_per_day: 0.5,
             metadata_outage_mean_ms: 30_000.0,
-            link_blackouts_per_day: 12.0,
-            link_blackout_mean_ms: 5_000.0,
         }
     }
 }
@@ -112,7 +105,6 @@ impl FaultPlanConfig {
                 self.frontend_brownouts_per_day,
             ),
             ("metadata_outages_per_day", self.metadata_outages_per_day),
-            ("link_blackouts_per_day", self.link_blackouts_per_day),
         ];
         for (what, rate) in rates {
             if !rate.is_finite() || rate < 0.0 {
@@ -126,7 +118,6 @@ impl FaultPlanConfig {
             ("frontend_outage_mean_ms", self.frontend_outage_mean_ms),
             ("frontend_brownout_mean_ms", self.frontend_brownout_mean_ms),
             ("metadata_outage_mean_ms", self.metadata_outage_mean_ms),
-            ("link_blackout_mean_ms", self.link_blackout_mean_ms),
         ];
         for (what, mean) in durations {
             if !mean.is_finite() || mean <= 0.0 {
@@ -192,8 +183,6 @@ pub struct FaultPlan {
     pub frontend_brownouts: Vec<Windows>,
     /// Metadata-server unavailability windows.
     pub metadata_outages: Windows,
-    /// Link blackout windows (ms; scale by 1000 for the µs packet clock).
-    pub link_blackouts: Windows,
     /// Chunk-timeout probability during a brownout, per chunk send.
     pub chunk_timeout_prob: f64,
 }
@@ -236,13 +225,6 @@ impl FaultPlan {
                 cfg.metadata_outages_per_day,
                 cfg.metadata_outage_mean_ms,
             ),
-            link_blackouts: draw_windows(
-                cfg.seed,
-                STREAM_LINK,
-                cfg.horizon_ms,
-                cfg.link_blackouts_per_day,
-                cfg.link_blackout_mean_ms,
-            ),
             chunk_timeout_prob: cfg.chunk_timeout_prob,
         })
     }
@@ -256,7 +238,6 @@ impl FaultPlan {
             frontend_outages: vec![Windows::empty(); n_frontends],
             frontend_brownouts: vec![Windows::empty(); n_frontends],
             metadata_outages: Windows::empty(),
-            link_blackouts: Windows::empty(),
             chunk_timeout_prob: 0.0,
         }
     }
@@ -269,7 +250,6 @@ impl FaultPlan {
         self.frontend_outages.iter().all(Windows::is_empty)
             && self.frontend_brownouts.iter().all(Windows::is_empty)
             && self.metadata_outages.is_empty()
-            && self.link_blackouts.is_empty()
             && self.chunk_timeout_prob == 0.0
     }
 
@@ -292,28 +272,6 @@ impl FaultPlan {
     /// Is the metadata server unavailable at `now_ms`?
     pub fn metadata_down(&self, now_ms: u64) -> bool {
         self.metadata_outages.contains(now_ms)
-    }
-
-    /// Link blackout windows on the microsecond clock of the packet layer.
-    pub fn link_blackouts_us(&self) -> Windows {
-        self.link_blackouts.scale(1000)
-    }
-
-    /// [`FaultPlan::frontend_down`] read directly off the shared `mcs-sim`
-    /// timeline (µs). Fault windows are authored in milliseconds; this is
-    /// the one conversion point between the two clocks (DESIGN.md §10).
-    pub fn frontend_down_at(&self, fe: usize, t: mcs_sim::Time) -> bool {
-        self.frontend_down(fe, t / mcs_sim::MS)
-    }
-
-    /// [`FaultPlan::frontend_degraded`] on the `mcs-sim` timeline (µs).
-    pub fn frontend_degraded_at(&self, fe: usize, t: mcs_sim::Time) -> bool {
-        self.frontend_degraded(fe, t / mcs_sim::MS)
-    }
-
-    /// [`FaultPlan::metadata_down`] on the `mcs-sim` timeline (µs).
-    pub fn metadata_down_at(&self, t: mcs_sim::Time) -> bool {
-        self.metadata_down(t / mcs_sim::MS)
     }
 
     /// Does the `send`-th transmission of `chunk` within operation `op`
@@ -373,7 +331,7 @@ mod tests {
             .frontend_outages
             .iter()
             .chain(plan.frontend_brownouts.iter())
-            .chain([&plan.metadata_outages, &plan.link_blackouts])
+            .chain([&plan.metadata_outages])
         {
             for &(s, e) in w.spans() {
                 assert!(s < e && e <= cfg.horizon_ms);
@@ -391,14 +349,12 @@ mod tests {
             frontend_outages_per_day: 0.0,
             frontend_brownouts_per_day: 0.0,
             metadata_outages_per_day: 0.0,
-            link_blackouts_per_day: 0.0,
             ..FaultPlanConfig::default()
         };
         let plan = FaultPlan::generate(&cfg).unwrap();
         assert!(plan.frontend_outages.iter().all(Windows::is_empty));
         assert!(plan.frontend_brownouts.iter().all(Windows::is_empty));
         assert!(plan.metadata_outages.is_empty());
-        assert!(plan.link_blackouts.is_empty());
     }
 
     #[test]
@@ -422,40 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_time_helpers_agree_with_ms_predicates() {
-        // Windows are authored in ms; the `_at` helpers read them off the
-        // µs simulation clock. Probe window edges on both clocks,
-        // including the sub-millisecond remainder (t = 5_000_999 µs is
-        // still inside a window ending at ms 5_001).
-        let mut plan = FaultPlan::none(2);
-        plan.frontend_outages[1] = Windows::new(vec![(5_000, 5_001)]);
-        plan.frontend_brownouts[0] = Windows::new(vec![(10, 20)]);
-        plan.metadata_outages = Windows::new(vec![(0, 1)]);
-        for t_us in [
-            0u64, 999, 1_000, 9_999, 10_000, 5_000_000, 5_000_999, 5_001_000,
-        ] {
-            let t_ms = t_us / mcs_sim::MS;
-            for fe in 0..3 {
-                assert_eq!(
-                    plan.frontend_down_at(fe, t_us),
-                    plan.frontend_down(fe, t_ms)
-                );
-                assert_eq!(
-                    plan.frontend_degraded_at(fe, t_us),
-                    plan.frontend_degraded(fe, t_ms)
-                );
-            }
-            assert_eq!(plan.metadata_down_at(t_us), plan.metadata_down(t_ms));
-        }
-        assert!(plan.frontend_down_at(1, 5_000_999));
-        assert!(!plan.frontend_down_at(1, 5_001_000));
-        assert!(plan.frontend_degraded_at(0, 19_999));
-        assert!(!plan.frontend_degraded_at(0, 20_000));
-        assert!(plan.metadata_down_at(999));
-        assert!(!plan.metadata_down_at(1_000));
-    }
-
-    #[test]
     fn validate_rejects_bad_knobs() {
         let mut cfg = FaultPlanConfig {
             n_frontends: 0,
@@ -472,9 +394,9 @@ mod tests {
         cfg.frontend_outages_per_day = -1.0;
         assert!(cfg.validate().is_err());
         cfg.frontend_outages_per_day = 1.0;
-        cfg.link_blackout_mean_ms = 0.0;
+        cfg.metadata_outage_mean_ms = 0.0;
         assert!(cfg.validate().is_err());
-        cfg.link_blackout_mean_ms = 10.0;
+        cfg.metadata_outage_mean_ms = 10.0;
         assert!(cfg.validate().is_ok());
     }
 

@@ -1,14 +1,14 @@
 //! Sorted, disjoint, half-open time windows.
 //!
-//! Every fault schedule in this crate — front-end outages, brownouts,
-//! metadata unavailability, link blackouts — is "a set of intervals during
-//! which something is wrong". [`Windows`] is that set, normalised once at
-//! construction (sorted, overlaps merged, empties dropped) so membership
-//! queries are a binary search and two schedules compare equal iff they
-//! cover the same instants.
+//! Every fault schedule — front-end outages, brownouts, metadata
+//! unavailability here, link blackouts in the packet layer — is "a set of
+//! intervals during which something is wrong". [`Windows`] is that set,
+//! normalised once at construction (sorted, overlaps merged, empties
+//! dropped) so membership queries are a binary search and two schedules
+//! compare equal iff they cover the same instants.
 //!
 //! Units are deliberately unspecified: the storage layer uses milliseconds,
-//! the packet layer microseconds. [`Windows::scale`] converts between them.
+//! the packet layer microseconds.
 
 /// A normalised set of half-open `[start, end)` intervals.
 ///
@@ -50,19 +50,6 @@ impl Windows {
         idx > 0 && t < self.spans[idx - 1].1
     }
 
-    /// The earliest instant `>= t` that is *not* covered by any window.
-    ///
-    /// Returns `t` itself when `t` is already clear. Because spans are
-    /// disjoint and non-adjacent, the end of the covering span is clear.
-    pub fn next_clear(&self, t: u64) -> u64 {
-        let idx = self.spans.partition_point(|&(s, _)| s <= t);
-        if idx > 0 && t < self.spans[idx - 1].1 {
-            self.spans[idx - 1].1
-        } else {
-            t
-        }
-    }
-
     /// Total covered duration (sum of span lengths).
     pub fn covered(&self) -> u64 {
         self.spans.iter().map(|&(s, e)| e - s).sum()
@@ -76,23 +63,6 @@ impl Windows {
     /// True when no instants are covered.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
-    }
-
-    /// Multiplies every boundary by `factor` (saturating), e.g. to convert
-    /// a millisecond schedule to the microsecond clock of the packet layer.
-    ///
-    /// The result is re-normalised through [`Windows::new`]: saturation can
-    /// collapse a span to empty (`(MAX, MAX)`) or make previously separate
-    /// spans touch, and `factor == 0` collapses everything — all of which
-    /// would otherwise break the sorted/disjoint/non-empty invariant that
-    /// `contains`, `next_clear`, and `PartialEq` rely on.
-    pub fn scale(&self, factor: u64) -> Self {
-        Self::new(
-            self.spans
-                .iter()
-                .map(|&(s, e)| (s.saturating_mul(factor), e.saturating_mul(factor)))
-                .collect(),
-        )
     }
 }
 
@@ -121,25 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn next_clear_skips_covering_span() {
-        let w = Windows::new(vec![(10, 20), (30, 40)]);
-        assert_eq!(w.next_clear(5), 5);
-        assert_eq!(w.next_clear(10), 20);
-        assert_eq!(w.next_clear(15), 20);
-        assert_eq!(w.next_clear(20), 20);
-        assert_eq!(w.next_clear(35), 40);
-        assert_eq!(w.next_clear(99), 99);
-    }
-
-    #[test]
-    fn scale_converts_units() {
-        let w = Windows::new(vec![(1, 2), (5, 7)]).scale(1000);
-        assert_eq!(w.spans(), &[(1000, 2000), (5000, 7000)]);
-        assert!(w.contains(1500));
-        assert!(!w.contains(2500));
-    }
-
-    #[test]
     fn equal_coverage_compares_equal() {
         let a = Windows::new(vec![(0, 10), (10, 20)]);
         let b = Windows::new(vec![(0, 20)]);
@@ -157,30 +108,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scale_zero_collapses_to_empty() {
-        let w = Windows::new(vec![(1, 2), (5, 7)]).scale(0);
-        assert_eq!(w, Windows::empty());
-        assert!(!w.contains(0));
-    }
-
-    #[test]
-    fn scale_saturation_keeps_invariant() {
-        // Both boundaries of the second span saturate to u64::MAX — the
-        // degenerate (MAX, MAX) span must be dropped, not kept.
-        let w = Windows::new(vec![(1, 2), (5, 7)]).scale(u64::MAX / 2);
-        assert_normalised(&w);
-        assert_eq!(w.spans(), &[(u64::MAX / 2, u64::MAX - 1)]);
-        // Saturation can also make previously separate spans touch; the
-        // result must merge them so `next_clear` still lands in the clear.
-        let touching = Windows::new(vec![(1, 2), (3, 4)]).scale(u64::MAX / 3);
-        assert_normalised(&touching);
-        let t = touching.spans()[0].0;
-        assert!(!touching.contains(touching.next_clear(t)));
-    }
-
-    /// `scale` output always satisfies the sorted/disjoint/non-empty
-    /// invariant, including factors that force saturation or collapse.
+    /// [`Windows::new`] output always satisfies the sorted/disjoint/
+    /// non-empty invariant, whatever pairs it is given: reversed, empty,
+    /// overlapping or touching ones included.
     #[test]
     fn prop_scale_preserves_invariant() {
         for case in 0..256 {
@@ -188,22 +118,10 @@ mod tests {
             let raw: Vec<(u64, u64)> = (0..rng.random_range(0usize..12))
                 .map(|_| (rng.random_range(0..u64::MAX), rng.random_range(0..u64::MAX)))
                 .collect();
-            let factor = match rng.random_range(0u32..6) {
-                0 => 0,
-                1 => 1,
-                2 => 1000,
-                3 => u64::MAX / 2,
-                4 => u64::MAX,
-                _ => rng.random(),
-            };
-            let w = Windows::new(raw).scale(factor);
+            let w = Windows::new(raw);
             assert_normalised(&w);
             // A normalised set round-trips through its own spans.
-            assert_eq!(
-                w,
-                Windows::new(w.spans().to_vec()),
-                "case {case}: factor {factor}"
-            );
+            assert_eq!(w, Windows::new(w.spans().to_vec()), "case {case}");
         }
     }
 }

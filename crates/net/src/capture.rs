@@ -5,8 +5,7 @@
 //! series, and per-gap idle/RTO records.
 
 use mcs_obs::Registry;
-
-use crate::sim::{Time, SEC};
+use mcs_sim::{Time, SEC};
 
 /// One completed chunk (or batch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

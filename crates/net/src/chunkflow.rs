@@ -12,13 +12,12 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use mcs_faults::{ConfigError, Windows};
-use mcs_sim::{CompId, Ctx, Handler, Simulation, Ticket};
+use mcs_sim::{EventQueue, Ticket, Time};
 use mcs_stats::rng::{stream_rng, ChaCha8Rng};
 
 use crate::capture::{ChunkRecord, FlowTrace, IdleRecord};
 use crate::device::{DeviceProfile, Direction, ServerProfile};
 use crate::link::{Link, LinkConfig, LinkStats, Transmit};
-use crate::sim::Time;
 use crate::tcp::{CwndEvent, TcpConfig, TcpSender};
 
 /// Flow configuration.
@@ -121,6 +120,16 @@ impl FlowConfig {
                 what: "chunks per batch",
             });
         }
+        if self
+            .chunk_size
+            .checked_mul(u64::from(self.batch_chunks))
+            .is_none()
+        {
+            return Err(ConfigError::OutOfRange {
+                what: "batch size",
+                requirement: "(chunk size × chunks per batch) must fit in u64",
+            });
+        }
         self.data_link.validate()
     }
 }
@@ -217,10 +226,8 @@ pub struct SharedReport {
 ///
 /// `blackouts` are µs windows on the simulation clock: every packet
 /// offered inside one is dropped, so an outage hits every flow at once and
-/// the flows ride it out on TCP's own loss recovery. Pair with
-/// `FaultPlan::link_blackouts_us()` from `mcs-faults` to drive the packet
-/// layer from the same seeded plan as the service layer. Rejects invalid
-/// flow or link configurations with a typed [`ConfigError`] instead of
+/// the flows ride it out on TCP's own loss recovery. Rejects invalid flow
+/// or link configurations with a typed [`ConfigError`] instead of
 /// panicking (R3 contract).
 pub fn try_simulate_shared_report(
     cfgs: &[FlowConfig],
@@ -322,7 +329,7 @@ impl FlowRt {
             if off >= cfg.total_bytes {
                 break;
             }
-            off = (off + batch_bytes).min(cfg.total_bytes);
+            off = off.saturating_add(batch_bytes).min(cfg.total_bytes);
         }
         Self {
             cfg: *cfg,
@@ -422,25 +429,24 @@ impl FlowRt {
 }
 
 /// The event handler: any number of flows over one shared link, driven by
-/// an `mcs-sim` timeline with one component per flow.
+/// an `mcs-sim` event queue. Every event names its flow.
 struct Engine {
     link: Link,
     flows: Vec<FlowRt>,
-    comps: Vec<CompId>,
     done_count: usize,
     /// Event budget guarding against pathological configurations; real
     /// flows finish far below it.
     budget: u64,
 }
 
-/// Builds the shared timeline, seeds each flow's initial sends and runs
+/// Builds the event queue, seeds each flow's initial sends and runs
 /// the simulation until every flow finishes (or the budget trips).
 /// Returns the traces, the link counters and the events dispatched.
 fn run_flows(cfgs: &[FlowConfig], link: Link) -> (Vec<FlowTrace>, LinkStats, u64) {
-    let mut sim: Simulation<Ev> = Simulation::new();
-    let mut eng = Engine::start(cfgs, link, &mut sim);
-    sim.run(&mut eng);
-    let now = sim.now();
+    let mut q = EventQueue::new();
+    let mut eng = Engine::start(cfgs, link, &mut q);
+    let steps = eng.run(&mut q);
+    let now = q.now();
     let single = eng.flows.len() == 1;
     for fl in &mut eng.flows {
         if fl.trace.duration == 0 {
@@ -458,79 +464,12 @@ fn run_flows(cfgs: &[FlowConfig], link: Link) -> (Vec<FlowTrace>, LinkStats, u64
     }
     let stats = eng.link.stats();
     let traces = eng.flows.into_iter().map(|fl| fl.trace).collect();
-    (traces, stats, sim.steps())
-}
-
-impl Handler<Ev> for Engine {
-    fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
-        if ctx.steps() > self.budget {
-            for fl in &mut self.flows {
-                if !fl.done {
-                    fl.trace.aborted = true;
-                }
-            }
-            ctx.halt();
-            return;
-        }
-        let now = ctx.now();
-        match ev {
-            Ev::DataArrive {
-                f,
-                seq_start,
-                seq_end,
-            } => self.on_data(ctx, f, now, seq_start, seq_end),
-            Ev::AckArrive {
-                f,
-                ack,
-                first_hole_end,
-                sacked,
-            } => self.on_ack(ctx, f, now, ack, first_hole_end, sacked),
-            Ev::CtrlArrive { f, batch, delay_a } => {
-                let fl = &mut self.flows[f];
-                let delay_b = match fl.cfg.direction {
-                    Direction::Upload => fl.cfg.device.sample_clt(Direction::Upload, &mut fl.rng),
-                    Direction::Download => fl.cfg.server.sample_srv(&mut fl.rng),
-                };
-                ctx.schedule_in(
-                    delay_b,
-                    self.comps[f],
-                    Ev::Unlock {
-                        f,
-                        batch,
-                        app_idle: delay_a.saturating_add(delay_b),
-                    },
-                );
-            }
-            Ev::Unlock { f, batch, app_idle } => self.on_unlock(ctx, f, now, batch, app_idle),
-            Ev::RtoFire { f, epoch } => {
-                self.flows[f].rto_queued.pop_front();
-                self.on_rto(ctx, f, now, epoch);
-                self.queue_waiting_rto(ctx, f);
-            }
-            Ev::PacedSend { f } => {
-                self.flows[f].pace_armed = false;
-                self.try_send(ctx, f);
-            }
-            Ev::DelackFire { f, epoch } => {
-                let fl = &mut self.flows[f];
-                if epoch == fl.delack_epoch && fl.delack_count > 0 {
-                    self.flush_ack(ctx, f, now);
-                }
-            }
-        }
-        if self.done_count == self.flows.len() {
-            ctx.halt();
-        }
-    }
+    (traces, stats, steps)
 }
 
 impl Engine {
-    /// Registers one component per flow on `sim`, seeds each flow's
-    /// initial sends and sets the event budget.
-    fn start(cfgs: &[FlowConfig], link: Link, sim: &mut Simulation<Ev>) -> Self {
-        let comps: Vec<CompId> = (0..cfgs.len())
-            .map(|i| sim.add_component(format!("flow/{i}")))
-            .collect();
+    /// Seeds each flow's initial sends on `q` and sets the event budget.
+    fn start(cfgs: &[FlowConfig], link: Link, q: &mut EventQueue<Ev>) -> Self {
         let mut eng = Engine {
             link,
             flows: cfgs
@@ -538,7 +477,6 @@ impl Engine {
                 .enumerate()
                 .map(|(i, c)| FlowRt::new(c, i))
                 .collect(),
-            comps,
             done_count: 0,
             budget: 0,
         };
@@ -555,17 +493,89 @@ impl Engine {
                 restarted: false,
             });
             total_bytes += fl.cfg.total_bytes;
-            let mut ctx = sim.ctx(eng.comps[f]);
-            eng.try_send(&mut ctx, f);
+            eng.try_send(q, f);
         }
         eng.budget = 400 * eng.flows.len() as u64 + 40 * (total_bytes / crate::tcp::MSS + 2) * 2;
         eng
     }
 
+    /// Pops and handles events until every flow finishes, the budget trips
+    /// or the queue drains, and returns the events dispatched.
+    fn run(&mut self, q: &mut EventQueue<Ev>) -> u64 {
+        let mut steps = 0;
+        while let Some((now, ev)) = q.pop() {
+            steps += 1;
+            if !self.handle(q, now, ev, steps) {
+                break;
+            }
+        }
+        steps
+    }
+
+    /// Handles `ev`, the run's `steps`-th event, popped at `now`. Returns
+    /// whether the run goes on: past the event budget every unfinished
+    /// flow is marked aborted and the event is dropped, and once every
+    /// flow has finished the remaining events are left queued.
+    fn handle(&mut self, q: &mut EventQueue<Ev>, now: Time, ev: Ev, steps: u64) -> bool {
+        if steps > self.budget {
+            for fl in &mut self.flows {
+                if !fl.done {
+                    fl.trace.aborted = true;
+                }
+            }
+            return false;
+        }
+        match ev {
+            Ev::DataArrive {
+                f,
+                seq_start,
+                seq_end,
+            } => self.on_data(q, f, now, seq_start, seq_end),
+            Ev::AckArrive {
+                f,
+                ack,
+                first_hole_end,
+                sacked,
+            } => self.on_ack(q, f, now, ack, first_hole_end, sacked),
+            Ev::CtrlArrive { f, batch, delay_a } => {
+                let fl = &mut self.flows[f];
+                let delay_b = match fl.cfg.direction {
+                    Direction::Upload => fl.cfg.device.sample_clt(Direction::Upload, &mut fl.rng),
+                    Direction::Download => fl.cfg.server.sample_srv(&mut fl.rng),
+                };
+                q.schedule_in(
+                    delay_b,
+                    Ev::Unlock {
+                        f,
+                        batch,
+                        app_idle: delay_a.saturating_add(delay_b),
+                    },
+                );
+            }
+            Ev::Unlock { f, batch, app_idle } => self.on_unlock(q, f, now, batch, app_idle),
+            Ev::RtoFire { f, epoch } => {
+                self.flows[f].rto_queued.pop_front();
+                self.on_rto(q, f, now, epoch);
+                self.queue_waiting_rto(q, f);
+            }
+            Ev::PacedSend { f } => {
+                self.flows[f].pace_armed = false;
+                self.try_send(q, f);
+            }
+            Ev::DelackFire { f, epoch } => {
+                let fl = &mut self.flows[f];
+                if epoch == fl.delack_epoch && fl.delack_count > 0 {
+                    self.flush_ack(q, f, now);
+                }
+            }
+        }
+        self.done_count < self.flows.len()
+    }
+
     /// Sends as much new data of flow `f` as windows (and pacing) allow.
-    fn try_send(&mut self, ctx: &mut Ctx<'_, Ev>, f: usize) {
+    fn try_send(&mut self, q: &mut EventQueue<Ev>, f: usize) {
         loop {
-            let now = ctx.now();
+            let now = q.now();
             let fl = &self.flows[f];
             if fl.snd_nxt >= fl.unlocked_end {
                 return;
@@ -582,7 +592,7 @@ impl Engine {
             if earliest > now {
                 if !fl.pace_armed {
                     self.flows[f].pace_armed = true;
-                    ctx.schedule(earliest, self.comps[f], Ev::PacedSend { f });
+                    q.schedule(earliest, Ev::PacedSend { f });
                 }
                 return;
             }
@@ -591,7 +601,7 @@ impl Engine {
                 .min(avail.max(1));
             let seq_start = fl.snd_nxt;
             let seq_end = seq_start + bytes;
-            self.send_segment(ctx, f, now, seq_start, seq_end, false);
+            self.send_segment(q, f, now, seq_start, seq_end, false);
             let fl = &mut self.flows[f];
             fl.snd_nxt = seq_end;
             if fl.pace_left > 0 {
@@ -605,7 +615,7 @@ impl Engine {
     /// Puts one segment of flow `f` on the wire (fresh or retransmission).
     fn send_segment(
         &mut self,
-        ctx: &mut Ctx<'_, Ev>,
+        q: &mut EventQueue<Ev>,
         f: usize,
         now: Time,
         seq_start: u64,
@@ -627,9 +637,8 @@ impl Engine {
         let bytes = seq_end - seq_start;
         match self.link.transmit(now, bytes, &mut fl.rng) {
             Transmit::Arrive(at) => {
-                ctx.schedule(
+                q.schedule(
                     at.max(now),
-                    self.comps[f],
                     Ev::DataArrive {
                         f,
                         seq_start,
@@ -655,28 +664,28 @@ impl Engine {
             }
         }
         if fl.snd_nxt > fl.snd_una || seq_end > fl.snd_una {
-            self.arm_rto(ctx, f, now);
+            self.arm_rto(q, f, now);
         }
     }
 
     /// Arms flow `f`'s retransmission timer for the current epoch, once:
     /// the deadline is `now + RTO`, and the tie slot is reserved now, where
     /// the timer would sit had it been queued at once.
-    fn arm_rto(&mut self, ctx: &mut Ctx<'_, Ev>, f: usize, now: Time) {
+    fn arm_rto(&mut self, q: &mut EventQueue<Ev>, f: usize, now: Time) {
         let fl = &mut self.flows[f];
         if fl.rto_armed == Some(fl.rto_epoch) {
             return;
         }
         fl.rto_armed = Some(fl.rto_epoch);
         let at = now.saturating_add(fl.tcp.rto());
-        fl.rto_waiting = Some((at, fl.rto_epoch, ctx.reserve()));
-        self.queue_waiting_rto(ctx, f);
+        fl.rto_waiting = Some((at, fl.rto_epoch, q.reserve()));
+        self.queue_waiting_rto(q, f);
     }
 
     /// Queues flow `f`'s waiting timer unless an earlier `RtoFire` of the
     /// flow is queued already: that one pops first and calls back here,
     /// so a flow keeps one timer in the queue instead of one per send.
-    fn queue_waiting_rto(&mut self, ctx: &mut Ctx<'_, Ev>, f: usize) {
+    fn queue_waiting_rto(&mut self, q: &mut EventQueue<Ev>, f: usize) {
         let fl = &mut self.flows[f];
         let Some((at, epoch, ticket)) = fl.rto_waiting.take() else {
             return;
@@ -689,12 +698,12 @@ impl Engine {
             return;
         }
         fl.rto_queued.push_front(at);
-        ctx.schedule_reserved(at, ticket, self.comps[f], Ev::RtoFire { f, epoch });
+        q.schedule_reserved(at, ticket, Ev::RtoFire { f, epoch });
     }
 
     fn on_data(
         &mut self,
-        ctx: &mut Ctx<'_, Ev>,
+        q: &mut EventQueue<Ev>,
         f: usize,
         now: Time,
         seq_start: u64,
@@ -728,12 +737,11 @@ impl Engine {
         let delayed = fl.cfg.delayed_acks;
         fl.delack_count += 1;
         if !delayed || fl.delack_count >= 2 || !fl.ooo.is_empty() {
-            self.flush_ack_at(ctx, f, processed_at);
+            self.flush_ack_at(q, f, processed_at);
         } else {
             let epoch = self.flows[f].delack_epoch;
-            ctx.schedule(
-                processed_at.saturating_add(40 * crate::sim::MS),
-                self.comps[f],
+            q.schedule(
+                processed_at.saturating_add(40 * mcs_sim::MS),
                 Ev::DelackFire { f, epoch },
             );
         }
@@ -750,24 +758,23 @@ impl Engine {
                 Direction::Upload => fl.cfg.server.sample_srv(&mut fl.rng),
                 Direction::Download => fl.cfg.device.sample_clt(Direction::Download, &mut fl.rng),
             };
-            ctx.schedule(
+            q.schedule(
                 processed_at
                     .saturating_add(delay_a)
                     .saturating_add(ack_delay),
-                self.comps[f],
                 Ev::CtrlArrive { f, batch, delay_a },
             );
         }
     }
 
     /// Emits the receiver's current cumulative ACK (with SACK info) now.
-    fn flush_ack(&mut self, ctx: &mut Ctx<'_, Ev>, f: usize, now: Time) {
+    fn flush_ack(&mut self, q: &mut EventQueue<Ev>, f: usize, now: Time) {
         let processed_at = now.max(self.flows[f].rcv_busy);
-        self.flush_ack_at(ctx, f, processed_at);
+        self.flush_ack_at(q, f, processed_at);
     }
 
     /// Emits the ACK with a given receiver-processing completion time.
-    fn flush_ack_at(&mut self, ctx: &mut Ctx<'_, Ev>, f: usize, processed_at: Time) {
+    fn flush_ack_at(&mut self, q: &mut EventQueue<Ev>, f: usize, processed_at: Time) {
         let fl = &mut self.flows[f];
         fl.delack_count = 0;
         fl.delack_epoch += 1;
@@ -775,9 +782,8 @@ impl Engine {
         let first_hole_end = fl.ooo.keys().next().copied().unwrap_or(u64::MAX);
         let sacked: u64 = fl.ooo.iter().map(|(&s, &e)| e - s).sum();
         let ack_delay = fl.cfg.ack_delay;
-        ctx.schedule(
+        q.schedule(
             processed_at.saturating_add(ack_delay),
-            self.comps[f],
             Ev::AckArrive {
                 f,
                 ack,
@@ -789,7 +795,7 @@ impl Engine {
 
     fn on_ack(
         &mut self,
-        ctx: &mut Ctx<'_, Ev>,
+        q: &mut EventQueue<Ev>,
         f: usize,
         now: Time,
         ack: u64,
@@ -824,20 +830,20 @@ impl Engine {
             fl.invalidate_rtt_samples();
         }
         if arm_fresh {
-            self.arm_rto(ctx, f, now);
+            self.arm_rto(q, f, now);
         }
         // SACK-style hole repair: whenever the receiver reports a gap,
         // retransmit missing bytes up to the congestion budget. Without
         // this, a burst loss of N segments recovers one segment per
         // RTT/RTO (pre-SACK NewReno) and large-window flows starve.
         if first_hole_end != u64::MAX && first_hole_end > ack && self.flows[f].snd_nxt > ack {
-            self.retransmit_holes(ctx, f, now, ack, first_hole_end, sacked);
+            self.retransmit_holes(q, f, now, ack, first_hole_end, sacked);
         }
         let fl = &mut self.flows[f];
         fl.trace
             .inflight_samples
             .push((now, fl.snd_nxt - fl.snd_una));
-        self.try_send(ctx, f);
+        self.try_send(q, f);
     }
 
     /// Retransmits bytes of the hole `[ack, first_hole_end)` subject to the
@@ -845,7 +851,7 @@ impl Engine {
     /// same bytes are not re-sent on every duplicate ACK.
     fn retransmit_holes(
         &mut self,
-        ctx: &mut Ctx<'_, Ev>,
+        q: &mut EventQueue<Ev>,
         f: usize,
         now: Time,
         ack: u64,
@@ -866,7 +872,7 @@ impl Engine {
         let hole_end = first_hole_end.min(fl.snd_nxt);
         while budget > 0 && cursor < hole_end {
             let end = (cursor + crate::tcp::MSS).min(hole_end);
-            self.send_segment(ctx, f, now, cursor, end, true);
+            self.send_segment(q, f, now, cursor, end, true);
             budget = budget.saturating_sub(end - cursor);
             cursor = end;
         }
@@ -875,7 +881,7 @@ impl Engine {
 
     fn on_unlock(
         &mut self,
-        ctx: &mut Ctx<'_, Ev>,
+        q: &mut EventQueue<Ev>,
         f: usize,
         now: Time,
         batch_index: usize,
@@ -907,10 +913,10 @@ impl Engine {
             app_idle,
             restarted: false,
         });
-        self.try_send(ctx, f);
+        self.try_send(q, f);
     }
 
-    fn on_rto(&mut self, ctx: &mut Ctx<'_, Ev>, f: usize, now: Time, epoch: u64) {
+    fn on_rto(&mut self, q: &mut EventQueue<Ev>, f: usize, now: Time, epoch: u64) {
         let fl = &mut self.flows[f];
         if epoch != fl.rto_epoch || fl.snd_nxt <= fl.snd_una || fl.done {
             return; // stale timer
@@ -923,7 +929,7 @@ impl Engine {
         // hole again from the cumulative ACK.
         let (una, nxt) = (fl.snd_una, fl.snd_nxt);
         let end = (una + crate::tcp::MSS).min(nxt);
-        self.send_segment(ctx, f, now, una, end, true);
+        self.send_segment(q, f, now, una, end, true);
         self.flows[f].rtx_cursor = end;
     }
 }
@@ -931,7 +937,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{MS, SEC};
+    use mcs_sim::{MS, SEC};
 
     /// One flow on its own data link under `blackouts`.
     fn flow_with_blackouts(cfg: &FlowConfig, blackouts: &Windows) -> FlowTrace {
@@ -1425,30 +1431,40 @@ mod tests {
     /// samples in a B-tree.
     const GOLDEN_DIGEST: u64 = 0x423f_5eb6_0235_e439;
 
-    /// Runs the engine and, at a nudge event, schedules a new-data ACK on
-    /// exactly the deadline of the flow's waiting retransmission timer:
-    /// after the timer was armed, before it is queued. Records the kinds
-    /// of the events dispatched at that µs.
-    struct TieProbe {
-        eng: Engine,
-        nudge: Time,
-        tie: Option<Time>,
-        at_tie: Vec<&'static str>,
-    }
-
-    impl Handler<Ev> for TieProbe {
-        fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
-            if Some(ctx.now()) == self.tie {
-                self.at_tie.push(match ev {
+    #[test]
+    fn waiting_timer_dispatches_in_the_slot_it_was_armed_in() {
+        // The initial window is delivered, then a blackout swallows every
+        // later segment, so the ACKs stop and the last epoch's timer is
+        // live. It waits behind the first epoch's (earlier) timer, and a
+        // new-data ACK is made to land on its deadline: after a nudge
+        // event, once the timer was armed and before it is queued. Armed
+        // first, the timer must fire first, as a timer queued on arming
+        // would have; a fresh slot taken when it is queued would let the
+        // ACK win. The injected ACK leaves the flow unable to finish, so
+        // the event budget ends the run.
+        let cfg = upload(DeviceProfile::ios(), 2 << 20, 3);
+        let mut link = Link::new(cfg.data_link).unwrap();
+        link.set_blackouts(Windows::new(vec![(50 * MS, 5 * SEC)]));
+        let mut q = EventQueue::new();
+        let mut eng = Engine::start(std::slice::from_ref(&cfg), link, &mut q);
+        let nudge = 200 * MS;
+        q.schedule(nudge, Ev::PacedSend { f: 0 });
+        let mut tie = None;
+        let mut at_tie = Vec::new();
+        let mut steps = 0;
+        while let Some((now, ev)) = q.pop() {
+            steps += 1;
+            if Some(now) == tie {
+                at_tie.push(match ev {
                     Ev::RtoFire { .. } => "rto",
                     Ev::AckArrive { .. } => "ack",
                     _ => "other",
                 });
             }
-            let nudged = ctx.now() == self.nudge && matches!(ev, Ev::PacedSend { .. });
-            self.eng.handle(ctx, ev);
+            let nudged = now == nudge && matches!(ev, Ev::PacedSend { .. });
+            let go_on = eng.handle(&mut q, now, ev, steps);
             if nudged {
-                let fl = &self.eng.flows[0];
+                let fl = &eng.flows[0];
                 let (at, _, _) = fl.rto_waiting.as_ref().expect("a waiting timer");
                 assert!(
                     fl.rto_queued.front().is_some_and(|q| q <= at),
@@ -1456,9 +1472,8 @@ mod tests {
                 );
                 let ack = fl.snd_una + crate::tcp::MSS;
                 assert!(ack <= fl.snd_nxt, "the injected ACK covers new data");
-                ctx.schedule(
+                q.schedule(
                     *at,
-                    self.eng.comps[0],
                     Ev::AckArrive {
                         f: 0,
                         ack,
@@ -1466,35 +1481,27 @@ mod tests {
                         sacked: 0,
                     },
                 );
-                self.tie = Some(*at);
+                tie = Some(*at);
+            }
+            if !go_on {
+                break;
             }
         }
+        assert!(tie.is_some_and(|t| t > nudge));
+        assert_eq!(at_tie, ["rto", "ack"]);
     }
 
     #[test]
-    fn waiting_timer_dispatches_in_the_slot_it_was_armed_in() {
-        // The initial window is delivered, then a blackout swallows every
-        // later segment, so the ACKs stop and the last epoch's timer is
-        // live. It waits behind the first epoch's (earlier) timer, and a
-        // new-data ACK is made to land on its deadline. Armed first, the
-        // timer must fire first, as a timer queued on arming would have;
-        // a fresh slot taken when it is queued would let the ACK win.
+    fn event_budget_aborts_unfinished_flows_and_stops_the_run() {
         let cfg = upload(DeviceProfile::ios(), 2 << 20, 3);
-        let mut link = Link::new(cfg.data_link).unwrap();
-        link.set_blackouts(Windows::new(vec![(50 * MS, 5 * SEC)]));
-        let mut sim = Simulation::new();
-        let eng = Engine::start(std::slice::from_ref(&cfg), link, &mut sim);
-        let nudge = 200 * MS;
-        sim.schedule(nudge, eng.comps[0], Ev::PacedSend { f: 0 });
-        let mut probe = TieProbe {
-            eng,
-            nudge,
-            tie: None,
-            at_tie: Vec::new(),
-        };
-        sim.run(&mut probe);
-        assert!(probe.tie.is_some_and(|t| t > nudge));
-        assert_eq!(probe.at_tie, ["rto", "ack"]);
+        let link = Link::new(cfg.data_link).unwrap();
+        let mut q = EventQueue::new();
+        let mut eng = Engine::start(std::slice::from_ref(&cfg), link, &mut q);
+        eng.budget = 20;
+        assert_eq!(eng.run(&mut q), 21, "the event past the budget ends it");
+        assert!(eng.flows[0].trace.aborted);
+        assert!(!eng.flows[0].done);
+        assert!(!q.is_empty(), "the remaining events stay queued");
     }
 
     #[test]
@@ -1519,6 +1526,77 @@ mod tests {
                 cfg.direction
             );
         }
+    }
+
+    #[test]
+    fn invalid_flows_are_typed_errors() {
+        let ok = upload(DeviceProfile::ios(), 512 * 1024, 1);
+        let link = quiet_link();
+        assert_eq!(
+            try_simulate_shared_report(&[], link, &Windows::empty()).err(),
+            Some(ConfigError::ZeroCount {
+                what: "flows on the shared link"
+            })
+        );
+        let cases = [
+            (
+                FlowConfig {
+                    chunk_size: 0,
+                    ..ok
+                },
+                ConfigError::OutOfRange {
+                    what: "chunk size",
+                    requirement: "must be positive",
+                },
+            ),
+            (
+                FlowConfig {
+                    total_bytes: 0,
+                    ..ok
+                },
+                ConfigError::OutOfRange {
+                    what: "flow total bytes",
+                    requirement: "must move at least one byte",
+                },
+            ),
+            (
+                FlowConfig {
+                    batch_chunks: 0,
+                    ..ok
+                },
+                ConfigError::ZeroCount {
+                    what: "chunks per batch",
+                },
+            ),
+            // Regression: the batch size overflowed in `FlowRt::new`, a
+            // panic in debug builds and a zero-byte batch in release ones.
+            (
+                FlowConfig {
+                    chunk_size: 1 << 63,
+                    batch_chunks: 2,
+                    ..ok
+                },
+                ConfigError::OutOfRange {
+                    what: "batch size",
+                    requirement: "(chunk size × chunks per batch) must fit in u64",
+                },
+            ),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(cfg.validate(), Err(want));
+            let shared = try_simulate_shared_report(&[ok, cfg], link, &Windows::empty());
+            assert_eq!(shared.err(), Some(want));
+        }
+        // The largest batch that fits: the boundaries stop at the total
+        // instead of wrapping past it.
+        let huge = FlowConfig {
+            chunk_size: 1 << 62,
+            batch_chunks: 2,
+            total_bytes: u64::MAX,
+            ..ok
+        };
+        assert_eq!(huge.validate(), Ok(()));
+        assert_eq!(FlowRt::new(&huge, 0).boundaries, [1 << 63, u64::MAX]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use mcs_stats::rng::Rng;
 
 use mcs_stats::rng::LogNormal;
 
-use crate::sim::{Time, MS};
+use mcs_sim::{Time, MS};
 
 /// Transfer direction, from the client's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,7 +77,7 @@ impl DeviceProfile {
             Direction::Download => self.download_packet_overhead,
         }
         .max(1);
-        crate::tcp::MSS * 8 * crate::sim::SEC / overhead
+        crate::tcp::MSS * 8 * mcs_sim::SEC / overhead
     }
 
     /// The paper's iOS reference device (iPad Air 2, iOS 8.4.1).

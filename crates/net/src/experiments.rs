@@ -7,13 +7,13 @@
 //! the series Figs. 12, 13 and 16 plot.
 
 use mcs_faults::Windows;
+use mcs_sim::SEC;
 use mcs_stats::Ecdf;
 
 use crate::capture::FlowTrace;
 use crate::chunkflow::{simulate_flow, try_simulate_shared_report, FlowConfig};
 use crate::device::{DeviceProfile, Direction};
 use crate::profile::LinkProfile;
-use crate::sim::SEC;
 
 /// The paper's three test file sizes, bytes.
 pub const PAPER_FILE_SIZES: [u64; 3] = [2 << 20, 10 << 20, 80 << 20];
@@ -388,7 +388,7 @@ pub struct ParallelUploadResult {
     /// Connections used.
     pub connections: u32,
     /// Completion time of the slowest flow, µs.
-    pub duration: crate::sim::Time,
+    pub duration: mcs_sim::Time,
     /// Aggregate goodput, bytes/s.
     pub goodput: f64,
 }
@@ -432,9 +432,9 @@ pub struct ResumeRow {
     /// Fraction of the file transferred when the connection died.
     pub fail_at_frac: f64,
     /// Total download time when the client must restart from byte 0, µs.
-    pub restart_total: crate::sim::Time,
+    pub restart_total: mcs_sim::Time,
     /// Total download time when the client resumes at the failed chunk, µs.
-    pub resume_total: crate::sim::Time,
+    pub resume_total: mcs_sim::Time,
 }
 
 impl ResumeRow {

@@ -15,7 +15,10 @@
 //! Android/iOS client processing-time distributions — and Figs. 12, 13 and
 //! 16 fall out of [`experiments`].
 //!
-//! Everything is deterministic in the flow seed; no wall clock, no threads.
+//! Packet, ACK, timer and chunk-control events run on the `mcs-sim`
+//! [`EventQueue`](mcs_sim::EventQueue); this crate re-exports only its
+//! time units ([`Time`], [`MS`], [`SEC`]). Everything is deterministic in
+//! the flow seed; no wall clock, no threads.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
@@ -28,16 +31,15 @@ pub mod experiments;
 pub mod link;
 pub mod profile;
 mod proptests;
-pub mod sim;
 pub mod tcp;
 
 pub use capture::{ChunkRecord, FlowTrace, IdleRecord};
 pub use chunkflow::{simulate_flow, try_simulate_shared_report, FlowConfig, SharedReport};
 pub use device::{DeviceProfile, Direction, ServerProfile};
 pub use link::{Link, LinkConfig, LinkStats};
+pub use mcs_sim::{Time, MS, SEC};
 pub use profile::{
     access_cap_bps, fluid_cap_bps, simulate_fair_share, FairFlowSpec, FairShareOutcome,
     LinkProfile, ProfileMix,
 };
-pub use sim::{EventQueue, Time, MS, SEC};
 pub use tcp::{TcpConfig, TcpSender, MSS};

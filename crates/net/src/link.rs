@@ -9,8 +9,7 @@
 use mcs_stats::rng::Rng;
 
 use mcs_faults::{ConfigError, Windows};
-
-use crate::sim::{Time, SEC};
+use mcs_sim::{Time, SEC};
 
 /// Link configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -23,12 +23,12 @@
 use mcs_stats::rng::Rng;
 
 use mcs_faults::ConfigError;
+use mcs_sim::{Time, SEC};
 use mcs_stats::rng::{split_seed, stream_rng, LogNormal};
 
 use crate::chunkflow::FlowConfig;
 use crate::device::DeviceProfile;
 use crate::link::LinkConfig;
-use crate::sim::{Time, SEC};
 
 /// RNG stream tag for per-flow link sampling.
 const STREAM_LINK: u64 = 0x4C49_4E4B; // "LINK"
@@ -607,9 +607,9 @@ pub fn simulate_fair_share(
 mod tests {
     use super::*;
     use crate::chunkflow::try_simulate_shared_report;
-    use crate::sim::MS;
     use mcs_faults::Windows;
-    use mcs_sim::{CompId, Ctx, Handler, Simulation};
+    use mcs_sim::EventQueue;
+    use mcs_sim::MS;
 
     /// Events of the reference solver: a flow arrives, or the earliest
     /// predicted completion under the current allocation comes due. Ticks
@@ -624,7 +624,6 @@ mod tests {
 
     struct FsEngine {
         link_rate: u64,
-        comp: CompId,
         /// Remaining work per flow, in bit·µs (bytes × 8 × SEC): integer all
         /// the way down, so depletion and completion times are exact and
         /// bit-identical across platforms and thread counts.
@@ -667,7 +666,7 @@ mod tests {
         /// then schedules the next completion tick. Every flow is granted at
         /// least 1 bit/s so progress (and termination) is unconditional even
         /// when more flows than bits-per-second share the link.
-        fn reallocate(&mut self, now: Time, ctx: &mut Ctx<'_, FsEv>) {
+        fn reallocate(&mut self, now: Time, q: &mut EventQueue<FsEv>) {
             self.epoch = self.epoch.wrapping_add(1);
             if self.active.is_empty() {
                 return;
@@ -716,26 +715,23 @@ mod tests {
                 dt_min = dt_min.min(dt);
             }
             let dt = u64::try_from(dt_min).unwrap_or(Time::MAX);
-            ctx.schedule(now.saturating_add(dt), self.comp, FsEv::Tick(self.epoch));
+            q.schedule(now.saturating_add(dt), FsEv::Tick(self.epoch));
         }
-    }
 
-    impl Handler<FsEv> for FsEngine {
-        fn handle(&mut self, ctx: &mut Ctx<'_, FsEv>, ev: FsEv) {
-            let now = ctx.now();
+        fn handle(&mut self, q: &mut EventQueue<FsEv>, now: Time, ev: FsEv) {
             match ev {
                 FsEv::Arrive(i) => {
                     self.drain(now);
                     let pos = self.active.partition_point(|&j| j < i);
                     self.active.insert(pos, i);
-                    self.reallocate(now, ctx);
+                    self.reallocate(now, q);
                 }
                 FsEv::Tick(epoch) => {
                     if epoch != self.epoch {
                         return;
                     }
                     self.drain(now);
-                    self.reallocate(now, ctx);
+                    self.reallocate(now, q);
                 }
             }
         }
@@ -746,15 +742,13 @@ mod tests {
     /// the `mcs-sim` queue, dispatched in (time, insertion) order, and every
     /// arrival reallocates.
     fn queue_fair_share(link_rate_bps: u64, flows: &[FairFlowSpec]) -> FairShareOutcome {
-        let mut sim: Simulation<FsEv> = Simulation::new();
-        let comp = sim.add_component("net/fairshare");
+        let mut q = EventQueue::new();
         for (i, f) in flows.iter().enumerate() {
-            sim.schedule(f.arrival, comp, FsEv::Arrive(i));
+            q.schedule(f.arrival, FsEv::Arrive(i));
         }
         let n = flows.len();
         let mut eng = FsEngine {
             link_rate: link_rate_bps,
-            comp,
             remaining: flows
                 .iter()
                 .map(|f| (f.bytes as u128).saturating_mul(8 * SEC as u128))
@@ -777,7 +771,9 @@ mod tests {
             recomputes: 0,
             peak_active: 0,
         };
-        sim.run(&mut eng);
+        while let Some((now, ev)) = q.pop() {
+            eng.handle(&mut q, now, ev);
+        }
         let durations = eng
             .completions
             .iter()

@@ -6,12 +6,12 @@
 #![cfg(test)]
 
 use mcs_faults::Windows;
+use mcs_sim::MS;
 use mcs_stats::rng::{stream_rng, ChaCha8Rng, Rng};
 
 use crate::chunkflow::{simulate_flow, try_simulate_shared_report, FlowConfig};
 use crate::device::DeviceProfile;
 use crate::link::{Link, LinkConfig, Transmit};
-use crate::sim::MS;
 
 const SEED: u64 = 0x5EED;
 const CASES: u64 = 24;

@@ -17,7 +17,7 @@
 //! The struct is a pure state machine: the flow driver owns the event loop
 //! and calls in. All quantities are bytes and microseconds.
 
-use crate::sim::{Time, MS};
+use mcs_sim::{Time, MS};
 
 /// Standard Ethernet-path MSS (1500 − 40 − 12 bytes of options).
 pub const MSS: u64 = 1448;
@@ -268,7 +268,7 @@ impl TcpSender {
         self.in_recovery = false;
         self.dupacks = 0;
         self.backoffs += 1;
-        self.rto = self.rto.saturating_mul(2).min(60 * crate::sim::SEC);
+        self.rto = self.rto.saturating_mul(2).min(60 * mcs_sim::SEC);
         CwndEvent::Timeout
     }
 
@@ -297,7 +297,7 @@ impl TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::SEC;
+    use mcs_sim::SEC;
 
     fn sender() -> TcpSender {
         TcpSender::new(TcpConfig::default())

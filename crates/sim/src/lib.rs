@@ -5,23 +5,21 @@
 //! of this repository advanced time in three uncoordinated places: the
 //! packet simulator's event queue, the storage replay's per-record
 //! `now_ms` loop, and the fault plans' millisecond windows. This crate
-//! extracts the discrete-event core so all of them run on one clock
-//! (DESIGN.md §10):
+//! holds the one discrete-event queue they now share (DESIGN.md §10):
 //!
 //! * [`queue`] — [`EventQueue`]: a deterministic min-priority queue over
-//!   microsecond [`Time`], ties broken by insertion order. Scheduling into
-//!   the past is a causality bug and is rejected identically in debug and
+//!   microsecond [`Time`], ties broken by insertion order, that is also
+//!   the simulation clock: [`EventQueue::now`] is the timestamp of the
+//!   last popped event, and only popping moves it. Scheduling into the
+//!   past is a causality bug and is rejected identically in debug and
 //!   release builds ([`EventQueue::try_schedule`] returns a typed
 //!   [`TimelineError`]; [`EventQueue::schedule`] panics). A [`Ticket`]
 //!   from [`EventQueue::reserve`] takes a tie slot now and is filled
 //!   later, so a lazily queued timer keeps the slot an eager one held.
-//! * [`clock`] — [`SimClock`]: the logical clock an event queue advances.
-//!   Only popping an event moves time forward; nothing else may.
-//! * [`engine`] — [`Simulation`]: named components ([`CompId`]), a
-//!   [`Handler`] trait in the dslab-core shape (one `handle` callback per
-//!   event, a [`Ctx`] for scheduling follow-ups), and per-component event
-//!   counts that [`Simulation::export_metrics`] flows into an
-//!   `mcs-obs` registry as `sim.steps` / `sim.events.<component>`.
+//!
+//! Engines drive the queue with a plain `while let Some((now, ev)) =
+//! q.pop()` loop and dispatch on the event, which already names what it
+//! addresses (a flow, a side of a transfer).
 //!
 //! No wall clock, no threads, no RNG: everything downstream of a seed is
 //! a pure function of the schedule order, so two runs — at any trace
@@ -31,10 +29,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 #![warn(missing_docs)]
 
-pub mod clock;
-pub mod engine;
 pub mod queue;
 
-pub use clock::SimClock;
-pub use engine::{CompId, Ctx, Handler, Simulation};
 pub use queue::{EventQueue, Ticket, Time, TimelineError, MS, SEC};

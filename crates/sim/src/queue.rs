@@ -1,10 +1,9 @@
 //! Deterministic event queue over a microsecond clock.
 //!
 //! Extracted from `mcs-net`'s private simulation core so the packet
-//! layer, the storage replay and the fault windows share one timeline —
-//! in the spirit of smoltcp's explicit event-driven design: no threads,
-//! no async runtime, every state transition happens at an explicit
-//! timestamp.
+//! engine and the chunk-transfer engine share one timeline — in the
+//! spirit of smoltcp's explicit event-driven design: no threads, no async
+//! runtime, every state transition happens at an explicit timestamp.
 //!
 //! The queue enforces its causality invariants **identically in debug and
 //! release builds**. An earlier revision guarded pop-side monotonicity
@@ -14,8 +13,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
-
-use crate::clock::SimClock;
 
 /// Simulation time in microseconds.
 pub type Time = u64;
@@ -28,7 +25,7 @@ pub const SEC: Time = 1_000_000;
 /// A causality violation on the simulation timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimelineError {
-    /// An event was scheduled (or the clock asked to move) before `now`.
+    /// An event was scheduled before `now`.
     PastEvent {
         /// The offending timestamp.
         at: Time,
@@ -87,12 +84,14 @@ pub struct Ticket {
     seq: u64,
 }
 
-/// Deterministic min-priority event queue advancing a [`SimClock`].
+/// Deterministic min-priority event queue, and the simulation clock: `now`
+/// is the timestamp of the last popped event. Only [`EventQueue::pop`]
+/// moves it, and never backwards.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-    clock: SimClock,
+    now: Time,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -107,18 +106,18 @@ impl<E> EventQueue<E> {
         Self {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            clock: SimClock::new(),
+            now: 0,
         }
     }
 
     /// Current simulation time (the timestamp of the last popped event).
     pub fn now(&self) -> Time {
-        self.clock.now()
+        self.now
     }
 
     /// Current simulation time on the millisecond service clock.
     pub fn now_ms(&self) -> u64 {
-        self.clock.now_ms()
+        self.now / MS
     }
 
     /// Takes the next insertion number now, to be filled later with
@@ -150,11 +149,8 @@ impl<E> EventQueue<E> {
         ticket: Ticket,
         event: E,
     ) -> Result<(), TimelineError> {
-        if at < self.clock.now() {
-            return Err(TimelineError::PastEvent {
-                at,
-                now: self.clock.now(),
-            });
+        if at < self.now {
+            return Err(TimelineError::PastEvent { at, now: self.now });
         }
         self.heap.push(Scheduled {
             at,
@@ -196,9 +192,12 @@ impl<E> EventQueue<E> {
     /// would corrupt every downstream measurement.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         let s = self.heap.pop()?;
-        // mcs-lint: allow(panic, a pre-`now` heap entry means causality is already corrupt)
-        let at = self.clock.advance_to(s.at).expect("time went backwards");
-        Some((at, s.event))
+        if s.at < self.now {
+            // mcs-lint: allow(panic, a pre-`now` heap entry means causality is already corrupt)
+            panic!("time went backwards: {} < {}", s.at, self.now);
+        }
+        self.now = s.at;
+        Some((s.at, s.event))
     }
 
     /// Number of pending events.
@@ -242,12 +241,13 @@ mod tests {
     #[test]
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
-        q.schedule(100, ());
+        q.schedule(5_100, ());
         assert_eq!(q.now(), 0);
         q.pop();
-        assert_eq!(q.now(), 100);
+        assert_eq!(q.now(), 5_100);
+        assert_eq!(q.now_ms(), 5, "the ms clock truncates");
         q.schedule_in(50, ());
-        assert_eq!(q.pop(), Some((150, ())));
+        assert_eq!(q.pop(), Some((5_150, ())));
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   [`RetryMode`],
 //! * [`transfer`] — the resumable, out-of-order chunk-transfer protocol
 //!   (per-chunk MD5 verification, arrival windows, resume-from-partial)
-//!   that faulted operations drive on an `mcs-sim` timeline,
+//!   that faulted operations drive on an `mcs-sim` event queue,
 //! * [`replay`](mod@replay) — a synthetic trace replayed through the
-//!   service, in fair weather or under a fault plan,
+//!   service, one planned operation after another, in fair weather or
+//!   under a fault plan,
 //! * [`error`] — the [`ServiceError`] taxonomy `store`/`retrieve` return,
 //! * [`defer`] — the "smart auto backup" deferred-upload scheduler
 //!   (§3.2.2 implication) with peak-load/QoE evaluation,

@@ -20,29 +20,29 @@
 //! every retry restarts the file from byte zero — the baseline the §3.3
 //! sync-efficiency comparison measures against.
 //!
-//! The replay runs on the shared `mcs-sim` timeline (DESIGN.md §10) in two
-//! phases: a *plan* phase walks the trace in its original per-user order
-//! (so every RNG draw replays the pre-timeline sequence bit for bit) and
-//! fixes each operation's content and fallbacks, then an *execute* phase
-//! dispatches the planned operations through a [`mcs_sim::Simulation`],
-//! one component per front-end, so the per-front-end `sim.events.*`
+//! The replay runs in two phases (DESIGN.md §10.4): a *plan* phase walks
+//! the trace in its original per-user order (so every RNG draw replays
+//! the pre-timeline sequence bit for bit) and fixes each operation's
+//! content and fallbacks, then an *execute* phase dispatches the planned
+//! operations one after another in their dispatch order and counts them
+//! per front-end, so the `sim.steps` and per-front-end `sim.events.*`
 //! counters land in the observed snapshot.
 //!
-//! The two modes put different things on the clock. The *faulted* timeline
-//! runs in global trace-time order (`at_ms * MS`) because fault windows are
-//! time-gated and every front-end must agree about "now"; an *empty* plan
-//! gates nothing and keeps the fair-weather timeline, which is how the
-//! [`FaultPlan::none`] promise above holds. The *fair-weather* timeline
-//! ticks once per planned operation, in plan order: dedup attribution
-//! (first store of a content uploads, later ones dedup) is order-dependent,
-//! and the pre-timeline total order keeps it bit-identical to the old loop.
+//! The two modes dispatch in different orders. Under a *faulted* plan ops
+//! run in global trace-time order (by `at_ms * MS`, ties in plan order)
+//! because fault windows are time-gated and every front-end must agree
+//! about "now"; an *empty* plan gates nothing and keeps the fair-weather
+//! order, which is how the [`FaultPlan::none`] promise above holds. In
+//! *fair weather* ops run in plan order: dedup attribution (first store
+//! of a content uploads, later ones dedup) is order-dependent, and the
+//! pre-timeline total order keeps it bit-identical to the old loop.
 
 use std::collections::BTreeMap;
 
 use mcs_faults::{ConfigError, FaultPlan, RetryPolicy};
 use mcs_net::profile::{access_cap_bps, simulate_fair_share, FairFlowSpec, ProfileMix};
 use mcs_obs::{CounterId, HistId, Registry, Snapshot};
-use mcs_sim::{CompId, Ctx, Handler, Simulation, Time, MS};
+use mcs_sim::MS;
 use mcs_stats::rng::{stream_rng, Rng};
 use mcs_trace::{Direction, TraceGenerator};
 
@@ -170,7 +170,7 @@ fn popular_size(seed: u64) -> u64 {
 /// `plan`, backing off per `retry`, and returns the service, the stats
 /// and a stable-ordered metric [`Snapshot`]: the `replay.*` counters and
 /// size histograms merged with the service's `storage.*`/`transfer.*`
-/// counters and the timeline's `sim.*` event counts.
+/// counters and the `sim.*` counts of dispatched ops.
 ///
 /// Under a non-empty plan the service backs off through metadata
 /// outages, fails uploads over past down front-ends, re-sends timed-out
@@ -178,7 +178,7 @@ fn popular_size(seed: u64) -> u64 {
 /// no more. Pass [`FaultPlan::none`] for fair weather.
 ///
 /// Deterministic in `(gen, cfg, plan, retry)` — per-operation fault coins
-/// are stateless hashes and faulted operations execute in global timeline
+/// are stateless hashes and faulted operations execute in global trace-time
 /// order (not per-user plan order), so the outputs are bit-identical
 /// across runs and thread counts. Fails only on invalid configuration
 /// (zero front-ends, an empty popular-content pool or one whose object
@@ -215,7 +215,7 @@ pub fn replay(
         resume_saved_bytes: t.resume_saved_bytes,
     };
     // One snapshot carries all three layers: replay.*, storage.* and the
-    // timeline's own sim.* per-component event counts.
+    // sim.* counts of dispatched ops per front-end.
     obs.merge(svc.metrics());
     Ok((svc, stats, obs.snapshot()))
 }
@@ -258,29 +258,50 @@ fn validate(cfg: &ReplayConfig) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Plans and runs the trace, each op queueing the next, and exports `sim.*`.
+/// Plans and runs the trace, one op after another in dispatch order, and
+/// books `sim.steps` and one `sim.events.frontend/<fe>` counter per
+/// front-end: the ops dispatched, in all and by the user's front-end.
 fn execute(
     gen: &TraceGenerator,
     cfg: &ReplayConfig,
     plan: &FaultPlan,
     retry: RetryPolicy,
 ) -> Result<ReplayEngine, ConfigError> {
-    let (mut eng, mut sim) = setup(gen, cfg, plan, retry)?;
-    if let Some((op, at, comp)) = eng.slot(0) {
-        sim.schedule(at, comp, (0, op));
+    let mut eng = setup(gen, cfg, plan, retry)?;
+    let mut per_fe = vec![0; cfg.frontends];
+    for op in dispatch_order(&eng.ops, plan) {
+        per_fe[eng.svc.metadata().closest_frontend(eng.ops[op].user)] += 1;
+        eng.dispatch(op);
     }
-    sim.run(&mut eng);
-    sim.export_metrics(&mut eng.obs);
+    let steps = eng.obs.counter("sim.steps");
+    eng.obs.add(steps, per_fe.iter().sum());
+    for (fe, &n) in per_fe.iter().enumerate() {
+        let id = eng.obs.counter(&format!("sim.events.frontend/{fe}"));
+        eng.obs.add(id, n);
+    }
     Ok(eng)
 }
 
-/// Plans the trace and builds the engine and its timeline.
+/// Plan indices in dispatch order. In fair weather (and under an empty
+/// plan) that is plan order. Under a plan it is trace-time order: plan
+/// indices stably sorted by deadline, so ops with equal deadlines keep
+/// plan order.
+fn dispatch_order(ops: &[PlannedOp], plan: &FaultPlan) -> impl Iterator<Item = usize> {
+    let by_deadline = (!plan.is_empty()).then(|| {
+        let mut order: Vec<usize> = (0..ops.len()).collect();
+        order.sort_by_key(|&i| op_deadline_us(ops[i].at_ms));
+        order
+    });
+    (0..ops.len()).map(move |pos| by_deadline.as_ref().map_or(pos, |order| order[pos]))
+}
+
+/// Plans the trace and builds the engine.
 fn setup(
     gen: &TraceGenerator,
     cfg: &ReplayConfig,
     plan: &FaultPlan,
     retry: RetryPolicy,
-) -> Result<(ReplayEngine, Simulation<(usize, usize)>), ConfigError> {
+) -> Result<ReplayEngine, ConfigError> {
     validate(cfg)?;
     let horizon_hours = (gen.config().horizon_ms() / 3_600_000) as usize;
     let mut svc = StorageService::new(cfg.frontends, horizon_hours)?;
@@ -292,28 +313,15 @@ fn setup(
     svc.set_fault_plan(plan.clone(), retry, mode)?;
     let mut obs = Registry::new();
     let ids = ReplayIds::register(&mut obs);
-
-    let mut sim: Simulation<(usize, usize)> = Simulation::new();
-    let comps: Vec<CompId> = (0..cfg.frontends)
-        .map(|fe| sim.add_component(format!("frontend/{fe}")))
-        .collect();
     let ops = plan_ops(gen, cfg);
-    let by_deadline = (!plan.is_empty()).then(|| {
-        let mut order: Vec<usize> = (0..ops.len()).collect();
-        order.sort_by_key(|&i| op_deadline_us(ops[i].at_ms));
-        order
-    });
-    let eng = ReplayEngine {
+    Ok(ReplayEngine {
         svc,
         obs,
         ids,
         op_bytes: vec![0; ops.len()],
         ops,
         owned: BTreeMap::new(),
-        comps,
-        by_deadline,
-    };
-    Ok((eng, sim))
+    })
 }
 
 /// [`replay`] in fair weather (under [`FaultPlan::none`]).
@@ -373,7 +381,7 @@ impl ReplayIds {
 }
 
 /// One planned service call. The plan fixes everything random *before*
-/// execution, so the faulted timeline may dispatch operations in global
+/// execution, so a faulted replay may dispatch operations in global
 /// time order while every RNG draw replays the original per-user plan
 /// order. A store's path is formatted from its number at dispatch.
 #[derive(Debug, Clone)]
@@ -392,7 +400,7 @@ struct PlannedOp {
 /// Absolute µs deadline for a trace op stamped at `at_ms`. Saturates at
 /// the end of time: the bare `* 1000` it replaces wrapped for
 /// `at_ms > u64::MAX / 1000`, scheduling the op in the *past* and
-/// silently reordering the faulted timeline.
+/// silently reordering a faulted replay.
 fn op_deadline_us(at_ms: u64) -> u64 {
     at_ms.saturating_mul(MS)
 }
@@ -462,12 +470,9 @@ fn plan_ops(gen: &TraceGenerator, cfg: &ReplayConfig) -> Vec<PlannedOp> {
     ops
 }
 
-/// Execute phase: a [`Handler`] dispatching planned operations into the
-/// service as their events pop off the shared timeline. The service never
-/// keeps its own clock: "now" is the operation's trace timestamp, which on
-/// the faulted timeline is exactly the simulation clock (events are
-/// scheduled at `at_ms * MS`) and on the fair-weather timeline rides on
-/// the op while the clock ticks in plan order.
+/// Execute phase: the service and the books planned operations are
+/// dispatched into. The service never keeps its own clock: "now" is the
+/// operation's trace timestamp, in either dispatch order.
 struct ReplayEngine {
     svc: StorageService,
     obs: Registry,
@@ -475,32 +480,18 @@ struct ReplayEngine {
     ops: Vec<PlannedOp>,
     /// The plan number of the last file each user stored successfully,
     /// which that user's retrieves fetch. Per-user execution order equals
-    /// plan order on both timelines: sessions are chronologically sorted
-    /// and the dispatch order keeps plan order among equal deadlines.
+    /// plan order in both dispatch orders: sessions are chronologically
+    /// sorted and the deadline order keeps plan order among equal
+    /// deadlines.
     owned: BTreeMap<u64, u64>,
     /// Bytes each planned op actually moved over the network (post-dedup
     /// uploads, served downloads; 0 for metadata-only or failed ops).
     /// Input to the fair-share network pass when
     /// [`ReplayConfig::profiles`] is set.
     op_bytes: Vec<u64>,
-    /// Each front-end's component on the timeline.
-    comps: Vec<CompId>,
-    /// Under a plan, the dispatch order: plan indices stably sorted by
-    /// deadline, so ties keep plan order. `None` in fair weather (plan order).
-    by_deadline: Option<Vec<usize>>,
 }
 
 impl ReplayEngine {
-    /// Position `pos` of the dispatch order: plan index, time, component.
-    fn slot(&self, pos: usize) -> Option<(usize, Time, CompId)> {
-        let order = self.by_deadline.as_ref();
-        let i = order.map_or(Some(pos), |order| order.get(pos).copied())?;
-        let op = self.ops.get(i)?;
-        let at = order.map_or(pos as u64, |_| op_deadline_us(op.at_ms));
-        let fe = self.svc.metadata().closest_frontend(op.user);
-        Some((i, at, self.comps[fe]))
-    }
-
     /// Books the outcome of planned op `op`'s counted retrieve.
     fn book_retrieve(&mut self, op: usize, got: Result<RetrieveOutcome, ServiceError>) {
         match got {
@@ -578,16 +569,6 @@ impl ReplayEngine {
                 }
             }
         }
-    }
-}
-
-impl Handler<(usize, usize)> for ReplayEngine {
-    /// Queues the next position of the dispatch order, then runs op `op`.
-    fn handle(&mut self, ctx: &mut Ctx<'_, (usize, usize)>, (pos, op): (usize, usize)) {
-        if let Some((next, at, comp)) = self.slot(pos + 1) {
-            ctx.schedule(at, comp, (pos + 1, next));
-        }
-        self.dispatch(op);
     }
 }
 
@@ -680,6 +661,7 @@ fn book_profile_flows(
 mod tests {
     use super::*;
     use mcs_faults::FaultPlanConfig;
+    use mcs_sim::EventQueue;
     use mcs_trace::TraceConfig;
 
     fn small_gen(seed: u64) -> TraceGenerator {
@@ -718,7 +700,6 @@ mod tests {
             chunk_timeout_prob: 0.9,
             metadata_outages_per_day: 12.0,
             metadata_outage_mean_ms: 600_000.0,
-            ..FaultPlanConfig::default()
         })
         .unwrap()
     }
@@ -814,60 +795,40 @@ mod tests {
         }
     }
 
-    /// Records each dispatch as (plan index, sim time) while running either
-    /// the chained schedule `execute` runs or the pre-filled queue.
-    struct Recorder<'a> {
-        eng: &'a mut ReplayEngine,
-        prefilled: bool,
-        seq: Vec<(usize, Time)>,
-    }
-
-    impl Handler<(usize, usize)> for Recorder<'_> {
-        fn handle(&mut self, ctx: &mut Ctx<'_, (usize, usize)>, (pos, op): (usize, usize)) {
-            self.seq.push((op, ctx.now()));
-            if self.prefilled {
-                self.eng.dispatch(op);
-            } else {
-                self.eng.handle(ctx, (pos, op));
-            }
-        }
-    }
-
-    /// Runs the execute phase and returns its dispatch sequence and its
-    /// snapshot JSON. With `prefilled`, it runs the schedule as it was
-    /// before the timeline held one pending event: every op queued up
-    /// front in plan order, at its deadline under a plan or at its plan
-    /// index in fair weather, dispatched in the queue's (time, insertion)
-    /// order.
-    fn dispatch_sequence(
+    /// Runs the execute phase as it was before it became a loop, on a
+    /// queue pre-filled with every op in plan order, at its deadline under
+    /// a plan or at its plan index in fair weather, and dispatched in the
+    /// queue's (time, insertion) order, each event counted against its
+    /// front-end. Returns the plan indices in dispatch order and the
+    /// snapshot JSON.
+    fn prefilled_queue(
         gen: &TraceGenerator,
         cfg: &ReplayConfig,
         plan: &FaultPlan,
-        prefilled: bool,
-    ) -> (Vec<(usize, Time)>, String) {
-        let (mut eng, mut sim) = setup(gen, cfg, plan, RetryPolicy::default()).unwrap();
-        if prefilled {
-            for (i, op) in eng.ops.iter().enumerate() {
-                let fe = eng.svc.metadata().closest_frontend(op.user);
-                let at = if plan.is_empty() {
-                    i as u64
-                } else {
-                    op_deadline_us(op.at_ms)
-                };
-                sim.schedule(at, eng.comps[fe], (i, i));
-            }
-        } else if let Some((op, at, comp)) = eng.slot(0) {
-            sim.schedule(at, comp, (0, op));
+    ) -> (Vec<usize>, String) {
+        let mut eng = setup(gen, cfg, plan, RetryPolicy::default()).unwrap();
+        let mut q = EventQueue::new();
+        for (i, op) in eng.ops.iter().enumerate() {
+            let at = if plan.is_empty() {
+                i as u64
+            } else {
+                op_deadline_us(op.at_ms)
+            };
+            q.schedule(at, i);
         }
-        let mut rec = Recorder {
-            eng: &mut eng,
-            prefilled,
-            seq: Vec::new(),
-        };
-        sim.run(&mut rec);
-        let seq = rec.seq;
-        assert_eq!(sim.pending(), 0);
-        sim.export_metrics(&mut eng.obs);
+        let mut seq = Vec::new();
+        let mut events = vec![0; cfg.frontends];
+        while let Some((_, op)) = q.pop() {
+            seq.push(op);
+            events[eng.svc.metadata().closest_frontend(eng.ops[op].user)] += 1;
+            eng.dispatch(op);
+        }
+        let steps = eng.obs.counter("sim.steps");
+        eng.obs.add(steps, seq.len() as u64);
+        for (fe, &n) in events.iter().enumerate() {
+            let id = eng.obs.counter(&format!("sim.events.frontend/{fe}"));
+            eng.obs.add(id, n);
+        }
         eng.obs.merge(eng.svc.metrics());
         (seq, eng.obs.snapshot().to_json())
     }
@@ -884,17 +845,26 @@ mod tests {
         })
         .unwrap();
         for plan in [FaultPlan::none(cfg.frontends), rough] {
-            let (want, want_json) = dispatch_sequence(&gen, &cfg, &plan, true);
-            let (got, got_json) = dispatch_sequence(&gen, &cfg, &plan, false);
+            let (want, want_json) = prefilled_queue(&gen, &cfg, &plan);
+            let ops = setup(&gen, &cfg, &plan, RetryPolicy::default())
+                .unwrap()
+                .ops;
+            let got: Vec<usize> = dispatch_order(&ops, &plan).collect();
             assert!(got.len() > 1000, "{} ops", got.len());
             assert_eq!(got, want, "time-gated: {}", !plan.is_empty());
-            assert_eq!(got_json, want_json);
             let (_, _, snap) = replay(&gen, &cfg, &plan, RetryPolicy::default()).unwrap();
-            assert_eq!(snap.to_json(), got_json, "replay runs the chained schedule");
+            assert_eq!(
+                snap.to_json(),
+                want_json,
+                "replay dispatches as the queue did"
+            );
             if !plan.is_empty() {
                 // All files of a session share its start: the stable sort
                 // must keep plan order among these.
-                let ties = got.windows(2).filter(|w| w[0].1 == w[1].1).count();
+                let ties = got
+                    .windows(2)
+                    .filter(|w| ops[w[0]].at_ms == ops[w[1]].at_ms)
+                    .count();
                 assert!(ties > 100, "only {ties} same-deadline ties");
             }
         }
@@ -938,7 +908,6 @@ mod tests {
             chunk_timeout_prob: 0.25,
             metadata_outages_per_day: 1.0,
             metadata_outage_mean_ms: 5.0 * 60_000.0,
-            ..FaultPlanConfig::default()
         })
         .unwrap();
         let whole_file = ReplayConfig {
@@ -1239,8 +1208,8 @@ mod tests {
 
     #[test]
     fn snapshot_counts_one_sim_event_per_operation() {
-        // Every planned operation is exactly one event on its front-end's
-        // timeline component, so the sim.* counters must tie out against
+        // Every planned operation is dispatched once and counted against
+        // its user's front-end, so the sim.* counters must tie out against
         // the replay's own operation counts.
         let gen = small_gen(43);
         let cfg = ReplayConfig::default();

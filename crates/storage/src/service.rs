@@ -8,7 +8,7 @@
 //! one direct put or get. Under a plan, every operation runs on the
 //! caller's virtual clock through one engine: it waits out metadata
 //! outages, moves the file chunk by chunk through the [`crate::transfer`]
-//! protocol on an `mcs-sim` timeline, fails uploads over past down
+//! protocol on an `mcs-sim` event queue, fails uploads over past down
 //! front-ends (retrievals cannot fail over — content has one home), backs
 //! off under a [`RetryPolicy`], and returns a [`ServiceError`] when the
 //! budget runs out.
@@ -479,7 +479,6 @@ impl StorageService {
             op: op.id,
         };
         let cfg = TransferConfig {
-            window: TRANSFER_WINDOW,
             max_chunk_sends: f.retry.max_attempts,
         };
         let report = run_transfer_attempt(

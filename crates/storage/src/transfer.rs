@@ -32,7 +32,7 @@ use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
-use mcs_sim::{CompId, Ctx, Handler, Simulation, Time, MS};
+use mcs_sim::{EventQueue, Time, MS};
 
 use crate::content::FileManifest;
 use crate::md5::Digest;
@@ -194,11 +194,6 @@ impl TransferSession {
         self.manifest.chunk_count()
     }
 
-    /// Configured arrival-window size.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// The state of chunk `index`, if in range.
     pub fn state(&self, index: u64) -> Option<ChunkState> {
         self.states.get(index as usize).copied()
@@ -338,20 +333,6 @@ impl TransferSession {
         }
     }
 
-    /// Fails every in-flight chunk (connection teardown on a stall) and
-    /// returns how many were aborted. Verified chunks are untouched.
-    pub fn abort_in_flight(&mut self) -> u64 {
-        let mut aborted = 0;
-        for state in &mut self.states {
-            if *state == ChunkState::InFlight {
-                *state = ChunkState::Failed;
-                aborted += 1;
-            }
-        }
-        self.in_flight = 0;
-        aborted
-    }
-
     /// Discards all progress, as a whole-file retry does: every chunk
     /// returns to `Pending`. The lifetime send counts stay, so the next
     /// sends take fresh ordinals — and fresh channel coins — instead of
@@ -445,11 +426,10 @@ impl<F: FnMut(u64, u32, u64) -> ChunkFate> Channel for F {
     }
 }
 
-/// Knobs of one transfer attempt.
+/// Knobs of one transfer attempt. The arrival window is the session's
+/// own (see [`TransferSession::new`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferConfig {
-    /// Arrival-window size: chunks allowed in flight at once.
-    pub window: usize,
     /// Sends allowed per chunk within one attempt before the attempt
     /// stalls with [`Stall::ChunkBudget`].
     pub max_chunk_sends: u32,
@@ -457,10 +437,7 @@ pub struct TransferConfig {
 
 impl Default for TransferConfig {
     fn default() -> Self {
-        Self {
-            window: 8,
-            max_chunk_sends: 4,
-        }
+        Self { max_chunk_sends: 4 }
     }
 }
 
@@ -511,7 +488,8 @@ pub struct AttemptReport {
     pub stall: Option<Stall>,
 }
 
-/// Events on the transfer timeline.
+/// Events on the transfer timeline: what reaches the server (`Send`) or
+/// the client (`Ack`, `Timeout`).
 #[derive(Debug, Clone, Copy)]
 enum TransferEvent {
     /// A chunk transmission enters the channel.
@@ -534,16 +512,14 @@ struct AttemptHandler<'a, C, D> {
     /// Set on the first stall: no new sends, pending fates drain, unsent
     /// reservations are rolled back as their events surface.
     stalled: bool,
-    client: CompId,
-    server: CompId,
 }
 
 impl<C: Channel, D: Fn(u64) -> Digest> AttemptHandler<'_, C, D> {
     /// Reserves a window slot for `chunk` and schedules its send at `at`.
-    fn send_chunk(&mut self, ctx: &mut Ctx<'_, TransferEvent>, chunk: u64, at: Time) -> bool {
+    fn send_chunk(&mut self, q: &mut EventQueue<TransferEvent>, chunk: u64, at: Time) -> bool {
         match self.session.begin(chunk) {
             Ok(_) => {
-                ctx.schedule(at, self.server, TransferEvent::Send { chunk });
+                q.schedule(at, TransferEvent::Send { chunk });
                 true
             }
             Err(_) => {
@@ -554,12 +530,12 @@ impl<C: Channel, D: Fn(u64) -> Digest> AttemptHandler<'_, C, D> {
     }
 
     /// Fills the arrival window with the lowest-indexed eligible chunks.
-    fn pump(&mut self, ctx: &mut Ctx<'_, TransferEvent>, at: Time) {
+    fn pump(&mut self, q: &mut EventQueue<TransferEvent>, at: Time) {
         while self.session.window_free() {
             let Some(next) = self.session.next_pending() else {
                 break;
             };
-            if !self.send_chunk(ctx, next, at) {
+            if !self.send_chunk(q, next, at) {
                 break;
             }
         }
@@ -583,8 +559,8 @@ impl<C: Channel, D: Fn(u64) -> Digest> AttemptHandler<'_, C, D> {
         debug_assert!(canceled.is_ok(), "tear-down of a chunk not in flight");
     }
 
-    /// Re-send within the per-attempt budget, else stall.
-    fn resend_or_stall(&mut self, ctx: &mut Ctx<'_, TransferEvent>, chunk: u64) {
+    /// Re-send at `now` within the per-attempt budget, else stall.
+    fn resend_or_stall(&mut self, q: &mut EventQueue<TransferEvent>, chunk: u64, now: Time) {
         if self.attempt_sends[chunk as usize] >= self.cfg.max_chunk_sends {
             self.stalled = true;
             self.report.stall = Some(Stall::ChunkBudget {
@@ -592,38 +568,41 @@ impl<C: Channel, D: Fn(u64) -> Digest> AttemptHandler<'_, C, D> {
                 sends: self.session.send_count(chunk),
             });
         } else {
-            self.send_chunk(ctx, chunk, ctx.now());
+            self.send_chunk(q, chunk, now);
         }
     }
-}
 
-impl<C: Channel, D: Fn(u64) -> Digest> Handler<TransferEvent> for AttemptHandler<'_, C, D> {
-    fn handle(&mut self, ctx: &mut Ctx<'_, TransferEvent>, event: TransferEvent) {
+    /// Handles `event`, popped at `now`. Returns whether the attempt goes
+    /// on: it ends when the session's last chunk verifies.
+    fn handle(
+        &mut self,
+        q: &mut EventQueue<TransferEvent>,
+        now: Time,
+        event: TransferEvent,
+    ) -> bool {
         match event {
             TransferEvent::Send { chunk } => {
                 if self.stalled {
                     self.roll_back(chunk);
-                    return;
+                    return true;
                 }
                 let send = self.session.send_count(chunk);
-                match self.channel.send(chunk, send, ctx.now_ms()) {
+                match self.channel.send(chunk, send, q.now_ms()) {
                     ChunkFate::Deliver { ack_after_ms } => {
                         self.book_send(chunk, send);
-                        let at = ctx.now().saturating_add(ack_after_ms.saturating_mul(MS));
-                        ctx.schedule(at, self.client, TransferEvent::Ack { chunk });
+                        let at = now.saturating_add(ack_after_ms.saturating_mul(MS));
+                        q.schedule(at, TransferEvent::Ack { chunk });
                     }
                     ChunkFate::Timeout { detect_after_ms } => {
                         self.book_send(chunk, send);
-                        let at = ctx.now().saturating_add(detect_after_ms.saturating_mul(MS));
-                        ctx.schedule(at, self.client, TransferEvent::Timeout { chunk });
+                        let at = now.saturating_add(detect_after_ms.saturating_mul(MS));
+                        q.schedule(at, TransferEvent::Timeout { chunk });
                     }
                     ChunkFate::Down => {
                         // Connection refused: no bytes moved. Drain what
                         // is already airborne, send nothing new.
                         self.stalled = true;
-                        self.report.stall = Some(Stall::FrontendDown {
-                            at_ms: ctx.now_ms(),
-                        });
+                        self.report.stall = Some(Stall::FrontendDown { at_ms: q.now_ms() });
                         self.roll_back(chunk);
                     }
                 }
@@ -633,18 +612,19 @@ impl<C: Channel, D: Fn(u64) -> Digest> Handler<TransferEvent> for AttemptHandler
                 let failed = self.session.fail(chunk);
                 debug_assert!(failed.is_ok(), "timeout for a chunk not in flight");
                 if !self.stalled {
-                    self.resend_or_stall(ctx, chunk);
+                    self.resend_or_stall(q, chunk, now);
                 }
             }
             TransferEvent::Ack { chunk } => {
                 let digest = (self.digest_of)(chunk);
                 match self.session.verify(chunk, digest) {
                     Ok(done) => {
-                        self.report.verified.push((chunk, ctx.now_ms()));
+                        self.report.verified.push((chunk, q.now_ms()));
                         if done {
-                            ctx.halt();
-                        } else if !self.stalled {
-                            self.pump(ctx, ctx.now());
+                            return false;
+                        }
+                        if !self.stalled {
+                            self.pump(q, now);
                         }
                     }
                     Err(_) => {
@@ -652,20 +632,23 @@ impl<C: Channel, D: Fn(u64) -> Digest> Handler<TransferEvent> for AttemptHandler
                         // corrupted arrival costs a re-send like a timeout.
                         self.report.checksum_failures += 1;
                         if !self.stalled {
-                            self.resend_or_stall(ctx, chunk);
+                            self.resend_or_stall(q, chunk, now);
                         }
                     }
                 }
             }
         }
+        true
     }
 }
 
-/// Runs one transfer attempt on a fresh `mcs-sim` timeline starting at
+/// Runs one transfer attempt on a fresh `mcs-sim` event queue starting at
 /// `start_ms`: window-bounded out-of-order sends, fates from `channel`,
-/// per-chunk verification against `digest_of`. Returns when the session
-/// completes or stalls; the session keeps its verified set either way, so
-/// a later attempt resumes with only the missing chunks.
+/// per-chunk verification against `digest_of`. The start and the
+/// channel's delays move to the queue's µs clock here; the channel and
+/// the report read it back in ms. Returns when the session completes or
+/// stalls; the session keeps its verified set either way, so a later
+/// attempt resumes with only the missing chunks.
 pub fn run_transfer_attempt<C: Channel, D: Fn(u64) -> Digest>(
     session: &mut TransferSession,
     channel: &mut C,
@@ -680,9 +663,7 @@ pub fn run_transfer_attempt<C: Channel, D: Fn(u64) -> Digest>(
     if session.is_complete() {
         return report;
     }
-    let mut sim = Simulation::new();
-    let client = sim.add_component("transfer/client");
-    let server = sim.add_component("transfer/server");
+    let mut q = EventQueue::new();
     let chunks = session.chunk_count() as usize;
     let mut handler = AttemptHandler {
         session,
@@ -692,17 +673,15 @@ pub fn run_transfer_attempt<C: Channel, D: Fn(u64) -> Digest>(
         report,
         attempt_sends: vec![0; chunks],
         stalled: false,
-        client,
-        server,
     };
-    let start_us = start_ms.saturating_mul(MS);
-    {
-        let mut ctx = sim.ctx(client);
-        handler.pump(&mut ctx, start_us);
+    handler.pump(&mut q, start_ms.saturating_mul(MS));
+    while let Some((now, event)) = q.pop() {
+        if !handler.handle(&mut q, now, event) {
+            break;
+        }
     }
-    sim.run(&mut handler);
     report = handler.report;
-    report.end_ms = report.end_ms.max(sim.now_ms());
+    report.end_ms = report.end_ms.max(q.now_ms());
     report
 }
 
@@ -842,10 +821,7 @@ mod tests {
                 ChunkFate::Deliver { ack_after_ms: 0 }
             }
         };
-        let cfg = TransferConfig {
-            window: 1,
-            max_chunk_sends: 3,
-        };
+        let cfg = TransferConfig { max_chunk_sends: 3 };
         let r = run_transfer_attempt(&mut s, &mut brown, true_digests(&m), &cfg, 0);
         assert_eq!(r.stall, Some(Stall::ChunkBudget { chunk: 1, sends: 3 }));
         assert_eq!(r.timeouts, 3);

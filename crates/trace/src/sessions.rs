@@ -136,9 +136,9 @@ pub fn plan_user_sessions(
     }
     // Chronological order is a published guarantee: the storage replay's
     // plan phase walks each user's sessions in this order and relies on it
-    // to match the per-user execution order of the shared `mcs-sim`
-    // timeline (DESIGN.md §10.4). The stable sort keeps same-millisecond
-    // sessions in planning order.
+    // to match the per-user order its execute phase dispatches in
+    // (DESIGN.md §10.4). The stable sort keeps same-millisecond sessions
+    // in planning order.
     plans.sort_by_key(|p| p.start_ms);
     plans
 }

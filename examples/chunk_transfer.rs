@@ -27,17 +27,18 @@ fn main() {
     let m = FileManifest::build("tour/video.mp4", &content);
     let digest_of = |i: u64| m.chunk_digests[i as usize];
     let cfg = TransferConfig::default();
+    let window = 8;
     let chunks = m.chunk_count();
     println!(
         "transferring {} as {} x 512 KB chunks (window {}, {} sends/chunk per attempt)\n",
         bytes(m.size as f64),
         chunks,
-        cfg.window,
+        window,
         cfg.max_chunk_sends,
     );
 
     // --- 1. Fair weather: every chunk delivers, acks are instant. --------
-    let mut s = TransferSession::new(m.clone(), cfg.window);
+    let mut s = TransferSession::new(m.clone(), window);
     let mut fair = |_c: u64, _s: u32, _t: u64| ChunkFate::Deliver { ack_after_ms: 0 };
     let r = run_transfer_attempt(&mut s, &mut fair, digest_of, &cfg, 0);
     assert!(s.is_complete() && r.stall.is_none());
@@ -70,7 +71,7 @@ fn main() {
     // --- 3. Lossy channel: every third chunk's first send is lost and ----
     //     re-sent after the retransmission timer. The re-sent share is the
     //     retry-inflated traffic the paper's whole-file client multiplies.
-    let mut s = TransferSession::new(m.clone(), cfg.window);
+    let mut s = TransferSession::new(m.clone(), window);
     let mut lossy = |c: u64, send: u32, _t: u64| {
         if c.is_multiple_of(3) && send == 1 {
             ChunkFate::Timeout {
@@ -93,7 +94,7 @@ fn main() {
     // --- 4. Mid-transfer outage, then resume-from-partial. ---------------
     //     The peer dies after seven acks; the attempt stalls, the verified
     //     set persists, and the resumed session moves only what is missing.
-    let mut s = TransferSession::new(m.clone(), cfg.window);
+    let mut s = TransferSession::new(m.clone(), window);
     let mut acked = 0u64;
     let mut dying = |_c: u64, _s: u32, _t: u64| {
         if acked < 7 {
@@ -115,7 +116,7 @@ fn main() {
         bytes(s.bytes_verified() as f64)
     );
 
-    let mut resumed = TransferSession::resume(m.clone(), &saved, cfg.window);
+    let mut resumed = TransferSession::resume(m.clone(), &saved, window);
     let r2 = run_transfer_attempt(&mut resumed, &mut fair, digest_of, &cfg, 60_000);
     assert!(resumed.is_complete());
     assert_eq!(r2.chunks_sent, chunks - saved.len() as u64);
@@ -133,7 +134,7 @@ fn main() {
     // --- 5. Dedup-aware sync: the target front-end's chunk store ---------
     //     already holds the even-indexed chunks (a sibling device uploaded
     //     them), so the session skips them without a single send.
-    let mut deduped = TransferSession::new(m.clone(), cfg.window);
+    let mut deduped = TransferSession::new(m.clone(), window);
     for i in (0..chunks).step_by(2) {
         deduped.skip_verified(i).expect("pending chunk");
     }

@@ -1,12 +1,14 @@
-//! A week in the life of the fleet, replayed on the one `mcs-sim` timeline.
+//! A week in the life of the fleet, replayed through the storage service.
 //!
 //! Generates a week-long trace, replays it through the storage substrate in
 //! fair weather and under a rough fault plan, and repeats the whole exercise
 //! at a different trace-generation thread count — then proves every metric
-//! snapshot, including the new per-front-end `sim.*` event counters, is
-//! byte-identical across runs and thread counts. This is the determinism
-//! contract (DESIGN.md §7, §10) exercised end to end: one seeded scheduler
-//! drives every replayed operation, so there is nothing left to race.
+//! snapshot, including the per-front-end `sim.*` counts of dispatched ops,
+//! is byte-identical across runs and thread counts. This is the determinism
+//! contract (DESIGN.md §7, §10) exercised end to end: the replay dispatches
+//! every operation one after another in one seeded order (plan order in
+//! fair weather, trace-time order under the plan), so there is nothing
+//! left to race.
 //!
 //! ```text
 //! cargo run --release --example fleet_replay            # CI-sized fleet

@@ -55,6 +55,11 @@ fi
 # README's first command: generate a trace, analyse it, print the
 # headline findings.
 cargo run --offline --locked --release --example quickstart
+# The paper's headline figures and tables driven through the library API
+# (the `repro` binary wraps the same suite). Their shape checks are
+# asserted by tests/suite_reproduction.rs; this runs the example as
+# README documents it.
+cargo run --offline --locked --release --example paper_figures
 # Chaos smoke test: corrupted-trace ingestion + seeded fault-plan replay
 # (bit-identical across runs, availability bounded, no panics).
 cargo run --offline --locked --release --example chaos_replay

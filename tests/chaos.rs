@@ -67,8 +67,8 @@ fn faulted_metric_snapshots_are_bit_identical_across_thread_counts() {
     let (_, base_stats, base_snap) = replay(&gen_with_threads(1), &cfg, &plan, retry).unwrap();
     let base_json = base_snap.to_json();
     assert_eq!(base_snap.counters["replay.stores"], base_stats.stores);
-    // The shared mcs-sim timeline now drives the replay: every planned
-    // operation dispatches exactly one event, and the per-front-end event
+    // The replay dispatches every planned operation exactly once and
+    // counts it against its user's front-end, so the per-front-end
     // counters partition the total.
     let sim_steps = base_snap.counters["sim.steps"];
     assert_eq!(

@@ -6,8 +6,11 @@ use mcs::{ExperimentId, ExperimentSuite, ReproConfig};
 #[test]
 fn headline_figures_hold_shape_at_ci_scale() {
     let mut suite = ExperimentSuite::new(ReproConfig::small(2016));
-    // The figures carrying the paper's main claims.
-    for id in ["f1", "f3", "f5", "f6", "t3", "f9", "f12", "f15"] {
+    // The figures carrying the paper's main claims, `paper_figures`'
+    // headline set included.
+    for id in [
+        "f1", "f3", "f5", "f6", "t2", "t3", "f9", "f12", "f15", "f16",
+    ] {
         let report = suite.run(id.parse::<ExperimentId>().unwrap());
         assert!(
             report.all_ok(),
