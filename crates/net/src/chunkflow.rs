@@ -120,14 +120,17 @@ impl FlowConfig {
                 what: "chunks per batch",
             });
         }
-        if self
-            .chunk_size
-            .checked_mul(u64::from(self.batch_chunks))
-            .is_none()
-        {
+        let Some(batch_bytes) = self.chunk_size.checked_mul(u64::from(self.batch_chunks)) else {
             return Err(ConfigError::OutOfRange {
                 what: "batch size",
                 requirement: "(chunk size × chunks per batch) must fit in u64",
+            });
+        };
+        // The trace counts batches in a `u32` (`FlowTrace::batches`).
+        if u32::try_from(self.total_bytes.div_ceil(batch_bytes)).is_err() {
+            return Err(ConfigError::OutOfRange {
+                what: "batch count",
+                requirement: "(total bytes ÷ batch size, rounded up) must fit in u32",
             });
         }
         self.data_link.validate()
@@ -288,8 +291,12 @@ struct FlowRt {
     ooo: BTreeMap<u64, u64>, // seq_start -> seq_end
     delack_count: u8,
     delack_epoch: u64,
+    /// Batches the receiver has completed.
     next_boundary_idx: usize,
-    boundaries: Vec<u64>, // batch end offsets
+    /// Bytes per batch, `chunk_size × batch_chunks`.
+    batch_bytes: u64,
+    /// Batches in the flow, `total_bytes ÷ batch_bytes` rounded up.
+    batches: u32,
     // Idle accounting.
     last_data_send: Option<Time>,
     pending_idle: Option<PendingIdle>,
@@ -321,23 +328,16 @@ impl FlowRt {
             Direction::Upload => (cfg.device.upload_packet_overhead, 0),
             Direction::Download => (0, cfg.device.download_packet_overhead),
         };
-        let mut boundaries = Vec::new();
-        let batch_bytes = cfg.chunk_size * cfg.batch_chunks as u64;
-        let mut off = batch_bytes.min(cfg.total_bytes);
-        loop {
-            boundaries.push(off);
-            if off >= cfg.total_bytes {
-                break;
-            }
-            off = off.saturating_add(batch_bytes).min(cfg.total_bytes);
-        }
+        // `validate` bounds both: the product fits a `u64`, the count a `u32`.
+        let batch_bytes = cfg.chunk_size.saturating_mul(u64::from(cfg.batch_chunks));
+        let batches = u32::try_from(cfg.total_bytes.div_ceil(batch_bytes)).unwrap_or(u32::MAX);
         Self {
             cfg: *cfg,
             rng: stream_rng(cfg.seed, 0xF10 + flow_index as u64),
             tcp: TcpSender::new(tcp_cfg),
             snd_una: 0,
             snd_nxt: 0,
-            unlocked_end: boundaries[0],
+            unlocked_end: batch_bytes.min(cfg.total_bytes),
             rto_epoch: 0,
             rto_armed: None,
             rto_queued: VecDeque::new(),
@@ -357,12 +357,20 @@ impl FlowRt {
             delack_count: 0,
             delack_epoch: 0,
             next_boundary_idx: 0,
-            boundaries,
+            batch_bytes,
+            batches,
             last_data_send: None,
             pending_idle: None,
             trace: FlowTrace::default(),
             done: false,
         }
+    }
+
+    /// End offset of batch `i`: `min((i + 1) × batch_bytes, total_bytes)`.
+    fn batch_end(&self, i: usize) -> u64 {
+        (i as u64 + 1)
+            .saturating_mul(self.batch_bytes)
+            .min(self.cfg.total_bytes)
     }
 
     /// Applies SSAI or pacing when the sender resumes after an idle gap.
@@ -485,14 +493,14 @@ impl Engine {
             let fl = &mut eng.flows[f];
             fl.trace.total_bytes = fl.cfg.total_bytes;
             fl.trace.chunk_size = fl.cfg.chunk_size;
-            fl.trace.batches = u32::try_from(fl.boundaries.len()).unwrap_or(u32::MAX);
+            fl.trace.batches = fl.batches;
             fl.pending_idle = Some(PendingIdle {
                 batch_index: 0,
                 unlock_time: 0,
                 app_idle: 0,
                 restarted: false,
             });
-            total_bytes += fl.cfg.total_bytes;
+            total_bytes = total_bytes.saturating_add(fl.cfg.total_bytes);
             eng.try_send(q, f);
         }
         eng.budget = 400 * eng.flows.len() as u64 + 40 * (total_bytes / crate::tcp::MSS + 2) * 2;
@@ -749,8 +757,8 @@ impl Engine {
         // Application-level completion of the current batch.
         let fl = &mut self.flows[f];
         let ack_delay = fl.cfg.ack_delay;
-        while fl.next_boundary_idx < fl.boundaries.len()
-            && fl.rcv_nxt >= fl.boundaries[fl.next_boundary_idx]
+        while fl.next_boundary_idx < fl.batches as usize
+            && fl.rcv_nxt >= fl.batch_end(fl.next_boundary_idx)
         {
             let batch = fl.next_boundary_idx;
             fl.next_boundary_idx += 1;
@@ -888,7 +896,7 @@ impl Engine {
         app_idle: Time,
     ) {
         let fl = &mut self.flows[f];
-        let batch_end = fl.boundaries[batch_index];
+        let batch_end = fl.batch_end(batch_index);
         // Sender has learned the batch completed end-to-end.
         fl.trace.chunk_records.push(ChunkRecord {
             index: u32::try_from(batch_index).unwrap_or(u32::MAX),
@@ -896,7 +904,7 @@ impl Engine {
                 - if batch_index == 0 {
                     0
                 } else {
-                    fl.boundaries[batch_index - 1]
+                    fl.batch_end(batch_index - 1)
                 },
             completed_at: now,
         });
@@ -906,7 +914,7 @@ impl Engine {
             self.done_count += 1;
             return;
         }
-        fl.unlocked_end = fl.boundaries[batch_index + 1];
+        fl.unlocked_end = fl.batch_end(batch_index + 1);
         fl.pending_idle = Some(PendingIdle {
             batch_index: batch_index + 1,
             unlock_time: now,
@@ -1587,7 +1595,25 @@ mod tests {
             let shared = try_simulate_shared_report(&[ok, cfg], link, &Windows::empty());
             assert_eq!(shared.err(), Some(want));
         }
-        // The largest batch that fits: the boundaries stop at the total
+        // Regression: two 8 EiB uploads each passed `validate`, and the
+        // engine's batch-boundary lists (2^44 entries a flow at 512 KB
+        // chunks) got the process killed for want of memory.
+        let vast = upload(DeviceProfile::ios(), 1 << 63, 1);
+        let too_many = ConfigError::OutOfRange {
+            what: "batch count",
+            requirement: "(total bytes ÷ batch size, rounded up) must fit in u32",
+        };
+        assert_eq!(vast.validate(), Err(too_many));
+        let shared = try_simulate_shared_report(&[vast, vast], link, &Windows::empty());
+        assert_eq!(shared.err(), Some(too_many));
+        // The most batches a flow may have, and one more.
+        let batches = |n: u64| FlowConfig {
+            total_bytes: n * ok.chunk_size,
+            ..ok
+        };
+        assert_eq!(batches(u64::from(u32::MAX)).validate(), Ok(()));
+        assert_eq!(batches(u64::from(u32::MAX) + 1).validate(), Err(too_many));
+        // The largest batch that fits: the batch ends stop at the total
         // instead of wrapping past it.
         let huge = FlowConfig {
             chunk_size: 1 << 62,
@@ -1596,7 +1622,9 @@ mod tests {
             ..ok
         };
         assert_eq!(huge.validate(), Ok(()));
-        assert_eq!(FlowRt::new(&huge, 0).boundaries, [1 << 63, u64::MAX]);
+        let fl = FlowRt::new(&huge, 0);
+        assert_eq!(fl.batches, 2);
+        assert_eq!([fl.batch_end(0), fl.batch_end(1)], [1 << 63, u64::MAX]);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * [`metadata`] — the metadata server: namespaces, dedup, share URLs,
 //! * [`frontend`] — front-end chunk stores with hourly load accounting,
 //! * [`service`] — the clustered façade used by examples and tests: one
-//!   `store` and one `retrieve`, which under an injected
+//!   `store` (of the manifest the client computed) and one `retrieve`,
+//!   which under an injected
 //!   [`mcs_faults::FaultPlan`] retry, fail over and book degraded-mode
 //!   telemetry, resuming or restarting stalled transfers per
 //!   [`RetryMode`],
@@ -20,7 +21,8 @@
 //!   that faulted operations drive on an `mcs-sim` event queue,
 //! * [`replay`](mod@replay) — a synthetic trace replayed through the
 //!   service, one planned operation after another, in fair weather or
-//!   under a fault plan,
+//!   under a fault plan, with the stores' manifests hashed ahead on a
+//!   second thread,
 //! * [`error`] — the [`ServiceError`] taxonomy `store`/`retrieve` return,
 //! * [`defer`] — the "smart auto backup" deferred-upload scheduler
 //!   (§3.2.2 implication) with peak-load/QoE evaluation,

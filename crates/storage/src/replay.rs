@@ -26,7 +26,11 @@
 //! content and fallbacks, then an *execute* phase dispatches the planned
 //! operations one after another in their dispatch order and counts them
 //! per front-end, so the `sim.steps` and per-front-end `sim.events.*`
-//! counters land in the observed snapshot.
+//! counters land in the observed snapshot. The execute phase splits the
+//! work the way the protocol does (§2.1): a client stage on a second
+//! thread computes every store's file and chunk MD5s ahead of the service
+//! stage, which dispatches the ops and sends each store the manifest its
+//! client computed.
 //!
 //! The two modes dispatch in different orders. Under a *faulted* plan ops
 //! run in global trace-time order (by `at_ms * MS`, ties in plan order)
@@ -38,6 +42,9 @@
 //! pre-timeline total order keeps it bit-identical to the old loop.
 
 use std::collections::BTreeMap;
+use std::panic::resume_unwind;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::{self, ScopedJoinHandle};
 
 use mcs_faults::{ConfigError, FaultPlan, RetryPolicy};
 use mcs_net::profile::{access_cap_bps, simulate_fair_share, FairFlowSpec, ProfileMix};
@@ -46,8 +53,9 @@ use mcs_sim::MS;
 use mcs_stats::rng::{stream_rng, Rng};
 use mcs_trace::{Direction, TraceGenerator};
 
-use crate::content::Content;
+use crate::content::{chunk_count, Content, FileManifest};
 use crate::error::ServiceError;
+use crate::md5::Digest;
 use crate::service::{RetrieveOutcome, RetryMode, StorageService};
 
 /// Knobs for the replay.
@@ -190,9 +198,10 @@ pub fn replay(
     plan: &FaultPlan,
     retry: RetryPolicy,
 ) -> Result<(StorageService, ReplayStats, Snapshot), ConfigError> {
-    let mut eng = execute(gen, cfg, plan, retry)?;
+    let (mut eng, ops) = setup(gen, cfg, plan, retry)?;
+    execute(&mut eng, &ops, plan);
     if let Some(mix) = &cfg.profiles {
-        book_profile_flows(&mut eng, cfg, mix)?;
+        book_profile_flows(&mut eng, &ops, cfg, mix)?;
     }
     let ReplayEngine {
         svc, mut obs, ids, ..
@@ -258,50 +267,186 @@ fn validate(cfg: &ReplayConfig) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Plans and runs the trace, one op after another in dispatch order, and
-/// books `sim.steps` and one `sim.events.frontend/<fe>` counter per
-/// front-end: the ops dispatched, in all and by the user's front-end.
-fn execute(
-    gen: &TraceGenerator,
-    cfg: &ReplayConfig,
-    plan: &FaultPlan,
-    retry: RetryPolicy,
-) -> Result<ReplayEngine, ConfigError> {
-    let mut eng = setup(gen, cfg, plan, retry)?;
-    let mut per_fe = vec![0; cfg.frontends];
-    for op in dispatch_order(&eng.ops, plan) {
-        per_fe[eng.svc.metadata().closest_frontend(eng.ops[op].user)] += 1;
-        eng.dispatch(op);
-    }
+/// Planned stores per block of digests the client stage hands over.
+const STORES_PER_BLOCK: usize = 256;
+
+/// Full blocks the client stage may compute ahead of the service stage:
+/// about 16 k stores, 1.3 MB of digests at fleet sizes, some 40 ms of
+/// dispatch work, so the dispatch loop rides out the client thread losing
+/// its core for a scheduler slice.
+const BLOCKS_AHEAD: usize = 64;
+
+/// Runs the planned ops one after another in dispatch order, and books
+/// `sim.steps` and one `sim.events.frontend/<fe>` counter per front-end:
+/// the ops dispatched, in all and by the user's front-end.
+///
+/// The work runs in the protocol's two stages (§2.1). The client stage,
+/// one scoped thread, computes each planned store's file and chunk
+/// digests in dispatch order ([`hash_stores`]). The service stage, this
+/// thread, dispatches the ops and builds each store's manifest from the
+/// next digests handed over ([`Handover`]). A digest depends only on its
+/// content's seed and size and the chunk index, and the digests are read
+/// in the order they were computed, so the outputs are those of hashing
+/// inline.
+fn execute(eng: &mut ReplayEngine, ops: &[PlannedOp], plan: &FaultPlan) {
+    let order = DispatchOrder::new(ops, plan);
+    let mut per_fe = vec![0; eng.svc.frontends().len()];
+    thread::scope(|s| {
+        let (tx, blocks) = sync_channel(BLOCKS_AHEAD);
+        let order = &order;
+        let client = s.spawn(move || hash_stores(ops, order.iter(), STORES_PER_BLOCK, tx));
+        let mut handover = Handover::new(blocks, client);
+        for i in order.iter() {
+            let op = &ops[i];
+            per_fe[eng.svc.metadata().closest_frontend(op.user)] += 1;
+            match op.kind {
+                PlannedKind::Store { seq, size, .. } => {
+                    let manifest = handover.manifest(store_path(op.user, seq), size);
+                    eng.store(i, op, seq, manifest);
+                }
+                PlannedKind::Retrieve { fallback_seed } => eng.retrieve(i, op, fallback_seed),
+            }
+        }
+    });
     let steps = eng.obs.counter("sim.steps");
     eng.obs.add(steps, per_fe.iter().sum());
     for (fe, &n) in per_fe.iter().enumerate() {
         let id = eng.obs.counter(&format!("sim.events.frontend/{fe}"));
         eng.obs.add(id, n);
     }
-    Ok(eng)
 }
 
-/// Plan indices in dispatch order. In fair weather (and under an empty
-/// plan) that is plan order. Under a plan it is trace-time order: plan
-/// indices stably sorted by deadline, so ops with equal deadlines keep
-/// plan order.
-fn dispatch_order(ops: &[PlannedOp], plan: &FaultPlan) -> impl Iterator<Item = usize> {
-    let by_deadline = (!plan.is_empty()).then(|| {
-        let mut order: Vec<usize> = (0..ops.len()).collect();
-        order.sort_by_key(|&i| op_deadline_us(ops[i].at_ms));
-        order
-    });
-    (0..ops.len()).map(move |pos| by_deadline.as_ref().map_or(pos, |order| order[pos]))
+/// The order the planned ops are dispatched in. In fair weather (and
+/// under an empty plan) that is plan order. Under a plan it is trace-time
+/// order: plan indices stably sorted by deadline, so ops with equal
+/// deadlines keep plan order.
+struct DispatchOrder {
+    len: usize,
+    /// The deadline order; `None` is plan order, which needs no index
+    /// vector.
+    by_deadline: Option<Vec<usize>>,
 }
 
-/// Plans the trace and builds the engine.
+impl DispatchOrder {
+    fn new(ops: &[PlannedOp], plan: &FaultPlan) -> Self {
+        let by_deadline = (!plan.is_empty()).then(|| {
+            let mut order: Vec<usize> = (0..ops.len()).collect();
+            order.sort_by_key(|&i| op_deadline_us(ops[i].at_ms));
+            order
+        });
+        Self {
+            len: ops.len(),
+            by_deadline,
+        }
+    }
+
+    /// Plan indices in dispatch order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let by_deadline = self.by_deadline.as_deref();
+        (0..self.len).map(move |pos| by_deadline.map_or(pos, |order| order[pos]))
+    }
+}
+
+/// The client stage: computes, for every planned store in `order`, its
+/// file digest followed by its chunk digests (the MD5s of §2.1's
+/// manifest), and sends them to the service stage `per_block` stores to a
+/// block. Stops early if the service stage hangs up, which it does only
+/// by panicking.
+fn hash_stores(
+    ops: &[PlannedOp],
+    order: impl Iterator<Item = usize>,
+    per_block: usize,
+    blocks: SyncSender<Vec<Digest>>,
+) {
+    let mut block = Vec::new();
+    let mut stores = 0;
+    for i in order {
+        let PlannedKind::Store { seed, size, .. } = ops[i].kind else {
+            continue;
+        };
+        let content = Content::Synthetic { seed, size };
+        block.push(content.file_digest());
+        block.extend((0..chunk_count(size)).map(|c| content.chunk_digest(c)));
+        stores += 1;
+        if stores == per_block {
+            let next = Vec::with_capacity(block.len());
+            let full = std::mem::replace(&mut block, next);
+            if blocks.send(full).is_err() {
+                return;
+            }
+            stores = 0;
+        }
+    }
+    if stores > 0 {
+        // An error means the service stage is gone; there is no one left
+        // to tell.
+        let _ = blocks.send(block);
+    }
+}
+
+/// The service stage's end of the hand-over: the client stage's blocks,
+/// read in the order they were sent, and the client itself, whose panic
+/// it re-raises.
+struct Handover<'scope> {
+    blocks: Receiver<Vec<Digest>>,
+    client: Option<ScopedJoinHandle<'scope, ()>>,
+    block: Vec<Digest>,
+    /// Where the next store's digests start in `block`.
+    at: usize,
+}
+
+impl<'scope> Handover<'scope> {
+    fn new(blocks: Receiver<Vec<Digest>>, client: ScopedJoinHandle<'scope, ()>) -> Self {
+        Self {
+            blocks,
+            client: Some(client),
+            block: Vec::new(),
+            at: 0,
+        }
+    }
+
+    /// The manifest of the next planned store in dispatch order, a
+    /// `size`-byte file named `name`. Blocks hold whole stores, so a
+    /// store's digests never straddle two blocks.
+    fn manifest(&mut self, name: String, size: u64) -> FileManifest {
+        if self.at == self.block.len() {
+            self.block = self.next_block();
+            self.at = 0;
+        }
+        let chunks = self.at + 1..self.at + 1 + chunk_count(size) as usize;
+        let manifest = FileManifest {
+            name,
+            size,
+            file_digest: self.block[self.at],
+            chunk_digests: self.block[chunks.clone()].to_vec(),
+        };
+        self.at = chunks.end;
+        manifest
+    }
+
+    fn next_block(&mut self) -> Vec<Digest> {
+        match self.blocks.recv() {
+            Ok(block) => block,
+            // The client stage closes the channel before the last store
+            // only by panicking: join it and continue its panic here,
+            // payload intact. (Both stages walk one order, so a client
+            // that returned has sent every store; the empty block would
+            // fail the slice in `manifest`.)
+            Err(_) => match self.client.take().map(ScopedJoinHandle::join) {
+                Some(Err(panic)) => resume_unwind(panic),
+                _ => Vec::new(),
+            },
+        }
+    }
+}
+
+/// Validates the config, builds the engine and plans the trace.
 fn setup(
     gen: &TraceGenerator,
     cfg: &ReplayConfig,
     plan: &FaultPlan,
     retry: RetryPolicy,
-) -> Result<ReplayEngine, ConfigError> {
+) -> Result<(ReplayEngine, Vec<PlannedOp>), ConfigError> {
     validate(cfg)?;
     let horizon_hours = (gen.config().horizon_ms() / 3_600_000) as usize;
     let mut svc = StorageService::new(cfg.frontends, horizon_hours)?;
@@ -314,14 +459,14 @@ fn setup(
     let mut obs = Registry::new();
     let ids = ReplayIds::register(&mut obs);
     let ops = plan_ops(gen, cfg);
-    Ok(ReplayEngine {
+    let eng = ReplayEngine {
         svc,
         obs,
         ids,
         op_bytes: vec![0; ops.len()],
-        ops,
         owned: BTreeMap::new(),
-    })
+    };
+    Ok((eng, ops))
 }
 
 /// [`replay`] in fair weather (under [`FaultPlan::none`]).
@@ -477,7 +622,6 @@ struct ReplayEngine {
     svc: StorageService,
     obs: Registry,
     ids: ReplayIds,
-    ops: Vec<PlannedOp>,
     /// The plan number of the last file each user stored successfully,
     /// which that user's retrieves fetch. Per-user execution order equals
     /// plan order in both dispatch orders: sessions are chronologically
@@ -507,66 +651,67 @@ impl ReplayEngine {
         }
     }
 
-    /// Runs planned op `op` against the service.
-    fn dispatch(&mut self, op: usize) {
-        let now_ms = self.ops[op].at_ms;
-        let user = self.ops[op].user;
-        match self.ops[op].kind {
-            PlannedKind::Store { seq, seed, size } => {
-                let (path, content) = (store_path(user, seq), Content::Synthetic { seed, size });
-                match self.svc.store(user, &path, &content, now_ms) {
-                    Ok(out) => {
-                        self.obs.inc(self.ids.stores);
-                        self.obs.add(self.ids.bytes_uploaded, out.bytes_uploaded);
-                        self.op_bytes[op] = out.bytes_uploaded;
-                        self.obs.observe(self.ids.store_bytes, size);
-                        if out.deduplicated {
-                            self.obs.add(self.ids.bytes_deduplicated, size);
-                        }
-                        self.owned.insert(user, seq);
-                    }
-                    // The budget ran out; the file never made it into the
-                    // namespace, so it is not `owned`.
-                    Err(_) => self.obs.inc(self.ids.failed_stores),
+    /// Runs planned store `i`, `op`'s user's file number `seq`, sending
+    /// the manifest its client computed.
+    fn store(&mut self, i: usize, op: &PlannedOp, seq: u64, manifest: FileManifest) {
+        let size = manifest.size;
+        match self.svc.store(op.user, manifest, op.at_ms) {
+            Ok(out) => {
+                self.obs.inc(self.ids.stores);
+                self.obs.add(self.ids.bytes_uploaded, out.bytes_uploaded);
+                self.op_bytes[i] = out.bytes_uploaded;
+                self.obs.observe(self.ids.store_bytes, size);
+                if out.deduplicated {
+                    self.obs.add(self.ids.bytes_deduplicated, size);
                 }
+                self.owned.insert(op.user, seq);
             }
-            PlannedKind::Retrieve { fallback_seed } => {
-                self.obs.inc(self.ids.retrieves);
-                match self.owned.get(&user) {
-                    Some(&seq) => {
-                        let got = self.svc.retrieve(user, &store_path(user, seq), now_ms);
-                        self.book_retrieve(op, got);
-                    }
-                    None => {
-                        let seed = fallback_seed;
+            // The budget ran out; the file never made it into the
+            // namespace, so it is not `owned`.
+            Err(_) => self.obs.inc(self.ids.failed_stores),
+        }
+    }
+
+    /// Runs planned retrieve `i`: the last file `op`'s user stored, or
+    /// popular-pool object `fallback_seed` for a user who owns none.
+    fn retrieve(&mut self, i: usize, op: &PlannedOp, fallback_seed: u64) {
+        let (user, now_ms) = (op.user, op.at_ms);
+        self.obs.inc(self.ids.retrieves);
+        match self.owned.get(&user) {
+            Some(&seq) => {
+                let got = self.svc.retrieve(user, &store_path(user, seq), now_ms);
+                self.book_retrieve(i, got);
+            }
+            None => {
+                let seed = fallback_seed;
+                // Ensure the shared object exists (first toucher uploads
+                // it), then serve it. A fault anywhere — including the
+                // internal seeding store — defeats the user-visible
+                // *retrieve*, so that is what it charges (see
+                // `ReplayStats::failed_retrieves`).
+                let name = format!("shared/{seed}");
+                let owner = u64::MAX - seed;
+                match self.svc.retrieve(owner, &name, now_ms) {
+                    Ok(_) => {} // exists; the counted retrieve follows
+                    Err(ServiceError::NotFound) => {
+                        // The seeding client hashes its manifest inline.
                         let content = Content::Synthetic {
                             seed,
                             size: popular_size(seed),
                         };
-                        // Ensure the shared object exists (first toucher
-                        // uploads it), then serve it. A fault anywhere —
-                        // including the internal seeding store — defeats
-                        // the user-visible *retrieve*, so that is what it
-                        // charges (see `ReplayStats::failed_retrieves`).
-                        let name = format!("shared/{seed}");
-                        let owner = u64::MAX - seed;
-                        match self.svc.retrieve(owner, &name, now_ms) {
-                            Ok(_) => {} // exists; the counted retrieve follows
-                            Err(ServiceError::NotFound) => {
-                                if self.svc.store(owner, &name, &content, now_ms).is_err() {
-                                    self.obs.inc(self.ids.failed_retrieves);
-                                    return;
-                                }
-                            }
-                            Err(_) => {
-                                self.obs.inc(self.ids.failed_retrieves);
-                                return;
-                            }
+                        let manifest = FileManifest::build(name.as_str(), &content);
+                        if self.svc.store(owner, manifest, now_ms).is_err() {
+                            self.obs.inc(self.ids.failed_retrieves);
+                            return;
                         }
-                        let got = self.svc.retrieve(owner, &name, now_ms);
-                        self.book_retrieve(op, got);
+                    }
+                    Err(_) => {
+                        self.obs.inc(self.ids.failed_retrieves);
+                        return;
                     }
                 }
+                let got = self.svc.retrieve(owner, &name, now_ms);
+                self.book_retrieve(i, got);
             }
         }
     }
@@ -587,6 +732,7 @@ impl ReplayEngine {
 /// built, priced and booked before the next front-end's are built.
 fn book_profile_flows(
     eng: &mut ReplayEngine,
+    ops: &[PlannedOp],
     cfg: &ReplayConfig,
     mix: &ProfileMix,
 ) -> Result<(), ConfigError> {
@@ -595,7 +741,7 @@ fn book_profile_flows(
     const UPLOAD_RWND: u64 = 65_535;
     const DOWNLOAD_RWND: u64 = 2 * 1024 * 1024;
     let mut per_fe: Vec<Vec<usize>> = vec![Vec::new(); cfg.frontends];
-    for (i, op) in eng.ops.iter().enumerate() {
+    for (i, op) in ops.iter().enumerate() {
         // A zero-byte op is metadata-only (deduplicated store), failed or
         // empty: nothing crossed the network.
         if eng.op_bytes[i] > 0 {
@@ -613,7 +759,7 @@ fn book_profile_flows(
         let (flows, flow_names): (Vec<FairFlowSpec>, Vec<&'static str>) = op_ids
             .iter()
             .map(|&i| {
-                let op = &eng.ops[i];
+                let op = &ops[i];
                 let (name, up, down) = match last {
                     Some((user, name, up, down)) if user == op.user => (name, up, down),
                     _ => {
@@ -709,12 +855,13 @@ mod tests {
     /// booked. Kept as the reference the per-front-end pass must match.
     fn book_all_at_once(
         eng: &mut ReplayEngine,
+        ops: &[PlannedOp],
         cfg: &ReplayConfig,
         mix: &ProfileMix,
     ) -> Result<(), ConfigError> {
         let mut per_fe: Vec<Vec<FairFlowSpec>> = vec![Vec::new(); cfg.frontends];
         let mut names: Vec<Vec<&'static str>> = vec![Vec::new(); cfg.frontends];
-        for (i, op) in eng.ops.iter().enumerate() {
+        for (i, op) in ops.iter().enumerate() {
             let bytes = eng.op_bytes[i];
             if bytes == 0 {
                 continue;
@@ -782,8 +929,9 @@ mod tests {
             .unwrap();
             for plan in [FaultPlan::none(cfg.frontends), rough] {
                 let retry = RetryPolicy::default();
-                let mut reference = execute(&gen, &cfg, &plan, retry).unwrap();
-                book_all_at_once(&mut reference, &cfg, &mix).unwrap();
+                let (mut reference, ops) = setup(&gen, &cfg, &plan, retry).unwrap();
+                execute(&mut reference, &ops, &plan);
+                book_all_at_once(&mut reference, &ops, &cfg, &mix).unwrap();
                 reference.obs.merge(reference.svc.metrics());
                 let want = reference.obs.snapshot();
                 let (_, _, got) = replay(&gen, &cfg, &plan, retry).unwrap();
@@ -795,20 +943,21 @@ mod tests {
         }
     }
 
-    /// Runs the execute phase as it was before it became a loop, on a
-    /// queue pre-filled with every op in plan order, at its deadline under
-    /// a plan or at its plan index in fair weather, and dispatched in the
-    /// queue's (time, insertion) order, each event counted against its
-    /// front-end. Returns the plan indices in dispatch order and the
-    /// snapshot JSON.
+    /// Runs the execute phase as it was before it became a loop and
+    /// before it hashed on a second thread: on a queue pre-filled with
+    /// every op in plan order, at its deadline under a plan or at its plan
+    /// index in fair weather, dispatched in the queue's (time, insertion)
+    /// order, each event counted against its front-end, each store hashing
+    /// its manifest inline. Returns the plan indices in dispatch order and
+    /// the snapshot JSON.
     fn prefilled_queue(
         gen: &TraceGenerator,
         cfg: &ReplayConfig,
         plan: &FaultPlan,
     ) -> (Vec<usize>, String) {
-        let mut eng = setup(gen, cfg, plan, RetryPolicy::default()).unwrap();
+        let (mut eng, ops) = setup(gen, cfg, plan, RetryPolicy::default()).unwrap();
         let mut q = EventQueue::new();
-        for (i, op) in eng.ops.iter().enumerate() {
+        for (i, op) in ops.iter().enumerate() {
             let at = if plan.is_empty() {
                 i as u64
             } else {
@@ -818,10 +967,18 @@ mod tests {
         }
         let mut seq = Vec::new();
         let mut events = vec![0; cfg.frontends];
-        while let Some((_, op)) = q.pop() {
-            seq.push(op);
-            events[eng.svc.metadata().closest_frontend(eng.ops[op].user)] += 1;
-            eng.dispatch(op);
+        while let Some((_, i)) = q.pop() {
+            seq.push(i);
+            let op = &ops[i];
+            events[eng.svc.metadata().closest_frontend(op.user)] += 1;
+            match op.kind {
+                PlannedKind::Store { seq: n, seed, size } => {
+                    let content = Content::Synthetic { seed, size };
+                    let manifest = FileManifest::build(store_path(op.user, n), &content);
+                    eng.store(i, op, n, manifest);
+                }
+                PlannedKind::Retrieve { fallback_seed } => eng.retrieve(i, op, fallback_seed),
+            }
         }
         let steps = eng.obs.counter("sim.steps");
         eng.obs.add(steps, seq.len() as u64);
@@ -846,10 +1003,8 @@ mod tests {
         .unwrap();
         for plan in [FaultPlan::none(cfg.frontends), rough] {
             let (want, want_json) = prefilled_queue(&gen, &cfg, &plan);
-            let ops = setup(&gen, &cfg, &plan, RetryPolicy::default())
-                .unwrap()
-                .ops;
-            let got: Vec<usize> = dispatch_order(&ops, &plan).collect();
+            let ops = plan_ops(&gen, &cfg);
+            let got: Vec<usize> = DispatchOrder::new(&ops, &plan).iter().collect();
             assert!(got.len() > 1000, "{} ops", got.len());
             assert_eq!(got, want, "time-gated: {}", !plan.is_empty());
             let (_, _, snap) = replay(&gen, &cfg, &plan, RetryPolicy::default()).unwrap();
@@ -868,6 +1023,100 @@ mod tests {
                 assert!(ties > 100, "only {ties} same-deadline ties");
             }
         }
+    }
+
+    #[test]
+    fn handover_builds_every_manifest_across_block_edges() {
+        use crate::content::CHUNK_SIZE;
+        let gen = small_gen(43);
+        let cfg = ReplayConfig::default();
+        let mut ops = plan_ops(&gen, &cfg);
+        // The planner never plans an empty file and seldom an exact
+        // number of chunks: give every fifth store such a size.
+        let edges = [
+            0,
+            1,
+            CHUNK_SIZE - 1,
+            CHUNK_SIZE,
+            CHUNK_SIZE + 1,
+            3 * CHUNK_SIZE,
+        ];
+        let planned = ops.iter_mut().filter_map(|op| match &mut op.kind {
+            PlannedKind::Store { size, .. } => Some(size),
+            PlannedKind::Retrieve { .. } => None,
+        });
+        for (k, size) in planned.enumerate().filter(|(k, _)| k % 5 == 0) {
+            *size = edges[k / 5 % edges.len()];
+        }
+        let rough = FaultPlan::generate(&FaultPlanConfig {
+            seed: 43,
+            horizon_ms: gen.config().horizon_ms(),
+            n_frontends: cfg.frontends,
+            ..FaultPlanConfig::default()
+        })
+        .unwrap();
+        for plan in [FaultPlan::none(cfg.frontends), rough] {
+            let order = DispatchOrder::new(&ops, &plan);
+            let mut stores = 0;
+            thread::scope(|s| {
+                let (tx, blocks) = sync_channel(1);
+                // Three stores to a block: block edges fall inside
+                // sessions, between files that share a start time.
+                let client = s.spawn(|| hash_stores(&ops, order.iter(), 3, tx));
+                let mut handover = Handover::new(blocks, client);
+                for i in order.iter() {
+                    if let PlannedKind::Store { seq, seed, size } = ops[i].kind {
+                        let name = store_path(ops[i].user, seq);
+                        let want =
+                            FileManifest::build(name.clone(), &Content::Synthetic { seed, size });
+                        assert_eq!(handover.manifest(name, size), want, "store {stores}");
+                        stores += 1;
+                    }
+                }
+            });
+            assert!(stores > 300, "{stores} stores");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 1 but the index is 99")]
+    fn handover_re_raises_a_client_panic_with_its_message() {
+        let ops = [PlannedOp {
+            user: 1,
+            at_ms: 0,
+            kind: PlannedKind::Store {
+                seq: 1,
+                seed: 5,
+                size: 10,
+            },
+        }];
+        thread::scope(|s| {
+            let (tx, blocks) = sync_channel(1);
+            // The client hashes store 0, then panics on a plan index past
+            // the end of the plan.
+            let client = s.spawn(|| hash_stores(&ops, [0, 99].into_iter(), 1, tx));
+            let mut handover = Handover::new(blocks, client);
+            let first = handover.manifest(store_path(1, 1), 10);
+            assert_eq!(first.chunk_count(), 1);
+            handover.manifest(store_path(1, 2), 10);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "the service stage failed")]
+    fn a_service_stage_panic_stops_the_client() {
+        // Far more stores than the channel holds: the client blocks on the
+        // full channel until the service stage's unwinding drops its end,
+        // then returns, so the scope can join it and the panic propagates
+        // instead of hanging.
+        let ops = plan_ops(&small_gen(41), &ReplayConfig::default());
+        let order = DispatchOrder::new(&ops, &FaultPlan::none(8));
+        thread::scope(|s| {
+            let (tx, blocks) = sync_channel(1);
+            let client = s.spawn(|| hash_stores(&ops, order.iter(), 1, tx));
+            let _handover = Handover::new(blocks, client);
+            panic!("the service stage failed");
+        });
     }
 
     /// FNV-1a of `format!("{stats:?} {}", snap.to_json())`, the digest

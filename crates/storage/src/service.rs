@@ -27,7 +27,7 @@ use mcs_faults::{unit_coin, ConfigError, FaultPlan, RetryPolicy};
 use mcs_obs::{CounterId, HistId, Registry};
 use mcs_stats::rng::split_seed;
 
-use crate::content::{Content, FileManifest};
+use crate::content::FileManifest;
 use crate::error::ServiceError;
 use crate::frontend::FrontEnd;
 use crate::md5::Digest;
@@ -119,14 +119,15 @@ pub struct FaultTelemetry {
 /// The whole service.
 ///
 /// ```
-/// use mcs_storage::{Content, ServiceError, StorageService};
+/// use mcs_storage::{Content, FileManifest, ServiceError, StorageService};
 ///
 /// let mut svc = StorageService::new(4, 24).unwrap();
 /// let photo = Content::Synthetic { seed: 1, size: 1_500_000 };
-/// let first = svc.store(1, "a.jpg", &photo, 0).unwrap();
+/// // The client hashes the file into the manifest it sends (§2.1).
+/// let first = svc.store(1, FileManifest::build("a.jpg", &photo), 0).unwrap();
 /// assert!(!first.deduplicated);
 /// // Another user uploads the same bytes: the metadata server dedups.
-/// let second = svc.store(2, "b.jpg", &photo, 10).unwrap();
+/// let second = svc.store(2, FileManifest::build("b.jpg", &photo), 10).unwrap();
 /// assert!(second.deduplicated);
 /// assert_eq!(svc.retrieve(2, "b.jpg", 20).unwrap().bytes_downloaded, 1_500_000);
 /// assert_eq!(svc.retrieve(2, "c.jpg", 30), Err(ServiceError::NotFound));
@@ -329,7 +330,10 @@ impl StorageService {
         &self.obs
     }
 
-    /// Stores one file: metadata round trip, dedup check, chunk uploads.
+    /// Stores one file from the manifest its client computed (§2.1: name,
+    /// size, file MD5 and per-chunk MD5s; see [`FileManifest::build`]):
+    /// metadata round trip, dedup check, chunk uploads. The service never
+    /// hashes; it trusts the client's digests.
     ///
     /// Under a fault plan the store fails over past down front-ends and
     /// fails with a [`ServiceError`] once the retry budget is spent. A
@@ -341,14 +345,12 @@ impl StorageService {
     pub fn store(
         &mut self,
         user: UserId,
-        name: &str,
-        content: &Content,
+        manifest: FileManifest,
         now_ms: u64,
     ) -> Result<StoreOutcome, ServiceError> {
         // The schedule leaves `self` for the operation, so the engine can
         // read it while booking into `self`.
         let Some(faults) = self.faults.take() else {
-            let manifest = FileManifest::build(name, content);
             return Ok(match self.metadata.begin_store(user, &manifest, now_ms) {
                 StoreDecision::Deduplicated => StoreOutcome::DEDUPLICATED,
                 StoreDecision::Upload { frontend } => {
@@ -363,7 +365,7 @@ impl StorageService {
                 }
             });
         };
-        let out = self.faulted_store(&faults, user, name, content, now_ms);
+        let out = self.faulted_store(&faults, user, manifest, now_ms);
         self.faults = Some(faults);
         out
     }
@@ -513,12 +515,10 @@ impl StorageService {
         &mut self,
         f: &Faults,
         user: UserId,
-        name: &str,
-        content: &Content,
+        manifest: FileManifest,
         now_ms: u64,
     ) -> Result<StoreOutcome, ServiceError> {
         let mut op = self.begin_op(f, now_ms)?;
-        let manifest = FileManifest::build(name, content);
         // Dedup pre-check *before* mutating the namespace, so a store that
         // later fails on the data path leaves no dangling link.
         if self.metadata.knows(&manifest.file_digest) {
@@ -727,7 +727,7 @@ impl StorageService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::content::CHUNK_SIZE;
+    use crate::content::{Content, CHUNK_SIZE};
     use mcs_faults::Windows;
 
     fn photo(seed: u64) -> Content {
@@ -748,7 +748,9 @@ mod tests {
     #[test]
     fn end_to_end_store_and_retrieve() {
         let mut svc = StorageService::new(4, 24).unwrap();
-        let out = svc.store(1, "p/1.jpg", &photo(1), 0).unwrap();
+        let out = svc
+            .store(1, FileManifest::build("p/1.jpg", &photo(1)), 0)
+            .unwrap();
         assert!(!out.deduplicated);
         assert_eq!(out.bytes_uploaded, 1_500_000);
         let got = svc.retrieve(1, "p/1.jpg", 1000).expect("retrieved");
@@ -758,8 +760,12 @@ mod tests {
     #[test]
     fn cross_user_dedup_saves_upload() {
         let mut svc = StorageService::new(4, 24).unwrap();
-        let a = svc.store(1, "x.jpg", &photo(7), 0).unwrap();
-        let b = svc.store(2, "y.jpg", &photo(7), 10).unwrap();
+        let a = svc
+            .store(1, FileManifest::build("x.jpg", &photo(7)), 0)
+            .unwrap();
+        let b = svc
+            .store(2, FileManifest::build("y.jpg", &photo(7)), 10)
+            .unwrap();
         assert!(!a.deduplicated);
         assert!(b.deduplicated);
         assert_eq!(b.bytes_uploaded, 0);
@@ -776,7 +782,8 @@ mod tests {
             seed: 50,
             size: 150_000_000,
         };
-        svc.store(1, "clip.mp4", &video, 0).unwrap();
+        svc.store(1, FileManifest::build("clip.mp4", &video), 0)
+            .unwrap();
         let url = svc.publish_url(1, "clip.mp4").expect("url");
         // Many downloaders (the §3.2.1 download-only pattern).
         for user in 100..110 {
@@ -788,8 +795,10 @@ mod tests {
     #[test]
     fn delete_and_garbage_collection() {
         let mut svc = StorageService::new(3, 24).unwrap();
-        svc.store(1, "a.jpg", &photo(1), 0).unwrap();
-        svc.store(2, "b.jpg", &photo(1), 1).unwrap(); // dedup link to same content
+        svc.store(1, FileManifest::build("a.jpg", &photo(1)), 0)
+            .unwrap();
+        svc.store(2, FileManifest::build("b.jpg", &photo(1)), 1)
+            .unwrap(); // dedup link to same content
         assert_eq!(svc.stored_bytes(), 1_500_000);
 
         // Deleting one link leaves the content alive (user 2 still links).
@@ -813,8 +822,10 @@ mod tests {
     #[test]
     fn gc_only_touches_orphans() {
         let mut svc = StorageService::new(2, 24).unwrap();
-        svc.store(1, "keep.jpg", &photo(5), 0).unwrap();
-        svc.store(1, "drop.jpg", &photo(6), 1).unwrap();
+        svc.store(1, FileManifest::build("keep.jpg", &photo(5)), 0)
+            .unwrap();
+        svc.store(1, FileManifest::build("drop.jpg", &photo(6)), 1)
+            .unwrap();
         svc.delete(1, "drop.jpg");
         let freed = svc.collect_garbage();
         assert_eq!(freed, 1_500_000);
@@ -837,8 +848,8 @@ mod tests {
             let mut svc = StorageService::new(1, 24).unwrap();
             svc.set_fault_plan(quiet_plan(1), RetryPolicy::default(), mode)
                 .unwrap();
-            svc.store(1, "x", &x, 0).unwrap();
-            svc.store(1, "y", &y, 10).unwrap();
+            svc.store(1, FileManifest::build("x", &x), 0).unwrap();
+            svc.store(1, FileManifest::build("y", &y), 10).unwrap();
             let skipped = u64::from(mode == RetryMode::Resume);
             assert_eq!(svc.transfer_stats().chunks_deduped, skipped, "{mode:?}");
             assert!(svc.delete(1, "x"));
@@ -880,7 +891,9 @@ mod tests {
     fn zero_byte_file_stores_and_retrieves() {
         let mut svc = StorageService::new(2, 24).unwrap();
         let empty = Content::Synthetic { seed: 3, size: 0 };
-        let out = svc.store(1, "empty.txt", &empty, 0).unwrap();
+        let out = svc
+            .store(1, FileManifest::build("empty.txt", &empty), 0)
+            .unwrap();
         assert!(!out.deduplicated);
         assert_eq!(out.bytes_uploaded, 0);
         let got = svc.retrieve(1, "empty.txt", 5).expect("resolves");
@@ -903,8 +916,8 @@ mod tests {
             for i in 0..20u64 {
                 let c = photo(i % 5);
                 let name = format!("f{i}");
-                let a = plain.store(i % 3, &name, &c, i * 100);
-                let b = none.store(i % 3, &name, &c, i * 100);
+                let a = plain.store(i % 3, FileManifest::build(&name, &c), i * 100);
+                let b = none.store(i % 3, FileManifest::build(&name, &c), i * 100);
                 assert_eq!(a, b, "{mode:?}");
             }
             for i in 0..20u64 {
@@ -943,7 +956,9 @@ mod tests {
             plan.frontend_outages[home] = Windows::new(vec![(0, u64::MAX)]);
             svc.set_fault_plan(plan, RetryPolicy::default(), mode)
                 .unwrap();
-            let out = svc.store(user, "a.jpg", &photo(1), 0).unwrap();
+            let out = svc
+                .store(user, FileManifest::build("a.jpg", &photo(1)), 0)
+                .unwrap();
             assert_eq!(out.frontend, Some(1 - home), "failed over to the peer");
             assert_eq!(svc.telemetry().failovers, 1);
             assert_eq!(svc.telemetry().failed_ops, 0);
@@ -963,7 +978,9 @@ mod tests {
                 ..RetryPolicy::default()
             };
             svc.set_fault_plan(plan, retry, mode).unwrap();
-            let err = svc.store(1, "a.jpg", &photo(1), 0).unwrap_err();
+            let err = svc
+                .store(1, FileManifest::build("a.jpg", &photo(1)), 0)
+                .unwrap_err();
             assert_eq!(err, ServiceError::AllFrontendsDown { attempts: 3 });
             assert_eq!(svc.telemetry().failed_ops, 1);
             assert_eq!(svc.telemetry().retries, 2);
@@ -981,7 +998,9 @@ mod tests {
         plan.metadata_outages = Windows::new(vec![(0, 50)]);
         svc.set_fault_plan(plan, RetryPolicy::default(), RetryMode::Resume)
             .unwrap();
-        let out = svc.store(1, "a.jpg", &photo(1), 0).unwrap();
+        let out = svc
+            .store(1, FileManifest::build("a.jpg", &photo(1)), 0)
+            .unwrap();
         assert!(!out.deduplicated);
         assert!(svc.telemetry().retries >= 1);
         assert_eq!(svc.telemetry().failed_ops, 0);
@@ -1004,7 +1023,9 @@ mod tests {
                 ..RetryPolicy::default()
             };
             svc.set_fault_plan(plan, retry, mode).unwrap();
-            let err = svc.store(1, "a.jpg", &photo(1), 0).unwrap_err();
+            let err = svc
+                .store(1, FileManifest::build("a.jpg", &photo(1)), 0)
+                .unwrap_err();
             assert_eq!(
                 err,
                 ServiceError::ChunkTimeout {
@@ -1029,7 +1050,8 @@ mod tests {
         plan.metadata_outages = Windows::new(vec![(0, 50)]);
         svc.set_fault_plan(plan, RetryPolicy::default(), RetryMode::Resume)
             .unwrap();
-        svc.store(1, "a.jpg", &photo(1), 0).unwrap();
+        svc.store(1, FileManifest::build("a.jpg", &photo(1)), 0)
+            .unwrap();
         let t = svc.telemetry();
         let m = svc.metrics();
         assert!(t.retries >= 1);
@@ -1044,8 +1066,11 @@ mod tests {
     fn dedup_retrieve_works_without_reupload() {
         // The §2.1 promise: a deduplicated store is still fully retrievable.
         let mut svc = StorageService::new(3, 24).unwrap();
-        svc.store(1, "a", &photo(9), 0).unwrap();
-        let o = svc.store(2, "b", &photo(9), 1).unwrap();
+        svc.store(1, FileManifest::build("a", &photo(9)), 0)
+            .unwrap();
+        let o = svc
+            .store(2, FileManifest::build("b", &photo(9)), 1)
+            .unwrap();
         assert!(o.deduplicated);
         // The content lives on user 1's front-end; the metadata server
         // routes user 2's retrieval there, so the full bytes come back and
@@ -1084,7 +1109,9 @@ mod tests {
         let mut svc = StorageService::new(1, 24).unwrap();
         svc.set_fault_plan(stall_then_clear_plan(9), TWO_ATTEMPTS, RetryMode::Resume)
             .unwrap();
-        let err = svc.store(1, "big.bin", &content, 0).unwrap_err();
+        let err = svc
+            .store(1, FileManifest::build("big.bin", &content), 0)
+            .unwrap_err();
         assert!(matches!(
             err,
             ServiceError::AllFrontendsDown { .. } | ServiceError::FrontendUnavailable { .. }
@@ -1100,7 +1127,9 @@ mod tests {
         assert!(svc.metadata().list(1).is_empty());
 
         // Weather clears; the retried upload skips what the front-end holds.
-        let out = svc.store(1, "big.bin", &content, 10_000).unwrap();
+        let out = svc
+            .store(1, FileManifest::build("big.bin", &content), 10_000)
+            .unwrap();
         assert!(!out.deduplicated);
         assert_eq!(
             out.bytes_uploaded,
@@ -1152,14 +1181,18 @@ mod tests {
         let mut svc = StorageService::new(1, 24).unwrap();
         svc.set_fault_plan(stall_then_clear_plan(9), TWO_ATTEMPTS, RetryMode::WholeFile)
             .unwrap();
-        assert!(svc.store(1, "big.bin", &content, 0).is_err());
+        assert!(svc
+            .store(1, FileManifest::build("big.bin", &content), 0)
+            .is_err());
         let stats1 = svc.transfer_stats();
         assert!(stats1.chunks_sent > 0, "the stalled attempt moved chunks");
         assert_eq!(svc.frontends()[0].distinct_chunks(), 0);
         assert!(svc.metadata().list(1).is_empty());
 
         // The retry starts from byte zero.
-        let out = svc.store(1, "big.bin", &content, 10_000).unwrap();
+        let out = svc
+            .store(1, FileManifest::build("big.bin", &content), 10_000)
+            .unwrap();
         assert_eq!(out.bytes_uploaded, size);
         let stats2 = svc.transfer_stats();
         assert_eq!(stats2.chunks_sent - stats1.chunks_sent, 8);
@@ -1173,7 +1206,8 @@ mod tests {
         let size = 4_000_000u64;
         let content = Content::Synthetic { seed: 22, size };
         let mut svc = StorageService::new(1, 24).unwrap();
-        svc.store(1, "big.bin", &content, 0).unwrap();
+        svc.store(1, FileManifest::build("big.bin", &content), 0)
+            .unwrap();
         svc.set_fault_plan(stall_then_clear_plan(5), TWO_ATTEMPTS, RetryMode::Resume)
             .unwrap();
         let err = svc.retrieve(1, "big.bin", 0).unwrap_err();
@@ -1202,7 +1236,8 @@ mod tests {
         let size = 4_000_000u64;
         let content = Content::Synthetic { seed: 22, size };
         let mut svc = StorageService::new(1, 24).unwrap();
-        svc.store(1, "big.bin", &content, 0).unwrap();
+        svc.store(1, FileManifest::build("big.bin", &content), 0)
+            .unwrap();
         svc.set_fault_plan(stall_then_clear_plan(5), TWO_ATTEMPTS, RetryMode::WholeFile)
             .unwrap();
         assert!(svc.retrieve(1, "big.bin", 0).is_err());
@@ -1219,6 +1254,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::content::Content;
     use mcs_stats::rng::{stream_rng, Rng};
 
     /// Any operation sequence keeps the service consistent: a stored,
@@ -1244,7 +1280,7 @@ mod proptests {
                         let seed = rng.random_range(0u64..6);
                         let size = rng.random_range(1u64..2_000_000);
                         let content = Content::Synthetic { seed, size };
-                        let stored = svc.store(user, &name, &content, now);
+                        let stored = svc.store(user, FileManifest::build(&name, &content), now);
                         assert!(stored.is_ok(), "case {case}, op {t}: {stored:?}");
                         live.insert((user, name), size);
                     }

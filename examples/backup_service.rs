@@ -10,8 +10,8 @@
 use mcs::render::{bytes, pct};
 use mcs::stats::rng::{stream_rng, Rng, Zipf};
 use mcs::storage::{
-    evaluate_deferral, Content, DeferPolicy, LruCache, StorageService, TierPolicy, TieredStore,
-    UploadJob,
+    evaluate_deferral, Content, DeferPolicy, FileManifest, LruCache, StorageService, TierPolicy,
+    TieredStore, UploadJob,
 };
 
 fn main() {
@@ -30,10 +30,12 @@ fn main() {
             )
         })
         .collect();
+    // The client sends each file's manifest (§2.1: size, file MD5, one MD5
+    // per 512 KB chunk), which `FileManifest::build` computes.
     let mut uploaded = 0;
     for (name, content) in &photos {
         let out = svc
-            .store(1, name, content, 21 * 3_600_000)
+            .store(1, FileManifest::build(name, content), 21 * 3_600_000)
             .expect("fair weather never fails a store");
         assert!(!out.deduplicated, "each photo is new content");
         uploaded += out.bytes_uploaded;
@@ -52,7 +54,7 @@ fn main() {
     let mut deduped = 0;
     for (name, content) in &copies {
         let out = svc
-            .store(1, name, content, 22 * 3_600_000)
+            .store(1, FileManifest::build(name, content), 22 * 3_600_000)
             .expect("fair weather never fails a store");
         deduped += usize::from(out.deduplicated);
     }
@@ -68,8 +70,12 @@ fn main() {
         seed: 7,
         size: 150_000_000,
     };
-    svc.store(2, "clips/meme.mp4", &video, 23 * 3_600_000)
-        .expect("fair weather never fails a store");
+    svc.store(
+        2,
+        FileManifest::build("clips/meme.mp4", &video),
+        23 * 3_600_000,
+    )
+    .expect("fair weather never fails a store");
     let url = svc.publish_url(2, "clips/meme.mp4").expect("published");
     for viewer in 100..120 {
         let got = svc

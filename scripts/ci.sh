@@ -29,6 +29,10 @@ cargo test --offline --locked -q
 # with the replay golden digests (replay_golden_digests), which pin every
 # replay output: service stats, chunk MD5s and the fair-share pass.
 cargo test --offline --locked --release -q -p mcs-storage
+# The replay integration tests in release too: there the client stage
+# hashes manifests on its own thread at the speed perfbench runs it, and
+# races the dispatch loop it hands them to.
+cargo test --offline --locked --release -q --test chaos --test service_replay
 # Likewise the packet engine's pins (golden digest, events per segment),
 # the mcs-sim queue they run on, and the fair-share solver's differential
 # test against its queue-based reference

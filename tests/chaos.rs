@@ -5,6 +5,7 @@
 //! when the plan is empty. Never a panic.
 
 use mcs::faults::{FaultPlan, FaultPlanConfig, RetryPolicy};
+use mcs::net::ProfileMix;
 use mcs::storage::{replay, ReplayConfig};
 use mcs::trace::{TraceConfig, TraceGenerator};
 
@@ -58,47 +59,65 @@ fn faulted_replay_is_bit_identical_across_runs_and_thread_counts() {
 
 #[test]
 fn faulted_metric_snapshots_are_bit_identical_across_thread_counts() {
-    let plan = rough_plan(&gen_with_threads(1));
     let retry = RetryPolicy {
         max_attempts: 2,
         ..RetryPolicy::default()
     };
-    let cfg = ReplayConfig::default();
-    let (_, base_stats, base_snap) = replay(&gen_with_threads(1), &cfg, &plan, retry).unwrap();
-    let base_json = base_snap.to_json();
-    assert_eq!(base_snap.counters["replay.stores"], base_stats.stores);
-    // The replay dispatches every planned operation exactly once and
-    // counts it against its user's front-end, so the per-front-end
-    // counters partition the total.
-    let sim_steps = base_snap.counters["sim.steps"];
-    assert_eq!(
-        sim_steps,
-        base_stats.stores + base_stats.failed_stores + base_stats.retrieves,
-        "one sim event per planned operation"
-    );
-    let per_component: u64 = base_snap
-        .counters
-        .iter()
-        .filter(|(name, _)| name.starts_with("sim.events."))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(
-        per_component, sim_steps,
-        "per-component event counts must partition sim.steps"
-    );
-    assert_eq!(
-        base_snap.counters["storage.backoff_ms"] > 0,
-        base_stats.retries > 0,
-        "backed-off retries must book their delay"
-    );
-    for threads in [2usize, 7] {
-        let (_, stats, snap) = replay(&gen_with_threads(threads), &cfg, &plan, retry).unwrap();
-        assert_eq!(stats, base_stats, "threads = {threads}");
+    let faulted = ReplayConfig::default();
+    // Fair weather with the network pass on a front-end link slow enough
+    // that flows contend: the manifest hand-over, the plan-order dispatch
+    // loop and the fair-share pass, byte for byte.
+    let fair = ReplayConfig {
+        profiles: Some(ProfileMix::mobile()),
+        frontend_link_bps: 2_000_000,
+        ..ReplayConfig::default()
+    };
+    let inputs = [
+        (faulted, rough_plan(&gen_with_threads(1))),
+        (fair, FaultPlan::none(fair.frontends)),
+    ];
+    for (cfg, plan) in &inputs {
+        let (_, base_stats, base_snap) = replay(&gen_with_threads(1), cfg, plan, retry).unwrap();
+        let base_json = base_snap.to_json();
+        assert_eq!(base_snap.counters["replay.stores"], base_stats.stores);
+        // The replay dispatches every planned operation exactly once and
+        // counts it against its user's front-end, so the per-front-end
+        // counters partition the total.
+        let sim_steps = base_snap.counters["sim.steps"];
         assert_eq!(
-            snap.to_json(),
-            base_json,
-            "metric snapshot must be byte-identical at {threads} threads"
+            sim_steps,
+            base_stats.stores + base_stats.failed_stores + base_stats.retrieves,
+            "one sim event per planned operation"
         );
+        let per_component: u64 = base_snap
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("sim.events."))
+            .map(|(_, v)| v)
+            .sum();
+        assert_eq!(
+            per_component, sim_steps,
+            "per-component event counts must partition sim.steps"
+        );
+        assert_eq!(
+            base_snap.counters["storage.backoff_ms"] > 0,
+            base_stats.retries > 0,
+            "backed-off retries must book their delay"
+        );
+        assert_eq!(
+            cfg.profiles.is_some(),
+            base_snap.counters.contains_key("net.profile.recomputes"),
+            "the network pass runs exactly when profiles are set"
+        );
+        for threads in [2usize, 7] {
+            let (_, stats, snap) = replay(&gen_with_threads(threads), cfg, plan, retry).unwrap();
+            assert_eq!(stats, base_stats, "threads = {threads}");
+            assert_eq!(
+                snap.to_json(),
+                base_json,
+                "metric snapshot must be byte-identical at {threads} threads"
+            );
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Integration: replay the synthetic workload through the storage-service
 //! substrate and check the §2.1 invariants hold under trace-scale load.
 
-use mcs::storage::{Content, StorageService};
+use mcs::storage::{Content, FileManifest, StorageService};
 use mcs::trace::{Direction, TraceConfig, TraceGenerator};
 
 /// Replays every planned session of a small trace into the service.
@@ -39,8 +39,12 @@ fn replay(seed: u64) -> (StorageService, u64, u64) {
                                 size: f.size.max(1),
                             }
                         };
-                        svc.store(user.user_id, &name, &content, session.start_ms)
-                            .expect("fair weather never fails a store");
+                        svc.store(
+                            user.user_id,
+                            FileManifest::build(&name, &content),
+                            session.start_ms,
+                        )
+                        .expect("fair weather never fails a store");
                         owned.push(name);
                         stored_files += 1;
                     }
