@@ -54,11 +54,6 @@ impl PartialEq for FileSizeModelFit {
 }
 
 impl FileSizeModelFit {
-    /// Whether the fit passes the χ² test at 5 % (the paper's criterion).
-    pub fn passes_chi2(&self) -> bool {
-        self.chi2.map(|t| t.passes(0.05)).unwrap_or(false)
-    }
-
     /// Model-vs-empirical CCDF series for Fig. 6: `(MB, empirical, model)`
     /// triples at log-spaced sizes.
     pub fn ccdf_series(&self, points: usize) -> Vec<(f64, f64, f64)> {

@@ -82,11 +82,6 @@ impl ReproConfig {
         self
     }
 
-    /// The default reproduction setup (medium scale, fixed seed).
-    pub fn paper_default() -> Self {
-        Self::new(Scale::Medium, 0x4d43_5331)
-    }
-
     /// A fast setup for tests and CI.
     pub fn small(seed: u64) -> Self {
         Self::new(Scale::Small, seed)

@@ -242,49 +242,6 @@ pub fn run_scenario_cell(
     }
 }
 
-/// The full §4 campaign: both devices, both directions.
-#[derive(Debug, Clone)]
-pub struct Section4Results {
-    /// Android uploads.
-    pub android_upload: CampaignResult,
-    /// iOS uploads.
-    pub ios_upload: CampaignResult,
-    /// Android downloads.
-    pub android_download: CampaignResult,
-    /// iOS downloads.
-    pub ios_download: CampaignResult,
-}
-
-/// Runs everything Fig. 12/16 need.
-pub fn run_section4(flows_per_size: u32, seed: u64) -> Section4Results {
-    Section4Results {
-        android_upload: run_campaign(
-            DeviceProfile::android(),
-            Direction::Upload,
-            flows_per_size,
-            seed,
-        ),
-        ios_upload: run_campaign(
-            DeviceProfile::ios(),
-            Direction::Upload,
-            flows_per_size,
-            seed + 1,
-        ),
-        android_download: run_campaign(
-            DeviceProfile::android(),
-            Direction::Download,
-            flows_per_size,
-            seed + 2,
-        ),
-        ios_download: run_campaign(
-            DeviceProfile::ios(),
-            Direction::Download,
-            flows_per_size,
-            seed + 3,
-        ),
-    }
-}
-
 /// Fig. 13: a single 10 MB upload per device, returning the raw traces
 /// whose first seconds the figure plots.
 pub fn run_fig13(seed: u64) -> (FlowTrace, FlowTrace) {

@@ -107,19 +107,9 @@ impl Registry {
         self.gauges[id.0].set(v);
     }
 
-    /// Last value set on a gauge, if any.
-    pub fn gauge_value(&self, id: GaugeId) -> Option<i64> {
-        self.gauges[id.0].get()
-    }
-
     /// Records an observation into a histogram.
     pub fn observe(&mut self, id: HistId, v: u64) {
         self.hists[id.0].observe(v);
-    }
-
-    /// Read access to a histogram.
-    pub fn histogram_ref(&self, id: HistId) -> &Histogram {
-        &self.hists[id.0]
     }
 
     /// Value of the counter named `name`, if registered.

@@ -154,17 +154,6 @@ impl DiurnalProfile {
             .expect("24 hours")
     }
 
-    /// Hour of day with the lowest mean load.
-    pub fn trough_hour(&self) -> usize {
-        self.hours
-            .iter()
-            .enumerate()
-            .min_by(|a, b| f64::total_cmp(a.1, b.1))
-            .map(|(h, _)| h)
-            // mcs-lint: allow(panic, hours is a fixed 24-slot array)
-            .expect("24 hours")
-    }
-
     /// Normalises so the profile sums to 1 (an intensity distribution the
     /// workload generator can sample hours from). All-zero profiles come
     /// back uniform.

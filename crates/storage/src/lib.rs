@@ -13,11 +13,11 @@
 //! * [`service`] — the clustered façade used by examples and tests: one
 //!   `store` (of the manifest the client computed) and one `retrieve`,
 //!   which under an injected
-//!   [`mcs_faults::FaultPlan`] retry, fail over and book degraded-mode
-//!   telemetry, resuming or restarting stalled transfers per
-//!   [`RetryMode`],
-//! * [`transfer`] — the resumable, out-of-order chunk-transfer protocol
-//!   (per-chunk MD5 verification, arrival windows, resume-from-partial)
+//!   [`mcs_faults::FaultPlan`] retry, fail over and count what they did in
+//!   the service's metric registry, resuming or restarting stalled
+//!   transfers per [`RetryMode`],
+//! * [`transfer`] — the resumable, out-of-order chunk-transfer engine
+//!   (arrival windows, acks in any order, resume from the verified chunks)
 //!   that faulted operations drive on an `mcs-sim` event queue,
 //! * [`replay`](mod@replay) — a synthetic trace replayed through the
 //!   service, one planned operation after another, in fair weather or
@@ -56,9 +56,8 @@ pub use metadata::{MetadataServer, ShareUrl, StoreDecision, UserId};
 pub use replay::{
     replay, replay_trace_faulted_observed, replay_trace_observed, ReplayConfig, ReplayStats,
 };
-pub use service::{FaultTelemetry, RetrieveOutcome, RetryMode, StorageService, StoreOutcome};
+pub use service::{RetrieveOutcome, RetryMode, StorageService, StoreOutcome};
 pub use tier::{Tier, TierPolicy, TieredStore};
 pub use transfer::{
-    run_transfer_attempt, AttemptReport, Channel, ChunkFate, ChunkState, Stall, TransferConfig,
-    TransferError, TransferSession, TransferStats,
+    run_transfer_attempt, AttemptReport, Channel, ChunkFate, Stall, TransferSession,
 };

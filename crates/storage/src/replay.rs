@@ -206,7 +206,11 @@ pub fn replay(
     let ReplayEngine {
         svc, mut obs, ids, ..
     } = eng;
-    let t = svc.telemetry();
+    // One registry carries every layer: replay.*, the service's storage.*
+    // and transfer.*, and the sim.* counts of dispatched ops per
+    // front-end. The stats and the snapshot are both read from it.
+    obs.merge(svc.metrics());
+    let count = |name: &str| obs.counter_by_name(name).unwrap_or(0);
     let stats = ReplayStats {
         stores: obs.counter_value(ids.stores),
         retrieves: obs.counter_value(ids.retrieves),
@@ -216,16 +220,13 @@ pub fn replay(
         retrieve_misses: obs.counter_value(ids.retrieve_misses),
         failed_stores: obs.counter_value(ids.failed_stores),
         failed_retrieves: obs.counter_value(ids.failed_retrieves),
-        retries: t.retries,
-        failovers: t.failovers,
-        chunk_timeouts: t.chunk_timeouts,
-        retry_bytes: t.retry_bytes,
-        resumed_transfers: t.resumed_transfers,
-        resume_saved_bytes: t.resume_saved_bytes,
+        retries: count("storage.retries"),
+        failovers: count("storage.failovers"),
+        chunk_timeouts: count("storage.chunk_timeouts"),
+        retry_bytes: count("storage.retry_bytes"),
+        resumed_transfers: count("transfer.resumed_sessions"),
+        resume_saved_bytes: count("transfer.resume_saved_bytes"),
     };
-    // One snapshot carries all three layers: replay.*, storage.* and the
-    // sim.* counts of dispatched ops per front-end.
-    obs.merge(svc.metrics());
     Ok((svc, stats, obs.snapshot()))
 }
 
@@ -492,9 +493,10 @@ pub fn replay_trace_faulted_observed(
     replay(gen, cfg, plan, retry)
 }
 
-/// Handles into the replay's metric registry. [`ReplayStats`] is
-/// materialised from these counters at the end of the run, so the struct
-/// consumers destructure and the exported snapshot can never disagree.
+/// Handles into the replay's metric registry. [`ReplayStats`] is read
+/// from these counters and the service's, merged, at the end of the run,
+/// so the struct consumers destructure and the exported snapshot can
+/// never disagree.
 struct ReplayIds {
     stores: CounterId,
     retrieves: CounterId,

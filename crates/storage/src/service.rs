@@ -33,8 +33,7 @@ use crate::frontend::FrontEnd;
 use crate::md5::Digest;
 use crate::metadata::{MetadataServer, ShareUrl, StoreDecision, UserId};
 use crate::transfer::{
-    run_transfer_attempt, AttemptReport, Channel, ChunkFate, Stall, TransferConfig,
-    TransferSession, TransferStats,
+    run_transfer_attempt, AttemptReport, Channel, ChunkFate, Stall, TransferSession,
 };
 
 /// Coin stream for retry-backoff jitter (disjoint from the fault plan's
@@ -89,33 +88,6 @@ pub struct RetrieveOutcome {
     pub frontend: usize,
 }
 
-/// Degraded-mode counters accumulated by faulted operations.
-///
-/// This is a *view*: the service keeps its counts in an `mcs-obs`
-/// [`Registry`] (see [`StorageService::metrics`]) and materialises this
-/// struct on demand, so the shape downstream consumers destructure is
-/// unchanged while every counter is also exportable by name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultTelemetry {
-    /// Backoff-and-retry rounds issued (all causes).
-    pub retries: u64,
-    /// Uploads redirected past a down front-end to a live one.
-    pub failovers: u64,
-    /// Chunk sends that timed out on a browned-out front-end.
-    pub chunk_timeouts: u64,
-    /// Operations that exhausted their retry budget and failed.
-    pub failed_ops: u64,
-    /// Bytes moved (or re-moved) by attempts that did not complete —
-    /// the retry-inflated traffic a fair-weather model never sees.
-    pub retry_bytes: u64,
-    /// Transfer attempts that started from partial progress instead of
-    /// byte zero (view over `transfer.resumed_sessions`).
-    pub resumed_transfers: u64,
-    /// Bytes those resumes did *not* re-send that a whole-file retry
-    /// would have (view over `transfer.resume_saved_bytes`).
-    pub resume_saved_bytes: u64,
-}
-
 /// The whole service.
 ///
 /// ```
@@ -138,7 +110,8 @@ pub struct StorageService {
     frontends: Vec<FrontEnd>,
     /// Installed fault schedule (None = fair weather).
     faults: Option<Faults>,
-    /// Registry-backed degraded-mode counters ([`Self::metrics`]).
+    /// The one record of what faulted operations counted
+    /// ([`Self::metrics`]).
     obs: Registry,
     ids: TelemetryIds,
     /// Monotone operation counter keying per-op fault/jitter coins.
@@ -296,36 +269,11 @@ impl StorageService {
         self.faults = None;
     }
 
-    /// Degraded-mode counters accumulated so far, materialised from the
-    /// metric registry.
-    pub fn telemetry(&self) -> FaultTelemetry {
-        FaultTelemetry {
-            retries: self.obs.counter_value(self.ids.retries),
-            failovers: self.obs.counter_value(self.ids.failovers),
-            chunk_timeouts: self.obs.counter_value(self.ids.chunk_timeouts),
-            failed_ops: self.obs.counter_value(self.ids.failed_ops),
-            retry_bytes: self.obs.counter_value(self.ids.retry_bytes),
-            resumed_transfers: self.obs.counter_value(self.ids.tx_resumed),
-            resume_saved_bytes: self.obs.counter_value(self.ids.tx_resume_saved_bytes),
-        }
-    }
-
-    /// Chunk-transfer protocol counters, materialised from the registry's
-    /// `transfer.*` names (the [`TransferStats`] monoid).
-    pub fn transfer_stats(&self) -> TransferStats {
-        TransferStats {
-            sessions: self.obs.counter_value(self.ids.tx_sessions),
-            resumed_sessions: self.obs.counter_value(self.ids.tx_resumed),
-            chunks_sent: self.obs.counter_value(self.ids.tx_chunks_sent),
-            chunks_resent: self.obs.counter_value(self.ids.tx_chunks_resent),
-            chunks_deduped: self.obs.counter_value(self.ids.tx_chunks_deduped),
-            resume_saved_bytes: self.obs.counter_value(self.ids.tx_resume_saved_bytes),
-        }
-    }
-
-    /// The service's metric registry (`storage.*` counters, including the
-    /// total backoff milliseconds the virtual clock spent waiting —
-    /// `storage.backoff_ms` — which [`FaultTelemetry`] does not carry).
+    /// The service's metric registry: the `storage.*` counters of retries,
+    /// failovers, chunk timeouts, failed operations, retry bytes and the
+    /// virtual-clock backoff, and the `transfer.*` counters of the chunk
+    /// engine (METRICS.md). It is the one record of what faulted operations
+    /// counted; fair weather books nothing.
     pub fn metrics(&self) -> &Registry {
         &self.obs
     }
@@ -469,10 +417,8 @@ impl StorageService {
             self.obs.inc(self.ids.tx_resumed);
             self.obs
                 .add(self.ids.tx_resume_saved_bytes, session.bytes_verified());
-            self.obs.observe(
-                self.ids.tx_chunks_per_resume,
-                session.missing().len() as u64,
-            );
+            let missing = manifest.chunk_count() - session.verified_count();
+            self.obs.observe(self.ids.tx_chunks_per_resume, missing);
         }
         let mut channel = PlanChannel {
             plan: &f.plan,
@@ -480,16 +426,7 @@ impl StorageService {
             fe,
             op: op.id,
         };
-        let cfg = TransferConfig {
-            max_chunk_sends: f.retry.max_attempts,
-        };
-        let report = run_transfer_attempt(
-            session,
-            &mut channel,
-            |i| manifest.chunk_digests[i as usize],
-            &cfg,
-            op.t,
-        );
+        let report = run_transfer_attempt(session, &mut channel, f.retry.max_attempts, op.t);
         self.obs.add(self.ids.tx_chunks_sent, report.chunks_sent);
         self.obs
             .add(self.ids.tx_chunks_resent, report.chunks_resent);
@@ -560,7 +497,7 @@ impl StorageService {
                             };
                             self.obs.add(self.ids.tx_chunks_deduped, known.len() as u64);
                             let session =
-                                TransferSession::resume(manifest.clone(), &known, TRANSFER_WINDOW);
+                                TransferSession::resume(&manifest, &known, TRANSFER_WINDOW);
                             bound.insert((fe, session, 0))
                         }
                     };
@@ -626,7 +563,7 @@ impl StorageService {
             }
             _ => BTreeSet::new(),
         };
-        let mut session = TransferSession::resume(manifest.clone(), &verified, TRANSFER_WINDOW);
+        let mut session = TransferSession::resume(&manifest, &verified, TRANSFER_WINDOW);
         self.obs.inc(self.ids.tx_sessions);
         loop {
             let failure = if f.plan.frontend_down(fe, op.t) {
@@ -735,6 +672,11 @@ mod tests {
             seed,
             size: 1_500_000,
         }
+    }
+
+    /// The value of the service's counter `name`.
+    fn count(svc: &StorageService, name: &str) -> u64 {
+        svc.metrics().counter_by_name(name).unwrap()
     }
 
     /// A non-empty plan that never faults before `u64::MAX - 1`: it runs
@@ -851,7 +793,7 @@ mod tests {
             svc.store(1, FileManifest::build("x", &x), 0).unwrap();
             svc.store(1, FileManifest::build("y", &y), 10).unwrap();
             let skipped = u64::from(mode == RetryMode::Resume);
-            assert_eq!(svc.transfer_stats().chunks_deduped, skipped, "{mode:?}");
+            assert_eq!(count(&svc, "transfer.chunks_deduped"), skipped, "{mode:?}");
             assert!(svc.delete(1, "x"));
             assert_eq!(svc.collect_garbage(), CHUNK_SIZE, "{mode:?}");
             let got = svc.retrieve(1, "y", 20).unwrap();
@@ -884,7 +826,7 @@ mod tests {
             svc.retrieve(1, "never/stored", 0),
             Err(ServiceError::NotFound)
         );
-        assert_eq!(svc.telemetry().failed_ops, 0);
+        assert_eq!(count(&svc, "storage.failed_ops"), 0);
     }
 
     #[test]
@@ -926,8 +868,9 @@ mod tests {
                 let b = none.retrieve(i % 3, &name, 10_000);
                 assert_eq!(a, b, "{mode:?}");
             }
-            assert_eq!(none.telemetry(), FaultTelemetry::default());
             // Every counter, `transfer.*` included, books nothing.
+            let counters = none.metrics().snapshot().counters;
+            assert!(counters.values().all(|&n| n == 0), "{mode:?}");
             assert_eq!(
                 plain.metrics().snapshot().to_json(),
                 none.metrics().snapshot().to_json(),
@@ -960,8 +903,8 @@ mod tests {
                 .store(user, FileManifest::build("a.jpg", &photo(1)), 0)
                 .unwrap();
             assert_eq!(out.frontend, Some(1 - home), "failed over to the peer");
-            assert_eq!(svc.telemetry().failovers, 1);
-            assert_eq!(svc.telemetry().failed_ops, 0);
+            assert_eq!(count(&svc, "storage.failovers"), 1);
+            assert_eq!(count(&svc, "storage.failed_ops"), 0);
         }
     }
 
@@ -982,8 +925,8 @@ mod tests {
                 .store(1, FileManifest::build("a.jpg", &photo(1)), 0)
                 .unwrap_err();
             assert_eq!(err, ServiceError::AllFrontendsDown { attempts: 3 });
-            assert_eq!(svc.telemetry().failed_ops, 1);
-            assert_eq!(svc.telemetry().retries, 2);
+            assert_eq!(count(&svc, "storage.failed_ops"), 1);
+            assert_eq!(count(&svc, "storage.retries"), 2);
             // The failed store left no namespace entry behind.
             assert!(svc.metadata().list(1).is_empty());
             assert_eq!(svc.metadata().distinct_contents(), 0);
@@ -1002,8 +945,10 @@ mod tests {
             .store(1, FileManifest::build("a.jpg", &photo(1)), 0)
             .unwrap();
         assert!(!out.deduplicated);
-        assert!(svc.telemetry().retries >= 1);
-        assert_eq!(svc.telemetry().failed_ops, 0);
+        assert!(count(&svc, "storage.retries") >= 1);
+        assert_eq!(count(&svc, "storage.failed_ops"), 0);
+        // The virtual clock spent at least the outage waiting it out.
+        assert!(count(&svc, "storage.backoff_ms") >= 50);
     }
 
     #[test]
@@ -1033,33 +978,17 @@ mod tests {
                     attempts: 2
                 }
             );
-            let t = svc.telemetry();
-            assert_eq!(t.chunk_timeouts, 2 * 3 * 2, "{mode:?}");
-            assert_eq!(t.retry_bytes, 3 * 1_500_000, "{mode:?}");
-            assert_eq!(t.failed_ops, 1);
-            assert_eq!(t.retries, 1);
-            assert_eq!(svc.transfer_stats().chunks_sent, 4 * 3);
+            assert_eq!(count(&svc, "storage.chunk_timeouts"), 2 * 3 * 2, "{mode:?}");
+            assert_eq!(
+                count(&svc, "storage.retry_bytes"),
+                3 * 1_500_000,
+                "{mode:?}"
+            );
+            assert_eq!(count(&svc, "storage.failed_ops"), 1);
+            assert_eq!(count(&svc, "storage.retries"), 1);
+            assert_eq!(count(&svc, "transfer.chunks_sent"), 4 * 3);
             assert_eq!(svc.stored_bytes(), 0);
         }
-    }
-
-    #[test]
-    fn metrics_registry_mirrors_telemetry() {
-        let mut svc = StorageService::new(2, 24).unwrap();
-        let mut plan = FaultPlan::none(2);
-        plan.metadata_outages = Windows::new(vec![(0, 50)]);
-        svc.set_fault_plan(plan, RetryPolicy::default(), RetryMode::Resume)
-            .unwrap();
-        svc.store(1, FileManifest::build("a.jpg", &photo(1)), 0)
-            .unwrap();
-        let t = svc.telemetry();
-        let m = svc.metrics();
-        assert!(t.retries >= 1);
-        assert_eq!(m.counter_by_name("storage.retries"), Some(t.retries));
-        assert_eq!(m.counter_by_name("storage.failed_ops"), Some(t.failed_ops));
-        // The registry also carries what FaultTelemetry cannot: the total
-        // virtual-clock backoff spent waiting out the outage.
-        assert!(m.counter_by_name("storage.backoff_ms").unwrap() >= 50);
     }
 
     #[test]
@@ -1116,7 +1045,7 @@ mod tests {
             err,
             ServiceError::AllFrontendsDown { .. } | ServiceError::FrontendUnavailable { .. }
         ));
-        let stats1 = svc.transfer_stats();
+        let before = svc.metrics().snapshot().counters;
         let verified = svc.frontends()[0].distinct_chunks() as u64;
         let partial_bytes = svc.frontends()[0].stored_bytes();
         assert!(
@@ -1136,31 +1065,15 @@ mod tests {
             size - partial_bytes,
             "only missing bytes moved"
         );
-        let stats2 = svc.transfer_stats();
-        assert_eq!(stats2.chunks_deduped - stats1.chunks_deduped, verified);
+        let delta = |name: &str| count(&svc, name) - before[name];
+        assert_eq!(delta("transfer.chunks_deduped"), verified);
         assert_eq!(
-            stats2.chunks_sent - stats1.chunks_sent,
+            delta("transfer.chunks_sent"),
             8 - verified,
             "resume sent only the missing chunks"
         );
-        assert_eq!(stats2.resumed_sessions - stats1.resumed_sessions, 1);
-        assert_eq!(
-            stats2.resume_saved_bytes - stats1.resume_saved_bytes,
-            partial_bytes
-        );
-        // FaultTelemetry materialises the same registry counters.
-        let t = svc.telemetry();
-        assert_eq!(t.resumed_transfers, stats2.resumed_sessions);
-        assert_eq!(t.resume_saved_bytes, stats2.resume_saved_bytes);
-        let m = svc.metrics();
-        assert_eq!(
-            m.counter_by_name("transfer.chunks_deduped"),
-            Some(stats2.chunks_deduped)
-        );
-        assert_eq!(
-            m.counter_by_name("transfer.resumed_sessions"),
-            Some(stats2.resumed_sessions)
-        );
+        assert_eq!(delta("transfer.resumed_sessions"), 1);
+        assert_eq!(delta("transfer.resume_saved_bytes"), partial_bytes);
         // The finished file is whole and fully retrievable.
         assert_eq!(svc.stored_bytes(), size);
         let got = svc.retrieve(1, "big.bin", 20_000).unwrap();
@@ -1184,8 +1097,8 @@ mod tests {
         assert!(svc
             .store(1, FileManifest::build("big.bin", &content), 0)
             .is_err());
-        let stats1 = svc.transfer_stats();
-        assert!(stats1.chunks_sent > 0, "the stalled attempt moved chunks");
+        let sent = count(&svc, "transfer.chunks_sent");
+        assert!(sent > 0, "the stalled attempt moved chunks");
         assert_eq!(svc.frontends()[0].distinct_chunks(), 0);
         assert!(svc.metadata().list(1).is_empty());
 
@@ -1194,10 +1107,9 @@ mod tests {
             .store(1, FileManifest::build("big.bin", &content), 10_000)
             .unwrap();
         assert_eq!(out.bytes_uploaded, size);
-        let stats2 = svc.transfer_stats();
-        assert_eq!(stats2.chunks_sent - stats1.chunks_sent, 8);
-        assert_eq!(stats2.chunks_deduped, 0);
-        assert_eq!(stats2.resumed_sessions, 0);
+        assert_eq!(count(&svc, "transfer.chunks_sent") - sent, 8);
+        assert_eq!(count(&svc, "transfer.chunks_deduped"), 0);
+        assert_eq!(count(&svc, "transfer.resumed_sessions"), 0);
         assert_eq!(svc.stored_bytes(), size);
     }
 
@@ -1220,15 +1132,14 @@ mod tests {
 
         let got = svc.retrieve(1, "big.bin", 10_000).unwrap();
         assert_eq!(got.bytes_downloaded, size);
-        assert_eq!(svc.telemetry().resumed_transfers, 1);
+        assert_eq!(count(&svc, "transfer.resumed_sessions"), 1);
         // Across both calls every chunk was served exactly once: the
         // resume re-requested none the client already verified.
         let served: f64 = svc.frontends()[0].download_load.iter().sum();
         assert_eq!(served, size as f64);
         // The partial is consumed: the next retrieve is a fresh session.
-        let before = svc.transfer_stats().resumed_sessions;
         svc.retrieve(1, "big.bin", 20_000).unwrap();
-        assert_eq!(svc.transfer_stats().resumed_sessions, before);
+        assert_eq!(count(&svc, "transfer.resumed_sessions"), 1);
     }
 
     #[test]
@@ -1245,7 +1156,7 @@ mod tests {
         assert!(served_partial > 0.0 && served_partial < size as f64);
         // No partial was kept: the retry fetches every byte again.
         svc.retrieve(1, "big.bin", 10_000).unwrap();
-        assert_eq!(svc.telemetry().resumed_transfers, 0);
+        assert_eq!(count(&svc, "transfer.resumed_sessions"), 0);
         let served: f64 = svc.frontends()[0].download_load.iter().sum();
         assert_eq!(served, served_partial + size as f64);
     }

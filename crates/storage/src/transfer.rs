@@ -1,27 +1,28 @@
-//! Resumable, out-of-order chunk transfer protocol (ROADMAP item 3).
+//! Resumable, out-of-order chunk transfer: the engine every faulted store
+//! and retrieve runs (DESIGN.md §13).
 //!
-//! The paper's client moves every file as sequential 512 KB chunks
-//! (§2.1); real sync engines (and the sftpx protocol this module is
-//! shaped after) make each chunk independently verifiable — chunk id +
-//! offset + checksum — so arrival order does not matter and a transfer
-//! interrupted anywhere resumes from the verified prefix-set instead of
-//! byte zero.
+//! The paper's client moves every file as sequential 512 KB chunks, each
+//! named by its MD5 in the manifest it sends (§2.1), and retries a failed
+//! operation from byte zero. Here chunks may be acked in any order, and a
+//! transfer interrupted anywhere resumes from the set of chunks already
+//! verified — as the sftpx protocol this module is shaped after keeps its
+//! resume state in the receiver's own `.part` file.
 //!
-//! Two layers live here:
+//! Two pieces live here:
 //!
-//! - [`TransferSession`]: a pure per-chunk state machine
-//!   (`Pending → InFlight → Verified`, with `Failed` for timed-out or
-//!   corrupted sends). Every transition is checked and typed
-//!   ([`TransferError`]); verification compares the received chunk's MD5
-//!   digest against the [`FileManifest`], and the session finalizes when
-//!   the *last* chunk verifies — in whatever order that happens.
-//! - [`run_transfer_attempt`]: one transfer attempt driven by the shared
-//!   `mcs-sim` event queue. Chunk sends, acks, and timeout detections are
-//!   events on the one timeline; a [`Channel`] decides each send's
-//!   [`ChunkFate`]. The attempt runs until the session completes or
-//!   stalls ([`Stall`]) — a stalled session keeps its verified set, so
-//!   the caller can retry later and resend only the missing chunks, or
-//!   [`TransferSession::restart`] it to retry the whole file.
+//! - [`TransferSession`]: which chunks of one file are pending, in flight
+//!   or verified, and an arrival window bounding the chunks in flight. A
+//!   chunk is verified when its ack arrives; the session moves no bytes
+//!   and checks no digests (the service's digests are the client's own).
+//!   [`TransferSession::verified_set`] is the persisted partial transfer
+//!   that [`TransferSession::resume`] rebuilds a session from.
+//! - [`run_transfer_attempt`]: one attempt on a fresh `mcs-sim` event
+//!   queue. Chunk sends, acks and timeout detections are events on one
+//!   timeline; a [`Channel`] decides each send's [`ChunkFate`]. The
+//!   attempt runs until the session completes or stalls ([`Stall`]). A
+//!   stalled session keeps its verified set, so the caller can retry later
+//!   and resend only the missing chunks, or [`TransferSession::restart`]
+//!   it to retry the whole file.
 //!
 //! Determinism: the engine is single-threaded, all fates come from the
 //! caller's [`Channel`] (the service backs it with stateless
@@ -29,127 +30,36 @@
 //! transfer is bit-identical across runs and thread counts.
 
 use std::collections::BTreeSet;
-use std::error::Error;
-use std::fmt;
 
 use mcs_sim::{EventQueue, Time, MS};
 
-use crate::content::FileManifest;
-use crate::md5::Digest;
+use crate::content::{chunk_size_at, FileManifest};
 
-/// Lifecycle of one chunk inside a [`TransferSession`].
+/// Where one chunk of a [`TransferSession`] stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkState {
-    /// Not yet sent (or skipped) in this session.
+enum ChunkState {
+    /// Not verified and not in the channel: the next send may take it.
     Pending,
-    /// Sent; awaiting ack or timeout.
+    /// Sent; awaiting its ack or timeout.
     InFlight,
-    /// Received and checksum-verified (terminal).
+    /// Acked, or held by the target before the session began.
     Verified,
-    /// A send timed out or failed verification; eligible for re-send.
-    Failed,
 }
 
-impl fmt::Display for ChunkState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Self::Pending => "pending",
-            Self::InFlight => "in-flight",
-            Self::Verified => "verified",
-            Self::Failed => "failed",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Typed protocol violations and failures of a [`TransferSession`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferError {
-    /// Chunk index beyond the manifest's chunk count.
-    OutOfRange {
-        /// The offending index.
-        index: u64,
-        /// Chunks in the manifest.
-        chunks: u64,
-    },
-    /// The arrival window already holds `window` in-flight chunks.
-    WindowFull {
-        /// Configured window size.
-        window: usize,
-    },
-    /// The chunk is not in a sendable state (already verified or already
-    /// in flight).
-    NotSendable {
-        /// The offending index.
-        index: u64,
-        /// Its current state.
-        state: ChunkState,
-    },
-    /// An ack/timeout arrived for a chunk that was never in flight.
-    NotInFlight {
-        /// The offending index.
-        index: u64,
-        /// Its current state.
-        state: ChunkState,
-    },
-    /// The received chunk's MD5 digest does not match the manifest.
-    ChecksumMismatch {
-        /// The corrupted chunk.
-        index: u64,
-    },
-    /// Finalize was requested before every chunk verified.
-    Incomplete {
-        /// Chunks verified so far.
-        verified: u64,
-        /// Chunks in the manifest.
-        chunks: u64,
-    },
-}
-
-impl fmt::Display for TransferError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::OutOfRange { index, chunks } => {
-                write!(f, "chunk {index} out of range (manifest has {chunks})")
-            }
-            Self::WindowFull { window } => {
-                write!(f, "arrival window full ({window} chunks in flight)")
-            }
-            Self::NotSendable { index, state } => {
-                write!(f, "chunk {index} is {state}, not sendable")
-            }
-            Self::NotInFlight { index, state } => {
-                write!(f, "chunk {index} is {state}, not in flight")
-            }
-            Self::ChecksumMismatch { index } => {
-                write!(f, "chunk {index} failed MD5 verification")
-            }
-            Self::Incomplete { verified, chunks } => {
-                write!(
-                    f,
-                    "transfer incomplete: {verified}/{chunks} chunks verified"
-                )
-            }
-        }
-    }
-}
-
-impl Error for TransferError {}
-
-/// Per-chunk transfer state machine over one [`FileManifest`].
+/// The transfer state of one file: each chunk pending, in flight or
+/// verified, and the arrival window that bounds the chunks in flight.
 ///
-/// The session never touches bytes: callers move chunk data, the session
-/// tracks which chunks are proven present (digest match against the
-/// manifest) and bounds concurrency with an arrival window. It survives
-/// interruption — [`TransferSession::verified_set`] is the partial
+/// Only [`run_transfer_attempt`] moves a chunk between states. A session
+/// survives interruption: [`TransferSession::verified_set`] is the partial
 /// manifest a resume needs, and [`TransferSession::resume`] rebuilds a
 /// session around it.
 #[derive(Debug, Clone)]
 pub struct TransferSession {
-    manifest: FileManifest,
+    /// File size, bytes; with the chunk count it fixes each chunk's size.
+    size: u64,
     states: Vec<ChunkState>,
-    /// Lifetime send count per chunk (across resumes of this session
-    /// object); send ordinals key the channel's per-send fault coins.
+    /// Lifetime send count per chunk (across restarts of this session);
+    /// send ordinals key the channel's per-send fault coins.
     sends: Vec<u32>,
     window: usize,
     in_flight: usize,
@@ -158,12 +68,12 @@ pub struct TransferSession {
 }
 
 impl TransferSession {
-    /// A fresh session: every chunk pending, arrival window `window`
-    /// (clamped to at least 1).
-    pub fn new(manifest: FileManifest, window: usize) -> Self {
+    /// A fresh session over `manifest`'s chunks: every chunk pending,
+    /// arrival window `window` (clamped to at least 1).
+    pub fn new(manifest: &FileManifest, window: usize) -> Self {
         let chunks = manifest.chunk_count() as usize;
         Self {
-            manifest,
+            size: manifest.size,
             states: vec![ChunkState::Pending; chunks],
             sends: vec![0; chunks],
             window: window.max(1),
@@ -173,168 +83,21 @@ impl TransferSession {
         }
     }
 
-    /// Rebuilds a session from a persisted partial transfer: every chunk
-    /// index in `verified` (out-of-range entries are ignored) starts in
-    /// `Verified`, the rest pending.
-    pub fn resume(manifest: FileManifest, verified: &BTreeSet<u64>, window: usize) -> Self {
+    /// Rebuilds a session from a persisted partial transfer, or around the
+    /// chunks the target already holds: every chunk index in `verified`
+    /// starts verified (out-of-range entries are ignored), the rest
+    /// pending.
+    pub fn resume(manifest: &FileManifest, verified: &BTreeSet<u64>, window: usize) -> Self {
         let mut s = Self::new(manifest, window);
-        for &i in verified {
-            let _ = s.skip_verified(i);
+        for &i in verified.range(..s.states.len() as u64) {
+            s.states[i as usize] = ChunkState::Verified;
+            s.count_verified(i);
         }
         s
     }
 
-    /// The manifest this session transfers.
-    pub fn manifest(&self) -> &FileManifest {
-        &self.manifest
-    }
-
-    /// Chunks in the manifest.
-    pub fn chunk_count(&self) -> u64 {
-        self.manifest.chunk_count()
-    }
-
-    /// The state of chunk `index`, if in range.
-    pub fn state(&self, index: u64) -> Option<ChunkState> {
-        self.states.get(index as usize).copied()
-    }
-
-    /// Chunks currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Can another chunk enter the arrival window?
-    pub fn window_free(&self) -> bool {
-        self.in_flight < self.window
-    }
-
-    /// Lowest-indexed chunk eligible for (re-)send, if any.
-    pub fn next_pending(&self) -> Option<u64> {
-        self.states
-            .iter()
-            .position(|s| matches!(s, ChunkState::Pending | ChunkState::Failed))
-            .map(|i| i as u64)
-    }
-
-    /// Times chunk `index` has entered the channel over the session's
-    /// lifetime.
-    pub fn send_count(&self, index: u64) -> u32 {
-        self.sends.get(index as usize).copied().unwrap_or(0)
-    }
-
-    /// Moves a pending/failed chunk into the arrival window and returns
-    /// its lifetime send ordinal (1-based).
-    pub fn begin(&mut self, index: u64) -> Result<u32, TransferError> {
-        let chunks = self.chunk_count();
-        let Some(state) = self.states.get_mut(index as usize) else {
-            return Err(TransferError::OutOfRange { index, chunks });
-        };
-        match *state {
-            ChunkState::Pending | ChunkState::Failed => {
-                if self.in_flight >= self.window {
-                    return Err(TransferError::WindowFull {
-                        window: self.window,
-                    });
-                }
-                *state = ChunkState::InFlight;
-                self.in_flight += 1;
-                let n = self.sends[index as usize].saturating_add(1);
-                self.sends[index as usize] = n;
-                Ok(n)
-            }
-            s => Err(TransferError::NotSendable { index, state: s }),
-        }
-    }
-
-    /// Verifies an arrived chunk against the manifest digest. On match the
-    /// chunk becomes `Verified` and the call reports whether it was the
-    /// last one (`Ok(true)` = session complete). On mismatch the chunk
-    /// becomes `Failed` (eligible for re-send) and the error is returned.
-    pub fn verify(&mut self, index: u64, digest: Digest) -> Result<bool, TransferError> {
-        let chunks = self.chunk_count();
-        let Some(state) = self.states.get_mut(index as usize) else {
-            return Err(TransferError::OutOfRange { index, chunks });
-        };
-        if *state != ChunkState::InFlight {
-            return Err(TransferError::NotInFlight {
-                index,
-                state: *state,
-            });
-        }
-        self.in_flight -= 1;
-        if self.manifest.chunk_digests[index as usize] != digest {
-            *state = ChunkState::Failed;
-            return Err(TransferError::ChecksumMismatch { index });
-        }
-        *state = ChunkState::Verified;
-        self.verified += 1;
-        self.verified_bytes = self
-            .verified_bytes
-            .saturating_add(self.manifest.chunk_size(index));
-        Ok(self.is_complete())
-    }
-
-    /// Marks an in-flight chunk failed (send timed out / connection lost).
-    pub fn fail(&mut self, index: u64) -> Result<(), TransferError> {
-        let chunks = self.chunk_count();
-        let Some(state) = self.states.get_mut(index as usize) else {
-            return Err(TransferError::OutOfRange { index, chunks });
-        };
-        if *state != ChunkState::InFlight {
-            return Err(TransferError::NotInFlight {
-                index,
-                state: *state,
-            });
-        }
-        *state = ChunkState::Failed;
-        self.in_flight -= 1;
-        Ok(())
-    }
-
-    /// Rolls back a reservation whose send never entered the channel
-    /// (attempt tear-down after a stall): the chunk returns to `Pending`,
-    /// its lifetime send ordinal is given back, and the window slot frees.
-    pub fn cancel(&mut self, index: u64) -> Result<(), TransferError> {
-        let chunks = self.chunk_count();
-        let Some(state) = self.states.get_mut(index as usize) else {
-            return Err(TransferError::OutOfRange { index, chunks });
-        };
-        if *state != ChunkState::InFlight {
-            return Err(TransferError::NotInFlight {
-                index,
-                state: *state,
-            });
-        }
-        *state = ChunkState::Pending;
-        self.sends[index as usize] = self.sends[index as usize].saturating_sub(1);
-        self.in_flight -= 1;
-        Ok(())
-    }
-
-    /// Marks a pending/failed chunk verified *without* transferring it —
-    /// the dedup path: the target front-end's chunk store already holds a
-    /// checksummed copy, so sending it would be wasted bytes.
-    pub fn skip_verified(&mut self, index: u64) -> Result<(), TransferError> {
-        let chunks = self.chunk_count();
-        let Some(state) = self.states.get_mut(index as usize) else {
-            return Err(TransferError::OutOfRange { index, chunks });
-        };
-        match *state {
-            ChunkState::Pending | ChunkState::Failed => {
-                *state = ChunkState::Verified;
-                self.verified += 1;
-                self.verified_bytes = self
-                    .verified_bytes
-                    .saturating_add(self.manifest.chunk_size(index));
-                Ok(())
-            }
-            s => Err(TransferError::NotSendable { index, state: s }),
-        }
-    }
-
     /// Discards all progress, as a whole-file retry does: every chunk
-    /// returns to `Pending`. The lifetime send counts stay, so the next
+    /// returns to pending. The lifetime send counts stay, so the next
     /// sends take fresh ordinals — and fresh channel coins — instead of
     /// replaying the ones that just failed.
     pub fn restart(&mut self) {
@@ -346,7 +109,7 @@ impl TransferSession {
 
     /// Has every chunk verified?
     pub fn is_complete(&self) -> bool {
-        self.verified == self.chunk_count()
+        self.verified == self.states.len() as u64
     }
 
     /// Chunks verified so far.
@@ -359,16 +122,6 @@ impl TransferSession {
         self.verified_bytes
     }
 
-    /// Indices not yet verified, ascending — what a resume must move.
-    pub fn missing(&self) -> Vec<u64> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s != ChunkState::Verified)
-            .map(|(i, _)| i as u64)
-            .collect()
-    }
-
     /// The persisted form of a partial transfer: indices verified so far.
     pub fn verified_set(&self) -> BTreeSet<u64> {
         self.states
@@ -379,17 +132,55 @@ impl TransferSession {
             .collect()
     }
 
-    /// The manifest, released only once every chunk has verified —
-    /// finalize-on-last-verified-chunk.
-    pub fn finalize(&self) -> Result<&FileManifest, TransferError> {
-        if self.is_complete() {
-            Ok(&self.manifest)
-        } else {
-            Err(TransferError::Incomplete {
-                verified: self.verified,
-                chunks: self.chunk_count(),
-            })
+    fn chunk_size(&self, chunk: u64) -> u64 {
+        chunk_size_at(self.size, chunk)
+    }
+
+    fn count_verified(&mut self, chunk: u64) {
+        self.verified += 1;
+        self.verified_bytes = self.verified_bytes.saturating_add(self.chunk_size(chunk));
+    }
+
+    /// The lowest-indexed pending chunk, if the window has room for it.
+    fn next_to_send(&self) -> Option<u64> {
+        if self.in_flight >= self.window {
+            return None;
         }
+        let next = self.states.iter().position(|&s| s == ChunkState::Pending);
+        next.map(|i| i as u64)
+    }
+
+    /// Reserves a window slot for a pending chunk and takes its next
+    /// lifetime send ordinal.
+    fn begin(&mut self, chunk: u64) {
+        let i = chunk as usize;
+        debug_assert_eq!(self.states[i], ChunkState::Pending);
+        self.states[i] = ChunkState::InFlight;
+        self.in_flight += 1;
+        self.sends[i] = self.sends[i].saturating_add(1);
+    }
+
+    /// Frees an in-flight chunk's window slot, leaving it in `state`.
+    fn land(&mut self, chunk: u64, state: ChunkState) {
+        let i = chunk as usize;
+        debug_assert_eq!(self.states[i], ChunkState::InFlight);
+        self.states[i] = state;
+        self.in_flight -= 1;
+    }
+
+    /// An in-flight chunk's ack arrived: it is verified. Returns whether it
+    /// was the last.
+    fn ack(&mut self, chunk: u64) -> bool {
+        self.land(chunk, ChunkState::Verified);
+        self.count_verified(chunk);
+        self.is_complete()
+    }
+
+    /// Rolls back a reservation whose send never entered the channel: the
+    /// chunk is pending again and its send ordinal is given back.
+    fn roll_back(&mut self, chunk: u64) {
+        self.land(chunk, ChunkState::Pending);
+        self.sends[chunk as usize] = self.sends[chunk as usize].saturating_sub(1);
     }
 }
 
@@ -423,21 +214,6 @@ pub trait Channel {
 impl<F: FnMut(u64, u32, u64) -> ChunkFate> Channel for F {
     fn send(&mut self, chunk: u64, send: u32, now_ms: u64) -> ChunkFate {
         self(chunk, send, now_ms)
-    }
-}
-
-/// Knobs of one transfer attempt. The arrival window is the session's
-/// own (see [`TransferSession::new`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransferConfig {
-    /// Sends allowed per chunk within one attempt before the attempt
-    /// stalls with [`Stall::ChunkBudget`].
-    pub max_chunk_sends: u32,
-}
-
-impl Default for TransferConfig {
-    fn default() -> Self {
-        Self { max_chunk_sends: 4 }
     }
 }
 
@@ -480,8 +256,6 @@ pub struct AttemptReport {
     pub bytes_resent: u64,
     /// Timeout detections.
     pub timeouts: u64,
-    /// Acked chunks whose digest did not match the manifest.
-    pub checksum_failures: u64,
     /// Timeline instant the attempt ended (completion or stall).
     pub end_ms: u64,
     /// Why the attempt stopped, if it did not complete the session.
@@ -500,11 +274,12 @@ enum TransferEvent {
     Timeout { chunk: u64 },
 }
 
-struct AttemptHandler<'a, C, D> {
+/// One [`run_transfer_attempt`] call: the session it drives and what it
+/// has booked so far.
+struct Attempt<'a, C> {
     session: &'a mut TransferSession,
     channel: &'a mut C,
-    digest_of: &'a D,
-    cfg: &'a TransferConfig,
+    max_chunk_sends: u32,
     report: AttemptReport,
     /// Sends per chunk within *this* attempt (the stall budget; resumes
     /// start fresh). Only sends that actually entered the channel count.
@@ -514,61 +289,29 @@ struct AttemptHandler<'a, C, D> {
     stalled: bool,
 }
 
-impl<C: Channel, D: Fn(u64) -> Digest> AttemptHandler<'_, C, D> {
+impl<C: Channel> Attempt<'_, C> {
     /// Reserves a window slot for `chunk` and schedules its send at `at`.
-    fn send_chunk(&mut self, q: &mut EventQueue<TransferEvent>, chunk: u64, at: Time) -> bool {
-        match self.session.begin(chunk) {
-            Ok(_) => {
-                q.schedule(at, TransferEvent::Send { chunk });
-                true
-            }
-            Err(_) => {
-                debug_assert!(false, "scheduler offered an unsendable chunk {chunk}");
-                false
-            }
-        }
+    fn send_at(&mut self, q: &mut EventQueue<TransferEvent>, chunk: u64, at: Time) {
+        self.session.begin(chunk);
+        q.schedule(at, TransferEvent::Send { chunk });
     }
 
-    /// Fills the arrival window with the lowest-indexed eligible chunks.
+    /// Fills the arrival window with the lowest-indexed pending chunks.
     fn pump(&mut self, q: &mut EventQueue<TransferEvent>, at: Time) {
-        while self.session.window_free() {
-            let Some(next) = self.session.next_pending() else {
-                break;
-            };
-            if !self.send_chunk(q, next, at) {
-                break;
-            }
+        while let Some(chunk) = self.session.next_to_send() {
+            self.send_at(q, chunk, at);
         }
     }
 
     /// Books one send that entered the channel.
     fn book_send(&mut self, chunk: u64, send: u32) {
         self.attempt_sends[chunk as usize] = self.attempt_sends[chunk as usize].saturating_add(1);
-        let size = self.session.manifest().chunk_size(chunk);
+        let size = self.session.chunk_size(chunk);
         self.report.chunks_sent += 1;
         self.report.bytes_sent = self.report.bytes_sent.saturating_add(size);
         if send > 1 {
             self.report.chunks_resent += 1;
             self.report.bytes_resent = self.report.bytes_resent.saturating_add(size);
-        }
-    }
-
-    /// Gives back a reservation whose send never entered the channel.
-    fn roll_back(&mut self, chunk: u64) {
-        let canceled = self.session.cancel(chunk);
-        debug_assert!(canceled.is_ok(), "tear-down of a chunk not in flight");
-    }
-
-    /// Re-send at `now` within the per-attempt budget, else stall.
-    fn resend_or_stall(&mut self, q: &mut EventQueue<TransferEvent>, chunk: u64, now: Time) {
-        if self.attempt_sends[chunk as usize] >= self.cfg.max_chunk_sends {
-            self.stalled = true;
-            self.report.stall = Some(Stall::ChunkBudget {
-                chunk,
-                sends: self.session.send_count(chunk),
-            });
-        } else {
-            self.send_chunk(q, chunk, now);
         }
     }
 
@@ -583,10 +326,10 @@ impl<C: Channel, D: Fn(u64) -> Digest> AttemptHandler<'_, C, D> {
         match event {
             TransferEvent::Send { chunk } => {
                 if self.stalled {
-                    self.roll_back(chunk);
+                    self.session.roll_back(chunk);
                     return true;
                 }
-                let send = self.session.send_count(chunk);
+                let send = self.session.sends[chunk as usize];
                 match self.channel.send(chunk, send, q.now_ms()) {
                     ChunkFate::Deliver { ack_after_ms } => {
                         self.book_send(chunk, send);
@@ -603,38 +346,33 @@ impl<C: Channel, D: Fn(u64) -> Digest> AttemptHandler<'_, C, D> {
                         // is already airborne, send nothing new.
                         self.stalled = true;
                         self.report.stall = Some(Stall::FrontendDown { at_ms: q.now_ms() });
-                        self.roll_back(chunk);
+                        self.session.roll_back(chunk);
                     }
                 }
             }
             TransferEvent::Timeout { chunk } => {
                 self.report.timeouts += 1;
-                let failed = self.session.fail(chunk);
-                debug_assert!(failed.is_ok(), "timeout for a chunk not in flight");
-                if !self.stalled {
-                    self.resend_or_stall(q, chunk, now);
+                self.session.land(chunk, ChunkState::Pending);
+                if self.stalled {
+                    return true;
+                }
+                if self.attempt_sends[chunk as usize] >= self.max_chunk_sends {
+                    self.stalled = true;
+                    self.report.stall = Some(Stall::ChunkBudget {
+                        chunk,
+                        sends: self.session.sends[chunk as usize],
+                    });
+                } else {
+                    self.send_at(q, chunk, now);
                 }
             }
             TransferEvent::Ack { chunk } => {
-                let digest = (self.digest_of)(chunk);
-                match self.session.verify(chunk, digest) {
-                    Ok(done) => {
-                        self.report.verified.push((chunk, q.now_ms()));
-                        if done {
-                            return false;
-                        }
-                        if !self.stalled {
-                            self.pump(q, now);
-                        }
-                    }
-                    Err(_) => {
-                        // verify() already moved the chunk to Failed; a
-                        // corrupted arrival costs a re-send like a timeout.
-                        self.report.checksum_failures += 1;
-                        if !self.stalled {
-                            self.resend_or_stall(q, chunk, now);
-                        }
-                    }
+                self.report.verified.push((chunk, q.now_ms()));
+                if self.session.ack(chunk) {
+                    return false;
+                }
+                if !self.stalled {
+                    self.pump(q, now);
                 }
             }
         }
@@ -644,19 +382,19 @@ impl<C: Channel, D: Fn(u64) -> Digest> AttemptHandler<'_, C, D> {
 
 /// Runs one transfer attempt on a fresh `mcs-sim` event queue starting at
 /// `start_ms`: window-bounded out-of-order sends, fates from `channel`,
-/// per-chunk verification against `digest_of`. The start and the
-/// channel's delays move to the queue's µs clock here; the channel and
-/// the report read it back in ms. Returns when the session completes or
-/// stalls; the session keeps its verified set either way, so a later
-/// attempt resumes with only the missing chunks.
-pub fn run_transfer_attempt<C: Channel, D: Fn(u64) -> Digest>(
+/// at most `max_chunk_sends` sends per chunk before the attempt stalls
+/// with [`Stall::ChunkBudget`]. The start and the channel's delays move to
+/// the queue's µs clock here; the channel and the report read it back in
+/// ms. Returns when the session completes or stalls; the session keeps
+/// its verified set either way, so a later attempt resumes with only the
+/// missing chunks.
+pub fn run_transfer_attempt<C: Channel>(
     session: &mut TransferSession,
     channel: &mut C,
-    digest_of: D,
-    cfg: &TransferConfig,
+    max_chunk_sends: u32,
     start_ms: u64,
 ) -> AttemptReport {
-    let mut report = AttemptReport {
+    let report = AttemptReport {
         end_ms: start_ms,
         ..AttemptReport::default()
     };
@@ -664,58 +402,23 @@ pub fn run_transfer_attempt<C: Channel, D: Fn(u64) -> Digest>(
         return report;
     }
     let mut q = EventQueue::new();
-    let chunks = session.chunk_count() as usize;
-    let mut handler = AttemptHandler {
+    let mut attempt = Attempt {
+        attempt_sends: vec![0; session.states.len()],
         session,
         channel,
-        digest_of: &digest_of,
-        cfg,
+        max_chunk_sends,
         report,
-        attempt_sends: vec![0; chunks],
         stalled: false,
     };
-    handler.pump(&mut q, start_ms.saturating_mul(MS));
+    attempt.pump(&mut q, start_ms.saturating_mul(MS));
     while let Some((now, event)) = q.pop() {
-        if !handler.handle(&mut q, now, event) {
+        if !attempt.handle(&mut q, now, event) {
             break;
         }
     }
-    report = handler.report;
+    let mut report = attempt.report;
     report.end_ms = report.end_ms.max(q.now_ms());
     report
-}
-
-/// Mergeable roll-up of transfer activity: the materialised view the
-/// service exposes over its `transfer.*` registry counters, and the
-/// monoid shard reducers sum when fleet replays are split.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransferStats {
-    /// Transfer sessions opened.
-    pub sessions: u64,
-    /// Attempts that began with partial progress already verified.
-    pub resumed_sessions: u64,
-    /// Chunk sends that entered a channel.
-    pub chunks_sent: u64,
-    /// Chunk re-sends (retry-inflated share of `chunks_sent`).
-    pub chunks_resent: u64,
-    /// Chunks skipped because the target front-end already held them
-    /// (dedup).
-    pub chunks_deduped: u64,
-    /// Bytes resumes did not re-send that whole-file retries would have.
-    pub resume_saved_bytes: u64,
-}
-
-impl TransferStats {
-    /// Field-wise sum: `a.merge(b)` then `a.merge(c)` equals merging in
-    /// any order (u64 counter monoid).
-    pub fn merge(&mut self, other: &Self) {
-        self.sessions += other.sessions;
-        self.resumed_sessions += other.resumed_sessions;
-        self.chunks_sent += other.chunks_sent;
-        self.chunks_resent += other.chunks_resent;
-        self.chunks_deduped += other.chunks_deduped;
-        self.resume_saved_bytes += other.resume_saved_bytes;
-    }
 }
 
 #[cfg(test)]
@@ -732,22 +435,15 @@ mod tests {
         FileManifest::build("xfer/test", &Content::Synthetic { seed: 9, size })
     }
 
-    fn true_digests(m: &FileManifest) -> impl Fn(u64) -> Digest + '_ {
-        move |i| m.chunk_digests[i as usize]
+    fn fair(_c: u64, _s: u32, _t: u64) -> ChunkFate {
+        ChunkFate::Deliver { ack_after_ms: 0 }
     }
 
     #[test]
     fn fair_channel_completes_in_order_at_start_time() {
         let m = manifest(5);
-        let mut s = TransferSession::new(m.clone(), 3);
-        let mut fair = |_c: u64, _s: u32, _t: u64| ChunkFate::Deliver { ack_after_ms: 0 };
-        let r = run_transfer_attempt(
-            &mut s,
-            &mut fair,
-            true_digests(&m),
-            &TransferConfig::default(),
-            42,
-        );
+        let mut s = TransferSession::new(&m, 3);
+        let r = run_transfer_attempt(&mut s, &mut fair, 4, 42);
         assert!(s.is_complete());
         assert!(r.stall.is_none());
         assert_eq!(r.chunks_sent, 5);
@@ -758,35 +454,29 @@ mod tests {
         let order: Vec<u64> = r.verified.iter().map(|&(c, _)| c).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
         assert!(r.verified.iter().all(|&(_, at)| at == 42));
-        assert_eq!(s.finalize().unwrap().file_digest, m.file_digest);
+        assert_eq!(s.bytes_verified(), m.size);
     }
 
     #[test]
     fn out_of_order_acks_still_finalize_on_last_verified_chunk() {
         let m = manifest(6);
-        let mut s = TransferSession::new(m.clone(), 6);
+        let mut s = TransferSession::new(&m, 6);
         // Earlier chunks take longer: acks land in reverse index order.
         let mut skewed = |c: u64, _s: u32, _t: u64| ChunkFate::Deliver {
             ack_after_ms: 60 - c * 10,
         };
-        let r = run_transfer_attempt(
-            &mut s,
-            &mut skewed,
-            true_digests(&m),
-            &TransferConfig::default(),
-            0,
-        );
+        let r = run_transfer_attempt(&mut s, &mut skewed, 4, 0);
         assert!(s.is_complete());
         let order: Vec<u64> = r.verified.iter().map(|&(c, _)| c).collect();
         assert_eq!(order, vec![5, 4, 3, 2, 1, 0], "arrival order is ack order");
-        // The session finalized when chunk 0 (the *last* to verify) landed.
+        // The session completed when chunk 0 (the *last* to verify) landed.
         assert_eq!(r.end_ms, 60);
     }
 
     #[test]
     fn lossy_channel_resends_within_budget() {
         let m = manifest(4);
-        let mut s = TransferSession::new(m.clone(), 2);
+        let mut s = TransferSession::new(&m, 2);
         // First send of every chunk is lost; re-sends deliver.
         let mut lossy = |_c: u64, send: u32, _t: u64| {
             if send == 1 {
@@ -795,13 +485,7 @@ mod tests {
                 ChunkFate::Deliver { ack_after_ms: 0 }
             }
         };
-        let r = run_transfer_attempt(
-            &mut s,
-            &mut lossy,
-            true_digests(&m),
-            &TransferConfig::default(),
-            0,
-        );
+        let r = run_transfer_attempt(&mut s, &mut lossy, 4, 0);
         assert!(s.is_complete());
         assert_eq!(r.timeouts, 4);
         assert_eq!(r.chunks_sent, 8);
@@ -812,7 +496,7 @@ mod tests {
     #[test]
     fn chunk_budget_exhaustion_stalls_with_partial_progress() {
         let m = manifest(3);
-        let mut s = TransferSession::new(m.clone(), 1);
+        let mut s = TransferSession::new(&m, 1);
         // Chunk 1 never gets through; chunk 0 delivers first (window 1).
         let mut brown = |c: u64, _s: u32, _t: u64| {
             if c == 1 {
@@ -821,18 +505,17 @@ mod tests {
                 ChunkFate::Deliver { ack_after_ms: 0 }
             }
         };
-        let cfg = TransferConfig { max_chunk_sends: 3 };
-        let r = run_transfer_attempt(&mut s, &mut brown, true_digests(&m), &cfg, 0);
+        let r = run_transfer_attempt(&mut s, &mut brown, 3, 0);
         assert_eq!(r.stall, Some(Stall::ChunkBudget { chunk: 1, sends: 3 }));
         assert_eq!(r.timeouts, 3);
         assert_eq!(s.verified_set().into_iter().collect::<Vec<_>>(), vec![0]);
-        assert!(s.finalize().is_err());
+        assert!(!s.is_complete());
     }
 
     #[test]
     fn down_channel_stalls_and_resume_sends_only_missing_chunks() {
         let m = manifest(8);
-        let mut s = TransferSession::new(m.clone(), 4);
+        let mut s = TransferSession::new(&m, 4);
         // The peer vanishes after three acks.
         let mut acked = 0u64;
         let mut flaky = |_c: u64, _s: u32, _t: u64| {
@@ -843,18 +526,16 @@ mod tests {
                 ChunkFate::Down
             }
         };
-        let cfg = TransferConfig::default();
-        let r1 = run_transfer_attempt(&mut s, &mut flaky, true_digests(&m), &cfg, 100);
+        let r1 = run_transfer_attempt(&mut s, &mut flaky, 4, 100);
         assert!(matches!(r1.stall, Some(Stall::FrontendDown { .. })));
         let done = s.verified_set();
         assert_eq!(done.len(), 3);
-        assert!(s.in_flight() == 0, "stall must tear down the window");
+        assert_eq!(s.in_flight, 0, "stall must tear down the window");
 
         // Persist + resume: a brand-new session from the verified set.
-        let mut resumed = TransferSession::resume(m.clone(), &done, 4);
+        let mut resumed = TransferSession::resume(&m, &done, 4);
         assert_eq!(resumed.bytes_verified(), s.bytes_verified());
-        let mut fair = |_c: u64, _s: u32, _t: u64| ChunkFate::Deliver { ack_after_ms: 0 };
-        let r2 = run_transfer_attempt(&mut resumed, &mut fair, true_digests(&m), &cfg, 500);
+        let r2 = run_transfer_attempt(&mut resumed, &mut fair, 4, 500);
         assert!(resumed.is_complete());
         assert_eq!(
             r2.chunks_sent,
@@ -875,13 +556,12 @@ mod tests {
     fn interrupt_at_every_chunk_boundary_resumes_byte_identical() {
         // Exhaustive sweep (deterministic "proptest"): interrupt after k
         // acks for every k and several windows; the resumed session must
-        // finish with the manifest's exact digest set and send each
-        // missing chunk exactly once.
+        // finish with every chunk verified and send each missing chunk
+        // exactly once.
         let m = manifest(7);
-        let cfg = TransferConfig::default();
         for window in [1usize, 3, 8] {
             for k in 0..=7u64 {
-                let mut s = TransferSession::new(m.clone(), window);
+                let mut s = TransferSession::new(&m, window);
                 let mut acked = 0u64;
                 let mut cut = |_c: u64, _s: u32, _t: u64| {
                     if acked < k {
@@ -891,158 +571,121 @@ mod tests {
                         ChunkFate::Down
                     }
                 };
-                let r1 = run_transfer_attempt(&mut s, &mut cut, true_digests(&m), &cfg, 0);
+                let r1 = run_transfer_attempt(&mut s, &mut cut, 4, 0);
                 if k >= 7 {
                     assert!(s.is_complete(), "k={k} w={window}");
                     continue;
                 }
                 assert!(matches!(r1.stall, Some(Stall::FrontendDown { .. })));
                 assert_eq!(s.verified_count(), k, "k={k} w={window}");
-                let mut resumed = TransferSession::resume(m.clone(), &s.verified_set(), window);
-                let mut fair = |_c: u64, _s: u32, _t: u64| ChunkFate::Deliver { ack_after_ms: 0 };
-                let r2 = run_transfer_attempt(&mut resumed, &mut fair, true_digests(&m), &cfg, 0);
+                let mut resumed = TransferSession::resume(&m, &s.verified_set(), window);
+                let r2 = run_transfer_attempt(&mut resumed, &mut fair, 4, 0);
                 assert!(resumed.is_complete(), "k={k} w={window}");
                 assert_eq!(r2.chunks_sent, 7 - k, "k={k} w={window}");
                 assert_eq!(r2.chunks_resent, 0, "fresh session: no lifetime re-sends");
-                assert_eq!(resumed.finalize().unwrap(), &m);
+                assert_eq!(resumed.verified_set(), (0..7).collect());
+                assert_eq!(resumed.bytes_verified(), m.size);
             }
         }
-    }
-
-    #[test]
-    fn checksum_mismatch_marks_failed_and_resend_recovers() {
-        let m = manifest(2);
-        let mut s = TransferSession::new(m.clone(), 2);
-        assert_eq!(s.begin(0), Ok(1));
-        let bogus = Digest([0xAB; 16]);
-        assert_eq!(
-            s.verify(0, bogus),
-            Err(TransferError::ChecksumMismatch { index: 0 })
-        );
-        assert_eq!(s.state(0), Some(ChunkState::Failed));
-        // The corrupted chunk re-enters the window and verifies cleanly.
-        assert_eq!(s.begin(0), Ok(2));
-        assert_eq!(s.verify(0, m.chunk_digests[0]), Ok(false));
-        assert_eq!(s.begin(1), Ok(1));
-        assert_eq!(s.verify(1, m.chunk_digests[1]), Ok(true));
-        assert!(s.is_complete());
-    }
-
-    #[test]
-    fn engine_retries_corrupted_arrivals() {
-        let m = manifest(3);
-        let mut s = TransferSession::new(m.clone(), 3);
-        let mut fair = |_c: u64, _s: u32, _t: u64| ChunkFate::Deliver { ack_after_ms: 0 };
-        // First arrival of chunk 1 is corrupted on the wire (digest_of is
-        // Fn, so the one-shot corruption lives in a Cell).
-        let flipped = std::cell::Cell::new(false);
-        let digest_of = |i: u64| {
-            if i == 1 && !flipped.replace(true) {
-                Digest([0u8; 16])
-            } else {
-                m.chunk_digests[i as usize]
-            }
-        };
-        let r = run_transfer_attempt(&mut s, &mut fair, digest_of, &TransferConfig::default(), 0);
-        assert!(s.is_complete());
-        assert_eq!(r.checksum_failures, 1);
-        assert_eq!(r.chunks_resent, 1, "the corrupted chunk went twice");
     }
 
     #[test]
     fn window_bounds_in_flight_and_protocol_errors_are_typed() {
-        let m = manifest(4);
-        let mut s = TransferSession::new(m.clone(), 2);
-        assert_eq!(s.begin(0), Ok(1));
-        assert_eq!(s.begin(1), Ok(1));
-        assert_eq!(s.begin(2), Err(TransferError::WindowFull { window: 2 }));
-        assert_eq!(
-            s.begin(0),
-            Err(TransferError::NotSendable {
-                index: 0,
-                state: ChunkState::InFlight
-            })
-        );
-        assert_eq!(
-            s.begin(99),
-            Err(TransferError::OutOfRange {
-                index: 99,
-                chunks: 4
-            })
-        );
-        assert_eq!(
-            s.verify(2, m.chunk_digests[2]),
-            Err(TransferError::NotInFlight {
-                index: 2,
-                state: ChunkState::Pending
-            })
-        );
-        assert_eq!(
-            s.finalize(),
-            Err(TransferError::Incomplete {
-                verified: 0,
-                chunks: 4
-            })
-        );
-        // Errors render for operators.
-        assert!(TransferError::WindowFull { window: 2 }
-            .to_string()
-            .contains("window"));
+        // Every chunk's ack takes 10 ms, so each window's chunks go out
+        // together at the instant the previous window's acks land.
+        let m = manifest(5);
+        for window in [1usize, 2, 5, 9] {
+            let mut s = TransferSession::new(&m, window);
+            let mut sent_at = Vec::new();
+            let mut slow = |c: u64, _s: u32, t: u64| {
+                sent_at.push((c, t));
+                ChunkFate::Deliver { ack_after_ms: 10 }
+            };
+            let r = run_transfer_attempt(&mut s, &mut slow, 4, 0);
+            assert!(s.is_complete());
+            let want: Vec<(u64, u64)> = (0..5).map(|c| (c, c / window as u64 * 10)).collect();
+            assert_eq!(sent_at, want, "window {window}");
+            assert_eq!(r.end_ms, (4 / window as u64 + 1) * 10, "window {window}");
+        }
+        // A failed attempt says why, as a typed stall: the instant a send
+        // found the peer down, or the chunk that spent its budget and its
+        // lifetime sends.
+        let mut s = TransferSession::new(&m, 2);
+        let mut down = |_c: u64, _s: u32, _t: u64| ChunkFate::Down;
+        let r = run_transfer_attempt(&mut s, &mut down, 4, 7);
+        assert_eq!(r.stall, Some(Stall::FrontendDown { at_ms: 7 }));
+        assert_eq!((r.chunks_sent, r.end_ms), (0, 7), "a refused send is free");
+        let mut dark = |_c: u64, _s: u32, _t: u64| ChunkFate::Timeout { detect_after_ms: 3 };
+        let r = run_transfer_attempt(&mut s, &mut dark, 2, 10);
+        assert_eq!(r.stall, Some(Stall::ChunkBudget { chunk: 0, sends: 2 }));
     }
 
     #[test]
     fn dedup_skip_counts_bytes_once_and_rejects_in_flight() {
-        let m = manifest(3);
-        let mut s = TransferSession::new(m.clone(), 3);
-        s.skip_verified(1).unwrap();
-        assert_eq!(s.bytes_verified(), m.chunk_size(1));
-        assert_eq!(
-            s.skip_verified(1),
-            Err(TransferError::NotSendable {
-                index: 1,
-                state: ChunkState::Verified
-            })
-        );
-        assert_eq!(s.begin(0), Ok(1));
-        assert_eq!(
-            s.skip_verified(0),
-            Err(TransferError::NotSendable {
-                index: 0,
-                state: ChunkState::InFlight
-            })
-        );
-        assert_eq!(s.missing(), vec![0, 2]);
+        // The target already holds chunks 1 and 3 (and index 99, out of
+        // range): the session starts with their bytes verified, once each,
+        // and no held chunk ever enters the window.
+        let m = manifest(4);
+        let held: BTreeSet<u64> = [1, 3, 99].into();
+        let mut s = TransferSession::resume(&m, &held, 4);
+        assert_eq!(s.verified_count(), 2);
+        assert_eq!(s.bytes_verified(), m.chunk_size(1) + m.chunk_size(3));
+        let mut sent = Vec::new();
+        let mut recording = |c: u64, _s: u32, _t: u64| {
+            sent.push(c);
+            ChunkFate::Deliver { ack_after_ms: 0 }
+        };
+        let r = run_transfer_attempt(&mut s, &mut recording, 4, 0);
+        assert_eq!(sent, vec![0, 2]);
+        assert_eq!(r.bytes_sent, m.chunk_size(0) + m.chunk_size(2));
+        assert_eq!(s.bytes_verified(), m.size, "every byte counted once");
     }
 
     #[test]
     fn restart_discards_progress_but_keeps_send_ordinals() {
+        // Chunks 0 and 1 deliver on their first send; chunk 2's first
+        // send times out and its second finds the peer down.
         let m = manifest(3);
-        let mut s = TransferSession::new(m.clone(), 3);
-        for i in 0..2 {
-            assert_eq!(s.begin(i), Ok(1));
-            s.verify(i, m.chunk_digests[i as usize]).unwrap();
-        }
-        assert_eq!(s.begin(2), Ok(1));
-        s.fail(2).unwrap();
-        assert_eq!(s.begin(2), Ok(2));
+        let mut s = TransferSession::new(&m, 3);
+        let mut ordinals = Vec::new();
+        let mut chan = |c: u64, send: u32, _t: u64| {
+            ordinals.push((c, send));
+            match (c, send) {
+                (2, 1) => ChunkFate::Timeout { detect_after_ms: 1 },
+                (2, _) => ChunkFate::Down,
+                _ => ChunkFate::Deliver { ack_after_ms: 0 },
+            }
+        };
+        let r = run_transfer_attempt(&mut s, &mut chan, 4, 0);
+        assert!(matches!(r.stall, Some(Stall::FrontendDown { .. })));
+        assert_eq!(ordinals, vec![(0, 1), (1, 1), (2, 1), (2, 2)]);
+        assert_eq!(s.verified_set(), [0, 1].into());
+
         s.restart();
-        assert!((0..3).all(|i| s.state(i) == Some(ChunkState::Pending)));
         assert_eq!(
-            (s.verified_count(), s.bytes_verified(), s.in_flight()),
+            (s.verified_count(), s.bytes_verified(), s.in_flight),
             (0, 0, 0)
         );
-        assert_eq!((s.send_count(0), s.send_count(2)), (1, 2));
-        // The next sends take fresh ordinals, never the spent ones.
-        assert_eq!(s.begin(0), Ok(2));
-        assert_eq!(s.begin(2), Ok(3));
+        assert!(s.verified_set().is_empty());
+        // The next sends take fresh ordinals, never the spent ones. The
+        // Down-fated send gave its ordinal 2 back, so chunk 2 draws it
+        // again.
+        let mut ordinals = Vec::new();
+        let mut recording = |c: u64, send: u32, _t: u64| {
+            ordinals.push((c, send));
+            ChunkFate::Deliver { ack_after_ms: 0 }
+        };
+        let r = run_transfer_attempt(&mut s, &mut recording, 4, 10);
+        assert!(s.is_complete());
+        assert_eq!(ordinals, vec![(0, 2), (1, 2), (2, 2)]);
+        assert_eq!(r.chunks_resent, 3, "every restarted send is a re-send");
     }
 
     #[test]
     fn attempts_are_deterministic_across_runs() {
         let m = manifest(9);
-        let cfg = TransferConfig::default();
         let run = || {
-            let mut s = TransferSession::new(m.clone(), 4);
+            let mut s = TransferSession::new(&m, 4);
             // Deterministic mixed fates keyed only on (chunk, send).
             let mut chan = |c: u64, send: u32, _t: u64| {
                 if (c + send as u64).is_multiple_of(3) {
@@ -1055,7 +698,7 @@ mod tests {
                     }
                 }
             };
-            let r = run_transfer_attempt(&mut s, &mut chan, true_digests(&m), &cfg, 1000);
+            let r = run_transfer_attempt(&mut s, &mut chan, 4, 1000);
             (r, s.verified_set())
         };
         let (r1, v1) = run();
@@ -1069,49 +712,153 @@ mod tests {
         for size in [0u64, 1, CHUNK_SIZE] {
             let m = FileManifest::build("tiny", &Content::Synthetic { seed: 1, size });
             assert_eq!(m.chunk_count(), 1);
-            let mut s = TransferSession::new(m.clone(), 8);
-            let mut fair = |_c: u64, _s: u32, _t: u64| ChunkFate::Deliver { ack_after_ms: 0 };
-            let r = run_transfer_attempt(
-                &mut s,
-                &mut fair,
-                true_digests(&m),
-                &TransferConfig::default(),
-                0,
-            );
+            let mut s = TransferSession::new(&m, 8);
+            let r = run_transfer_attempt(&mut s, &mut fair, 4, 0);
             assert!(s.is_complete(), "size {size}");
             assert_eq!(r.chunks_sent, 1);
             assert_eq!(r.bytes_sent, m.size);
         }
     }
 
+    /// The kinds of fake channel the golden grid crosses.
+    #[derive(Debug, Clone, Copy)]
+    enum Weather {
+        /// Every send delivers; acks land at the send instant.
+        Fair,
+        /// Every send delivers; acks of later chunks land sooner.
+        Skewed,
+        /// Every `k`-th first send times out after a varied delay.
+        Lossy { k: u64 },
+        /// `n` sends deliver, then the peer is down for good.
+        DownAfter { n: u64 },
+        /// Every send times out, so each attempt spends its budget.
+        Dark,
+    }
+
+    /// A fresh channel of `weather` for a file of `chunks` chunks.
+    fn weather_channel(
+        weather: Weather,
+        chunks: u64,
+    ) -> Box<dyn FnMut(u64, u32, u64) -> ChunkFate> {
+        match weather {
+            Weather::Fair => Box::new(fair),
+            Weather::Skewed => Box::new(move |c: u64, _s: u32, _t: u64| ChunkFate::Deliver {
+                ack_after_ms: (chunks - c) * 7,
+            }),
+            Weather::Lossy { k } => {
+                let mut first_sends = 0u64;
+                Box::new(move |c: u64, send: u32, t: u64| {
+                    if send == 1 {
+                        first_sends += 1;
+                        if first_sends.is_multiple_of(k) {
+                            return ChunkFate::Timeout {
+                                detect_after_ms: 3 + (c * 5 + t) % 11,
+                            };
+                        }
+                    }
+                    ChunkFate::Deliver {
+                        ack_after_ms: c % 3,
+                    }
+                })
+            }
+            Weather::DownAfter { n } => {
+                let mut delivered = 0u64;
+                Box::new(move |_c: u64, _s: u32, _t: u64| {
+                    if delivered < n {
+                        delivered += 1;
+                        ChunkFate::Deliver { ack_after_ms: 2 }
+                    } else {
+                        ChunkFate::Down
+                    }
+                })
+            }
+            Weather::Dark => Box::new(|c: u64, send: u32, _t: u64| ChunkFate::Timeout {
+                detect_after_ms: 1 + (c + send as u64) % 4,
+            }),
+        }
+    }
+
+    /// Every `AttemptReport` field and the session's verified set after
+    /// the attempt, as one line.
+    fn attempt_line(r: &AttemptReport, s: &TransferSession) -> String {
+        format!(
+            "{:?} {} {} {} {} {} {} {:?} {:?} {} {}\n",
+            r.verified,
+            r.chunks_sent,
+            r.chunks_resent,
+            r.bytes_sent,
+            r.bytes_resent,
+            r.timeouts,
+            r.end_ms,
+            r.stall,
+            s.verified_set(),
+            s.verified_count(),
+            s.bytes_verified()
+        )
+    }
+
+    /// Pins the engine's whole output over a grid of fake channels,
+    /// windows, file sizes and send budgets: each attempt's report and
+    /// verified set, and after every stall both a resume from the verified
+    /// set and a restart. The replay goldens see the engine only through
+    /// the service's 0 ms acks; this covers the rest. To re-record after a
+    /// deliberate change, run this test on the parent and take the digest
+    /// from its failure message.
     #[test]
-    fn transfer_stats_merge_law_is_field_wise_sum() {
-        // Merge law for the TransferStats shard monoid: order-free,
-        // identity-preserving.
-        let a = TransferStats {
-            sessions: 3,
-            resumed_sessions: 1,
-            chunks_sent: 40,
-            chunks_resent: 5,
-            chunks_deduped: 2,
-            resume_saved_bytes: 1 << 20,
-        };
-        let b = TransferStats {
-            sessions: 2,
-            resumed_sessions: 2,
-            chunks_sent: 10,
-            chunks_resent: 1,
-            chunks_deduped: 0,
-            resume_saved_bytes: 512,
-        };
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge commutes");
-        assert_eq!(ab.chunks_sent, 50);
-        let mut id = a;
-        id.merge(&TransferStats::default());
-        assert_eq!(id, a, "default is the identity");
+    fn golden_digest_over_the_channel_grid() {
+        const GOLDEN: u64 = 0x3c0d_624e_e44a_16e0;
+        let weathers = [
+            Weather::Fair,
+            Weather::Skewed,
+            Weather::Lossy { k: 2 },
+            Weather::Lossy { k: 3 },
+            Weather::DownAfter { n: 0 },
+            Weather::DownAfter { n: 5 },
+            Weather::Dark,
+        ];
+        let sizes = [
+            0,
+            1,
+            CHUNK_SIZE,
+            7 * CHUNK_SIZE + CHUNK_SIZE / 3,
+            20 * CHUNK_SIZE,
+        ];
+        let mut text = String::new();
+        for weather in weathers {
+            for size in sizes {
+                let m = FileManifest::build("golden", &Content::Synthetic { seed: 3, size });
+                let chunks = m.chunk_count();
+                for window in [1, 3, 8, chunks as usize] {
+                    for max_chunk_sends in [1, 4] {
+                        text.push_str(&format!("{weather:?} {size} {window} {max_chunk_sends}\n"));
+                        let mut s = TransferSession::new(&m, window);
+                        let mut ch = weather_channel(weather, chunks);
+                        let r = run_transfer_attempt(&mut s, &mut ch, max_chunk_sends, 1_000);
+                        text.push_str(&attempt_line(&r, &s));
+                        if r.stall.is_none() {
+                            continue;
+                        }
+                        let mut resumed = TransferSession::resume(&m, &s.verified_set(), window);
+                        let mut ch = weather_channel(weather, chunks);
+                        let r2 = run_transfer_attempt(
+                            &mut resumed,
+                            &mut ch,
+                            max_chunk_sends,
+                            r.end_ms + 500,
+                        );
+                        text.push_str(&attempt_line(&r2, &resumed));
+                        s.restart();
+                        let mut ch = weather_channel(weather, chunks);
+                        let r3 =
+                            run_transfer_attempt(&mut s, &mut ch, max_chunk_sends, r.end_ms + 700);
+                        text.push_str(&attempt_line(&r3, &s));
+                    }
+                }
+            }
+        }
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(digest, GOLDEN, "transfer golden digest {digest:#018x}");
     }
 }

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 use mcs::render::bytes;
 use mcs::storage::{
-    run_transfer_attempt, ChunkFate, Content, FileManifest, Stall, TransferConfig, TransferSession,
+    run_transfer_attempt, ChunkFate, Content, FileManifest, Stall, TransferSession,
 };
 
 fn main() {
@@ -25,8 +25,7 @@ fn main() {
         size: 10 << 20,
     };
     let m = FileManifest::build("tour/video.mp4", &content);
-    let digest_of = |i: u64| m.chunk_digests[i as usize];
-    let cfg = TransferConfig::default();
+    let max_chunk_sends = 4;
     let window = 8;
     let chunks = m.chunk_count();
     println!(
@@ -34,13 +33,13 @@ fn main() {
         bytes(m.size as f64),
         chunks,
         window,
-        cfg.max_chunk_sends,
+        max_chunk_sends,
     );
 
     // --- 1. Fair weather: every chunk delivers, acks are instant. --------
-    let mut s = TransferSession::new(m.clone(), window);
+    let mut s = TransferSession::new(&m, window);
     let mut fair = |_c: u64, _s: u32, _t: u64| ChunkFate::Deliver { ack_after_ms: 0 };
-    let r = run_transfer_attempt(&mut s, &mut fair, digest_of, &cfg, 0);
+    let r = run_transfer_attempt(&mut s, &mut fair, max_chunk_sends, 0);
     assert!(s.is_complete() && r.stall.is_none());
     assert_eq!(r.chunks_sent, chunks);
     assert_eq!(r.chunks_resent, 0);
@@ -51,17 +50,17 @@ fn main() {
     );
 
     // --- 2. Out-of-order arrival: earlier chunks take longer, so acks ----
-    //     land in reverse order; the session finalizes when the *last*
+    //     land in reverse order; the session completes when the *last*
     //     chunk verifies, whichever index that is.
-    let mut s = TransferSession::new(m.clone(), chunks as usize);
+    let mut s = TransferSession::new(&m, chunks as usize);
     let mut skewed = |c: u64, _s: u32, _t: u64| ChunkFate::Deliver {
         ack_after_ms: (chunks - c) * 10,
     };
-    let r = run_transfer_attempt(&mut s, &mut skewed, digest_of, &cfg, 0);
+    let r = run_transfer_attempt(&mut s, &mut skewed, max_chunk_sends, 0);
     assert!(s.is_complete());
     let order: Vec<u64> = r.verified.iter().map(|&(c, _)| c).collect();
     assert_eq!(order.first(), Some(&(chunks - 1)), "last chunk acks first");
-    assert_eq!(order.last(), Some(&0), "chunk 0 finalizes the session");
+    assert_eq!(order.last(), Some(&0), "chunk 0 completes the session");
     println!(
         "out-of-order     acks landed {:?}.., finalized at t={} ms on chunk 0",
         &order[..4.min(order.len())],
@@ -71,7 +70,7 @@ fn main() {
     // --- 3. Lossy channel: every third chunk's first send is lost and ----
     //     re-sent after the retransmission timer. The re-sent share is the
     //     retry-inflated traffic the paper's whole-file client multiplies.
-    let mut s = TransferSession::new(m.clone(), window);
+    let mut s = TransferSession::new(&m, window);
     let mut lossy = |c: u64, send: u32, _t: u64| {
         if c.is_multiple_of(3) && send == 1 {
             ChunkFate::Timeout {
@@ -81,7 +80,7 @@ fn main() {
             ChunkFate::Deliver { ack_after_ms: 5 }
         }
     };
-    let r = run_transfer_attempt(&mut s, &mut lossy, digest_of, &cfg, 0);
+    let r = run_transfer_attempt(&mut s, &mut lossy, max_chunk_sends, 0);
     assert!(s.is_complete());
     assert!(r.timeouts > 0 && r.chunks_resent == r.timeouts);
     println!(
@@ -94,7 +93,7 @@ fn main() {
     // --- 4. Mid-transfer outage, then resume-from-partial. ---------------
     //     The peer dies after seven acks; the attempt stalls, the verified
     //     set persists, and the resumed session moves only what is missing.
-    let mut s = TransferSession::new(m.clone(), window);
+    let mut s = TransferSession::new(&m, window);
     let mut acked = 0u64;
     let mut dying = |_c: u64, _s: u32, _t: u64| {
         if acked < 7 {
@@ -104,7 +103,7 @@ fn main() {
             ChunkFate::Down
         }
     };
-    let r1 = run_transfer_attempt(&mut s, &mut dying, digest_of, &cfg, 0);
+    let r1 = run_transfer_attempt(&mut s, &mut dying, max_chunk_sends, 0);
     assert!(matches!(r1.stall, Some(Stall::FrontendDown { .. })));
     let saved: BTreeSet<u64> = s.verified_set();
     assert_eq!(saved.len(), 7);
@@ -116,15 +115,16 @@ fn main() {
         bytes(s.bytes_verified() as f64)
     );
 
-    let mut resumed = TransferSession::resume(m.clone(), &saved, window);
-    let r2 = run_transfer_attempt(&mut resumed, &mut fair, digest_of, &cfg, 60_000);
+    let mut resumed = TransferSession::resume(&m, &saved, window);
+    let r2 = run_transfer_attempt(&mut resumed, &mut fair, max_chunk_sends, 60_000);
     assert!(resumed.is_complete());
     assert_eq!(r2.chunks_sent, chunks - saved.len() as u64);
     assert_eq!(
-        resumed.finalize().expect("complete").file_digest,
-        m.file_digest,
-        "resumed file is byte-identical"
+        resumed.verified_set(),
+        (0..chunks).collect(),
+        "resumed file is whole"
     );
+    assert_eq!(resumed.bytes_verified(), m.size);
     println!(
         "resume           sent only the {} missing chunks; {} never re-moved",
         r2.chunks_sent,
@@ -133,13 +133,12 @@ fn main() {
 
     // --- 5. Dedup-aware sync: the target front-end's chunk store ---------
     //     already holds the even-indexed chunks (a sibling device uploaded
-    //     them), so the session skips them without a single send.
-    let mut deduped = TransferSession::new(m.clone(), window);
-    for i in (0..chunks).step_by(2) {
-        deduped.skip_verified(i).expect("pending chunk");
-    }
+    //     them), so the session starts with them verified and skips them
+    //     without a single send.
+    let held: BTreeSet<u64> = (0..chunks).step_by(2).collect();
+    let mut deduped = TransferSession::resume(&m, &held, window);
     let skipped = deduped.verified_count();
-    let r3 = run_transfer_attempt(&mut deduped, &mut fair, digest_of, &cfg, 0);
+    let r3 = run_transfer_attempt(&mut deduped, &mut fair, max_chunk_sends, 0);
     assert!(deduped.is_complete());
     assert_eq!(r3.chunks_sent, chunks - skipped);
     println!(

@@ -6,12 +6,10 @@ use mcs::{ExperimentId, ExperimentSuite, ReproConfig};
 #[test]
 fn headline_figures_hold_shape_at_ci_scale() {
     let mut suite = ExperimentSuite::new(ReproConfig::small(2016));
-    // The figures carrying the paper's main claims, `paper_figures`'
-    // headline set included.
-    for id in [
-        "f1", "f3", "f5", "f6", "t2", "t3", "f9", "f12", "f15", "f16",
-    ] {
-        let report = suite.run(id.parse::<ExperimentId>().unwrap());
+    // Every experiment's shape verdicts, `paper_figures`' headline set
+    // included.
+    for &id in ExperimentId::all() {
+        let report = suite.run(id);
         assert!(
             report.all_ok(),
             "{id} shape check failed:\n{}",
