@@ -28,7 +28,7 @@ use std::convert::Infallible;
 use std::ops::Range;
 use std::path::PathBuf;
 
-use mcs_obs::{Obs, Registry};
+use mcs_obs::Registry;
 use mcs_trace::io::{open_trace, TraceFormat};
 use mcs_trace::{BlockSource, ErrorBudget, LogRecord, ReadError};
 
@@ -206,7 +206,7 @@ pub fn par_analyze_shards(
             budget,
         },
         cfg,
-        &mut Obs::new(),
+        &mut Registry::new(),
     )
 }
 
@@ -316,14 +316,14 @@ mod tests {
         text.push_str("@@@ corrupt flush @@@\n");
         std::fs::write(path, text).unwrap();
 
-        let mut obs = Obs::new();
+        let mut metrics = Registry::new();
         let src = ShardFiles {
             paths: std::slice::from_ref(path),
             format: TraceFormat::Csv,
             budget: ErrorBudget::default(),
         };
-        let (analysis, report) = analyze(&src, &PipelineConfig::default(), &mut obs).unwrap();
-        let snap = obs.snapshot();
+        let (analysis, report) = analyze(&src, &PipelineConfig::default(), &mut metrics).unwrap();
+        let snap = metrics.snapshot();
         assert_eq!(snap.counters["ingest.records"], n);
         assert_eq!(snap.counters["ingest.quarantined"], 1);
         assert_eq!(

@@ -13,7 +13,7 @@
 //! The trace is any [`RecordSource`], walked once per pass, so paper-scale
 //! shard files stream twice without residing in memory.
 
-use mcs_obs::{CounterId, HistId, Obs, Registry};
+use mcs_obs::{CounterId, HistId, Registry};
 use mcs_trace::{effective_threads, fan_out, shard_ranges, LogRecord};
 
 use crate::activity_model::{ActivityCollector, ActivityStats};
@@ -82,7 +82,7 @@ pub struct FullAnalysis {
 }
 
 /// Runs the paper's two-pass pipeline over `src`, reporting what it
-/// measured into `obs`.
+/// measured into `metrics`.
 ///
 /// The source's units are split into contiguous ranges, one per worker
 /// (`cfg.threads`; one range runs inline). Pass 1 gathers each range's
@@ -98,14 +98,13 @@ pub struct FullAnalysis {
 /// a run with; when a run holds several, which one is reported may depend
 /// on the split.
 ///
-/// `obs` gains the `ingest.*` and `pipeline.*` metrics, all derived from
-/// the workload, so the registry is byte-identical at any thread count.
-/// Its trace gains the records per range and the merge fan-in, which
-/// describe this execution only.
+/// `metrics` gains the `ingest.*` and `pipeline.*` metrics, all derived
+/// from the workload, so the registry is byte-identical at any thread
+/// count.
 ///
 /// ```
 /// use mcs_analysis::{analyze, PipelineConfig};
-/// use mcs_obs::Obs;
+/// use mcs_obs::Registry;
 /// use mcs_trace::{TraceConfig, TraceGenerator};
 ///
 /// let gen = TraceGenerator::new(TraceConfig {
@@ -113,14 +112,14 @@ pub struct FullAnalysis {
 ///     pc_only_users: 40,
 ///     ..TraceConfig::default()
 /// }).unwrap();
-/// let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Obs::new());
+/// let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Registry::new());
 /// assert!(a.total_sessions > 100);
 /// assert!(a.sessions.store_only_frac() > 0.5); // write-dominated (§3.1.1)
 /// ```
 pub fn analyze<S: RecordSource + ?Sized>(
     src: &S,
     cfg: &PipelineConfig,
-    obs: &mut Obs,
+    metrics: &mut Registry,
 ) -> Result<(FullAnalysis, IngestReport), S::Error> {
     let threads = effective_threads(cfg.threads);
     let ranges = shard_ranges(src.units(), threads);
@@ -152,7 +151,7 @@ pub fn analyze<S: RecordSource + ?Sized>(
         report.merge(range_report);
     }
     src.check_budget(report.quarantined.len())?;
-    report.record_metrics(&mut obs.metrics);
+    report.record_metrics(metrics);
     let n_intervals = intervals.len() as u64;
     let tau = derive_tau(&intervals, cfg.max_fit_points);
     drop(intervals);
@@ -174,12 +173,6 @@ pub fn analyze<S: RecordSource + ?Sized>(
             Ok(collectors)
         },
     )?;
-    for (i, state) in states.iter().enumerate() {
-        obs.trace
-            .event(i as u64, "pipeline.shard.records", state.total_records);
-    }
-    let fan_in = states.len() as u64;
-    obs.trace.event(fan_in, "pipeline.merge.fan_in", fan_in);
     let merged = states
         .into_iter()
         .reduce(|mut acc, state| {
@@ -188,9 +181,9 @@ pub fn analyze<S: RecordSource + ?Sized>(
         })
         .unwrap_or_else(|| Collectors::new(cfg));
     let (analysis, mut run) = merged.finish(tau, cfg);
-    let c = run.metrics.counter("pipeline.intervals");
-    run.metrics.add(c, n_intervals);
-    obs.merge(&run);
+    let c = run.counter("pipeline.intervals");
+    run.add(c, n_intervals);
+    metrics.merge(&run);
     Ok((analysis, report))
 }
 
@@ -216,8 +209,8 @@ impl PipelineIds {
 /// The pass-2 collector set. Each instance is a monoid over per-user
 /// blocks: `a.push_block(..)` for a shard of blocks then `merge` in shard
 /// order equals pushing every block into one instance sequentially. The
-/// embedded [`Obs`] bundle obeys the same law, which is what makes the
-/// observed entry points' metric snapshots thread-count invariant.
+/// embedded [`Registry`] obeys the same law, which is what makes
+/// [`analyze`]'s metric snapshot thread-count invariant.
 pub(crate) struct Collectors {
     session_stats: SessionStatsCollector,
     filesize: FileSizeCollector,
@@ -226,7 +219,7 @@ pub(crate) struct Collectors {
     engagement: EngagementCollector,
     activity: ActivityCollector,
     perf: PerfCollector,
-    obs: Obs,
+    metrics: Registry,
     ids: PipelineIds,
     total_sessions: u64,
     total_records: u64,
@@ -235,8 +228,8 @@ pub(crate) struct Collectors {
 
 impl Collectors {
     pub(crate) fn new(cfg: &PipelineConfig) -> Self {
-        let mut obs = Obs::new();
-        let ids = PipelineIds::register(&mut obs.metrics);
+        let mut metrics = Registry::new();
+        let ids = PipelineIds::register(&mut metrics);
         Self {
             session_stats: SessionStatsCollector::new(),
             filesize: FileSizeCollector::new(),
@@ -245,7 +238,7 @@ impl Collectors {
             engagement: EngagementCollector::new(),
             activity: ActivityCollector::new(),
             perf: PerfCollector::new(),
-            obs,
+            metrics,
             ids,
             total_sessions: 0,
             total_records: 0,
@@ -266,10 +259,9 @@ impl Collectors {
         }
         self.total_users += 1;
         self.total_records += block.len() as u64;
-        self.obs.metrics.inc(self.ids.users);
-        self.obs.metrics.add(self.ids.records, block.len() as u64);
-        self.obs
-            .metrics
+        self.metrics.inc(self.ids.users);
+        self.metrics.add(self.ids.records, block.len() as u64);
+        self.metrics
             .observe(self.ids.block_records, block.len() as u64);
         mobile.clear();
         mobile.extend(block.iter().copied().filter(|r| r.device_type.is_mobile()));
@@ -279,7 +271,7 @@ impl Collectors {
         }
         for s in sessionize(mobile, tau_ms) {
             self.total_sessions += 1;
-            self.obs.metrics.inc(self.ids.sessions);
+            self.metrics.inc(self.ids.sessions);
             self.session_stats.push(&s);
             self.filesize.push(&s);
         }
@@ -300,7 +292,7 @@ impl Collectors {
         self.engagement.merge(other.engagement);
         self.activity.merge(other.activity);
         self.perf.merge(other.perf);
-        self.obs.merge(&other.obs);
+        self.metrics.merge(&other.metrics);
         self.total_sessions += other.total_sessions;
         self.total_records += other.total_records;
         self.total_users += other.total_users;
@@ -312,10 +304,10 @@ impl Collectors {
         mut self,
         tau: TauDerivation,
         cfg: &PipelineConfig,
-    ) -> (FullAnalysis, Obs) {
-        let g = self.obs.metrics.gauge("pipeline.tau_ms");
-        self.obs.metrics.set(g, tau.tau_ms() as i64);
-        let obs = std::mem::take(&mut self.obs);
+    ) -> (FullAnalysis, Registry) {
+        let g = self.metrics.gauge("pipeline.tau_ms");
+        self.metrics.set(g, tau.tau_ms() as i64);
+        let metrics = std::mem::take(&mut self.metrics);
         let (filesize_store, filesize_retrieve) = self
             .filesize
             .finish_on(cfg.max_fit_points, effective_threads(cfg.threads));
@@ -333,7 +325,7 @@ impl Collectors {
             total_records: self.total_records,
             total_users: self.total_users,
         };
-        (analysis, obs)
+        (analysis, metrics)
     }
 }
 
@@ -348,7 +340,7 @@ mod tests {
         cfg.mobile_users = users;
         cfg.pc_only_users = users / 4;
         let gen = TraceGenerator::new(cfg).unwrap();
-        let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Obs::new());
+        let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Registry::new());
         a
     }
 
@@ -359,9 +351,9 @@ mod tests {
         S: RecordSource + ?Sized,
         S::Error: std::fmt::Debug,
     {
-        let mut obs = Obs::new();
-        let (a, r) = analyze(src, cfg, &mut obs).unwrap();
-        (a, r, obs.snapshot().to_json())
+        let mut metrics = Registry::new();
+        let (a, r) = analyze(src, cfg, &mut metrics).unwrap();
+        (a, r, metrics.snapshot().to_json())
     }
 
     /// Field-level comparison first for readable failures, whole struct
@@ -397,7 +389,7 @@ mod tests {
         let blocks: Vec<Vec<mcs_trace::LogRecord>> = gen.iter_user_records().collect();
         let cfg = PipelineConfig::default();
 
-        let Ok((reference, _)) = analyze(&blocks, &cfg, &mut Obs::new());
+        let Ok((reference, _)) = analyze(&blocks, &cfg, &mut Registry::new());
         let tau = reference.tau;
         let tau_ms = tau.tau_ms();
         let mut mobile = Vec::new();
@@ -418,7 +410,7 @@ mod tests {
         }
         left.merge(right);
 
-        // Analysis AND embedded metric/trace bundle agree exactly.
+        // Analysis AND embedded metric registry agree exactly.
         assert_eq!(left.finish(tau.clone(), &cfg), whole.finish(tau, &cfg));
     }
 
@@ -492,16 +484,19 @@ mod tests {
     fn analyze_is_source_and_thread_invariant() {
         // The identity table of `analyze`: every source at every
         // thread count reproduces the generator's 1-thread analysis and
-        // exports byte-identical registry JSON. (The Tracer describes the
-        // execution and is left out.)
+        // exports byte-identical registry JSON.
         let mut tcfg = TraceConfig::small(7);
         tcfg.mobile_users = 300;
         tcfg.pc_only_users = 75;
         let gen = TraceGenerator::new(tcfg).unwrap();
         let cfg = PipelineConfig::default();
-        let mut ref_obs = Obs::new();
-        let Ok((expected, _)) = analyze(&gen, &PipelineConfig { threads: 1, ..cfg }, &mut ref_obs);
-        let snap = ref_obs.snapshot();
+        let mut ref_metrics = Registry::new();
+        let Ok((expected, _)) = analyze(
+            &gen,
+            &PipelineConfig { threads: 1, ..cfg },
+            &mut ref_metrics,
+        );
+        let snap = ref_metrics.snapshot();
         assert_eq!(snap.counters["pipeline.records"], expected.total_records);
         assert_eq!(snap.counters["pipeline.users"], expected.total_users);
         assert_eq!(snap.counters["pipeline.sessions"], expected.total_sessions);

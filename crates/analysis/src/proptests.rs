@@ -5,7 +5,7 @@
 
 #![cfg(test)]
 
-use mcs_obs::Obs;
+use mcs_obs::Registry;
 use mcs_stats::rng::{stream_rng, ChaCha8Rng, Rng};
 use mcs_trace::{DeviceType, Direction, LogRecord, RequestType};
 
@@ -87,8 +87,11 @@ fn prop_par_analyze_invariant_in_shard_count() {
         // Debug renderings sidestep NaN != NaN inside failed fits: NaN
         // prints as `NaN`, -0.0 as `-0.0`, and finite floats round-trip.
         let rendered = [1usize, 2, 4, 7].map(|threads| {
-            let Ok((analysis, _)) =
-                analyze(&blocks, &PipelineConfig { threads, ..cfg }, &mut Obs::new());
+            let Ok((analysis, _)) = analyze(
+                &blocks,
+                &PipelineConfig { threads, ..cfg },
+                &mut Registry::new(),
+            );
             format!("{analysis:?}")
         });
         for (threads, text) in [2, 4, 7].iter().zip(&rendered[1..]) {

@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mcs::analysis::{analyze, par_analyze_shards, PipelineConfig, ShardFiles};
-use mcs::obs::Obs;
+use mcs::obs::Registry;
 use mcs::trace::{ErrorBudget, TraceConfig, TraceFormat, TraceGenerator};
 
 struct Args {
@@ -198,9 +198,9 @@ fn smoke() {
     };
     let gen = TraceGenerator::new(cfg).expect("config");
     let pcfg = PipelineConfig::default();
-    let mut ref_obs = Obs::new();
-    let Ok((reference, _)) = analyze(&gen, &pcfg, &mut ref_obs);
-    let ref_json = ref_obs.snapshot().to_json();
+    let mut ref_metrics = Registry::new();
+    let Ok((reference, _)) = analyze(&gen, &pcfg, &mut ref_metrics);
+    let ref_json = ref_metrics.snapshot().to_json();
 
     let dir = std::env::temp_dir().join("mcs-trace-ingest-smoke");
     let mut sizes = std::collections::BTreeMap::new();
@@ -215,16 +215,16 @@ fn smoke() {
             budget: ErrorBudget::default(),
         };
         for threads in [1, 2, 5] {
-            let mut obs = Obs::new();
+            let mut metrics = Registry::new();
             let (streamed, report) =
-                analyze(&src, &PipelineConfig { threads, ..pcfg }, &mut obs).expect("stream");
+                analyze(&src, &PipelineConfig { threads, ..pcfg }, &mut metrics).expect("stream");
             assert_eq!(report.records, sharded.records, "{format:?} records");
             assert_eq!(
                 streamed, reference,
                 "{format:?} t{threads} stream != in-memory"
             );
             assert_eq!(
-                obs.snapshot().to_json(),
+                metrics.snapshot().to_json(),
                 ref_json,
                 "{format:?} t{threads} metric snapshot"
             );

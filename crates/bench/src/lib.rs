@@ -1,43 +1,12 @@
 //! Shared helpers for the `repro` harness and the `trace_ingest` format
-//! benchmark: scale parsing, the experiment runner and the wall clock.
-//! Layer-by-layer timing lives in `perfbench/`.
+//! benchmark: scale parsing and the experiment runner. `trace_ingest`
+//! times itself with `std::time::Instant`; layer-by-layer timing lives in
+//! `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mcs::{ExperimentId, ExperimentSuite, ReproConfig, Scale};
-
-/// The one sanctioned wall-clock implementation of [`mcs::obs::Clock`].
-///
-/// Library crates stamp spans with logical time only (the determinism
-/// contract, DESIGN.md §7/§9); real elapsed time lives here in the bench
-/// crate, where nondeterminism is expected. `now` reports microseconds
-/// since the clock was created, saturating at `u64::MAX`.
-#[derive(Debug)]
-pub struct WallClock {
-    start: std::time::Instant,
-}
-
-impl WallClock {
-    /// Starts a wall clock at zero.
-    pub fn new() -> Self {
-        Self {
-            start: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl mcs::obs::Clock for WallClock {
-    fn now(&mut self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-}
 
 /// Parses a scale name.
 pub fn parse_scale(s: &str) -> Result<Scale, String> {
@@ -125,19 +94,6 @@ pub fn run_and_export(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wall_clock_is_monotonic_and_drives_spans() {
-        use mcs::obs::{Clock, Tracer};
-        let mut clock = WallClock::new();
-        let t0 = clock.now();
-        let t1 = clock.now();
-        assert!(t1 >= t0);
-        let mut tracer = Tracer::new();
-        tracer.scoped(&mut clock, "bench.timed", |_| 7);
-        assert_eq!(tracer.spans().len(), 1);
-        assert!(tracer.spans()[0].end >= tracer.spans()[0].start);
-    }
 
     #[test]
     fn scale_parsing() {

@@ -2,7 +2,7 @@
 //! pipeline once, and regenerates any table/figure on demand.
 
 use mcs_analysis::{analyze, FullAnalysis};
-use mcs_obs::Obs;
+use mcs_obs::Registry;
 use mcs_trace::TraceGenerator;
 
 use crate::config::ReproConfig;
@@ -32,28 +32,26 @@ impl ExperimentSuite {
 
     /// The trace generator (built on first use).
     pub fn generator(&mut self) -> &TraceGenerator {
-        if self.generator.is_none() {
-            let gen = TraceGenerator::new(self.cfg.trace.clone())
+        self.generator.get_or_insert_with(|| {
+            TraceGenerator::new(self.cfg.trace.clone())
                 // mcs-lint: allow(panic, ReproConfig is validated at construction)
-                .expect("ReproConfig always yields a valid TraceConfig");
-            self.generator = Some(gen);
-        }
-        // mcs-lint: allow(panic, populated by the branch above)
-        self.generator.as_ref().expect("just built")
+                .expect("ReproConfig always yields a valid TraceConfig")
+        })
     }
 
     /// The full analysis (trace generated and analysed on first use).
     pub fn analysis(&mut self) -> &FullAnalysis {
-        if self.analysis.is_none() {
-            let pipeline = self.cfg.pipeline;
-            let gen = self.generator();
-            // Sharded over `pipeline.threads` workers; bit-identical for
-            // any thread count.
-            let Ok((analysis, _)) = analyze(gen, &pipeline, &mut Obs::new());
-            self.analysis = Some(analysis);
-        }
-        // mcs-lint: allow(panic, populated by the branch above)
-        self.analysis.as_ref().expect("just built")
+        let analysis = match self.analysis.take() {
+            Some(analysis) => analysis,
+            None => {
+                let pipeline = self.cfg.pipeline;
+                // Sharded over `pipeline.threads` workers; bit-identical
+                // for any thread count.
+                let Ok((analysis, _)) = analyze(self.generator(), &pipeline, &mut Registry::new());
+                analysis
+            }
+        };
+        self.analysis.insert(analysis)
     }
 
     /// Runs one experiment.

@@ -45,12 +45,6 @@ impl IdleRecord {
     pub fn idle_over_rto(&self) -> f64 {
         self.app_idle as f64 / self.rto.max(1) as f64
     }
-
-    /// The same ratio under the RFC 5681 idle definition (time since the
-    /// last data transmission, which adds ≈ 1 RTT of propagation).
-    pub fn sender_idle_over_rto(&self) -> f64 {
-        self.idle as f64 / self.rto.max(1) as f64
-    }
 }
 
 /// Everything captured from one simulated flow.
@@ -118,29 +112,6 @@ impl FlowTrace {
             prev = c.completed_at;
         }
         out
-    }
-
-    /// Fraction of idle gaps whose idle exceeded the RTO (Fig. 16c at
-    /// x = 1).
-    pub fn frac_idle_over_rto(&self) -> f64 {
-        if self.idle_records.is_empty() {
-            return 0.0;
-        }
-        let n = self
-            .idle_records
-            .iter()
-            .filter(|r| r.idle_over_rto() > 1.0)
-            .count();
-        n as f64 / self.idle_records.len() as f64
-    }
-
-    /// Fraction of idle gaps that actually restarted slow start.
-    pub fn frac_restarted(&self) -> f64 {
-        if self.idle_records.is_empty() {
-            return 0.0;
-        }
-        let n = self.idle_records.iter().filter(|r| r.restarted).count();
-        n as f64 / self.idle_records.len() as f64
     }
 
     /// Books this flow's loss/stall accounting into a metric registry as
@@ -216,22 +187,18 @@ mod tests {
 
     #[test]
     fn idle_fractions() {
-        let mk = |idle: Time, rto: Time, restarted: bool| IdleRecord {
+        // Fig. 16c's x-value divides the paper's idle (T_srv + T_clt), not
+        // the sender's, by the RTO; a zero RTO divides by one.
+        let r = IdleRecord {
             before_batch: 1,
-            idle,
-            app_idle: idle,
-            rto,
-            restarted,
+            idle: 500,
+            app_idle: 400,
+            rto: 300,
+            restarted: true,
             unlock_to_send: 0,
         };
-        let t = FlowTrace {
-            idle_records: vec![mk(400, 300, true), mk(100, 300, false), mk(900, 300, true)],
-            ..FlowTrace::default()
-        };
-        assert!((t.frac_idle_over_rto() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((t.frac_restarted() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((t.idle_records[0].idle_over_rto() - 400.0 / 300.0).abs() < 1e-12);
-        assert!((t.idle_records[0].sender_idle_over_rto() - 400.0 / 300.0).abs() < 1e-12);
+        assert!((r.idle_over_rto() - 400.0 / 300.0).abs() < 1e-12);
+        assert_eq!(IdleRecord { rto: 0, ..r }.idle_over_rto(), 400.0);
     }
 
     #[test]
@@ -276,8 +243,6 @@ mod tests {
     fn empty_trace_degenerate_values() {
         let t = FlowTrace::default();
         assert_eq!(t.goodput_bps(), 0.0);
-        assert_eq!(t.frac_idle_over_rto(), 0.0);
-        assert_eq!(t.frac_restarted(), 0.0);
         assert!(t.chunk_times_s().is_empty());
     }
 }

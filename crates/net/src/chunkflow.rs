@@ -658,7 +658,7 @@ impl Engine {
                 fl.trace.data_drops += 1;
             }
         }
-        fl.tcp.register_send(now, bytes);
+        fl.tcp.register_send(now);
         fl.next_emit = now.saturating_add(fl.emit_interval);
         fl.last_data_send = Some(now);
         // Fresh data always ends past every recorded send; a retransmit

@@ -121,19 +121,9 @@ impl TcpSender {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &TcpConfig {
-        &self.cfg
-    }
-
     /// Current congestion window, bytes.
     pub fn cwnd(&self) -> u64 {
         self.cwnd as u64
-    }
-
-    /// Current slow-start threshold, bytes.
-    pub fn ssthresh(&self) -> f64 {
-        self.ssthresh
     }
 
     /// Current RTO, µs.
@@ -154,11 +144,6 @@ impl TcpSender {
     /// How many slow-start restarts idle gaps have caused.
     pub fn idle_restarts(&self) -> u64 {
         self.idle_restarts
-    }
-
-    /// Whether the sender is in fast recovery.
-    pub fn in_recovery(&self) -> bool {
-        self.in_recovery
     }
 
     /// Effective send window: min(cwnd, rwnd).
@@ -195,8 +180,8 @@ impl TcpSender {
         None
     }
 
-    /// Records that `_bytes` of data left at `now`.
-    pub fn register_send(&mut self, now: Time, _bytes: u64) {
+    /// Records that data left at `now`.
+    pub fn register_send(&mut self, now: Time) {
         self.last_send = Some(now);
     }
 
@@ -359,7 +344,7 @@ mod tests {
     fn idle_restart_fires_after_rto() {
         let mut s = sender();
         s.cwnd = 60_000.0;
-        s.register_send(0, MSS);
+        s.register_send(0);
         // RTO is initial (1 s); idle 2 s.
         let ev = s.on_send_attempt(2 * SEC);
         assert_eq!(ev, Some(CwndEvent::IdleRestart));
@@ -374,7 +359,7 @@ mod tests {
             ..TcpConfig::default()
         });
         s.cwnd = 60_000.0;
-        s.register_send(0, MSS);
+        s.register_send(0);
         assert_eq!(s.on_send_attempt(5 * SEC), None);
         assert_eq!(s.cwnd(), 60_000);
     }
@@ -384,7 +369,7 @@ mod tests {
         let mut s = sender();
         s.cwnd = 60_000.0;
         s.take_rtt_sample(100 * MS); // RTO = 100ms + 200ms = 300ms
-        s.register_send(0, MSS);
+        s.register_send(0);
         assert_eq!(s.on_send_attempt(250 * MS), None);
         assert_eq!(s.cwnd(), 60_000);
         assert_eq!(s.on_send_attempt(301 * MS), Some(CwndEvent::IdleRestart));

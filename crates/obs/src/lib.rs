@@ -13,12 +13,11 @@
 //!   thread count.
 //! * **[`Registry`]** names metrics and merges whole per-shard sets *by
 //!   name*, so shards that registered in different orders still combine
-//!   deterministically.
-//! * **Tracing** ([`Tracer`]) records spans and events stamped with
-//!   *logical* time — simulation clocks, operation ordinals, record
-//!   indices — never wall clock. Wall-clock phase timing lives behind the
-//!   [`Clock`] trait, whose only real-time implementation is confined to
-//!   `crates/bench` (mcs-lint rule R2).
+//!   deterministically. It is the one record every instrumented entry
+//!   point (`mcs_analysis::analyze`,
+//!   `TraceGenerator::write_shards_observed`, the storage replay) reports
+//!   into. Only workload-derived values are booked, never wall-clock time,
+//!   so the merged registry is a pure function of the inputs.
 //! * **Exporters** ([`Snapshot::to_json`], [`Snapshot::to_table`]) are
 //!   stable-ordered (BTreeMap-backed), so two bit-identical registries
 //!   render byte-identical output.
@@ -46,75 +45,7 @@
 pub mod export;
 pub mod metrics;
 pub mod registry;
-pub mod span;
 
 pub use export::Snapshot;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{CounterId, GaugeId, HistId, Registry};
-pub use span::{Clock, Event, LogicalClock, Span, Tracer};
-
-/// Metrics registry plus logical-time trace log, bundled for instrumented
-/// entry points (`mcs_analysis::analyze`,
-/// `TraceGenerator::write_shards_observed`, …).
-///
-/// The split matters for the determinism contract: everything in
-/// `metrics` is **thread-count invariant** (derived from the workload, so
-/// any sharding merges to the same totals), while `trace` records
-/// *execution* diagnostics (shard fan-in, per-shard record counts, phase
-/// spans) that are deterministic for a fixed thread count but legitimately
-/// differ across thread counts.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Obs {
-    /// Thread-count-invariant workload metrics.
-    pub metrics: Registry,
-    /// Execution diagnostics on logical time.
-    pub trace: Tracer,
-}
-
-impl Obs {
-    /// An empty bundle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs another bundle: metrics merge by name, trace logs
-    /// concatenate. Merge in ascending shard order for sequential
-    /// equivalence.
-    pub fn merge(&mut self, other: &Obs) {
-        self.metrics.merge(&other.metrics);
-        self.trace.merge(&other.trace);
-    }
-
-    /// Stable-ordered snapshot of the metric set.
-    pub fn snapshot(&self) -> Snapshot {
-        self.metrics.snapshot()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_law_obs_bundle() {
-        // Obs merge = Registry merge by name + Tracer concatenation.
-        let mut whole = Obs::new();
-        let c = whole.metrics.counter("x");
-        whole.metrics.add(c, 5);
-        whole.trace.event(0, "a", 1);
-        whole.trace.event(1, "b", 2);
-
-        let mut left = Obs::new();
-        let c = left.metrics.counter("x");
-        left.metrics.add(c, 2);
-        left.trace.event(0, "a", 1);
-        let mut right = Obs::new();
-        let c = right.metrics.counter("x");
-        right.metrics.add(c, 3);
-        right.trace.event(1, "b", 2);
-
-        left.merge(&right);
-        assert_eq!(left, whole);
-        assert_eq!(left.snapshot(), whole.snapshot());
-    }
-}

@@ -172,21 +172,6 @@ pub fn gini(xs: &[f64]) -> f64 {
     (2.0 * weighted) / (n * total) - (n + 1.0) / n
 }
 
-/// Fraction of the total mass contributed by the largest `k` values —
-/// e.g. "what share of uploads come from the top 1 % of users".
-pub fn top_k_share(xs: &[f64], k: usize) -> f64 {
-    if xs.is_empty() || k == 0 {
-        return 0.0;
-    }
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| f64::total_cmp(b, a));
-    let total: f64 = v.iter().sum();
-    if total == 0.0 {
-        return 0.0;
-    }
-    v.iter().take(k).sum::<f64>() / total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,15 +253,6 @@ mod tests {
         // Near-perfect inequality approaches (n−1)/n.
         let g = gini(&[0.0, 0.0, 0.0, 100.0]);
         assert!((g - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top_k_share_basics() {
-        let xs = [10.0, 30.0, 60.0];
-        assert!((top_k_share(&xs, 1) - 0.6).abs() < 1e-12);
-        assert!((top_k_share(&xs, 2) - 0.9).abs() < 1e-12);
-        assert!((top_k_share(&xs, 3) - 1.0).abs() < 1e-12);
-        assert!((top_k_share(&xs, 10) - 1.0).abs() < 1e-12);
     }
 
     const SEED: u64 = 0x5EED;

@@ -207,11 +207,7 @@ impl LogHistogram {
             return None;
         }
         // Primary mode: the global maximum.
-        let &(p1, h1) = maxima
-            .iter()
-            .max_by(|a, b| f64::total_cmp(&a.1, &b.1))
-            // mcs-lint: allow(panic, maxima.len() >= 2 checked above)
-            .expect("non-empty");
+        let &(p1, h1) = maxima.iter().max_by(|a, b| f64::total_cmp(&a.1, &b.1))?;
         // Secondary mode: the tallest other local maximum separated from
         // the primary by a *genuine dip* — the minimum between them must
         // fall below `DIP` of the lower peak. Without this, jagged bins

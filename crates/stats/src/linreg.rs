@@ -90,11 +90,6 @@ impl LinearFit {
             n: xs.len(),
         }
     }
-
-    /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
 }
 
 #[cfg(test)]
@@ -139,17 +134,6 @@ mod tests {
         assert_eq!(f.slope, 0.0);
         assert_eq!(f.intercept, 5.0);
         assert_eq!(f.r_squared, 1.0);
-    }
-
-    #[test]
-    fn predict_works() {
-        let f = LinearFit {
-            slope: 2.0,
-            intercept: 1.0,
-            r_squared: 1.0,
-            n: 2,
-        };
-        assert_eq!(f.predict(3.0), 7.0);
     }
 
     const SEED: u64 = 0x5EED;

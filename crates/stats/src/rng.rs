@@ -1,10 +1,10 @@
 //! Deterministic, seeded samplers.
 //!
 //! Everything the synthetic workload generator draws — inter-operation
-//! gaps (log-space Gaussian mixtures), file sizes (exponential mixtures),
-//! per-user activity (stretched exponential), RTTs (lognormal), hour-of-day
-//! (categorical) — is sampled through this module so that a single `u64`
-//! seed reproduces a trace bit-for-bit.
+//! gaps and RTTs (lognormal), file sizes (exponential mixtures), per-user
+//! activity (stretched exponential), hour-of-day (categorical) — is
+//! sampled through this module so that a single `u64` seed reproduces a
+//! trace bit-for-bit.
 //!
 //! The one generator is [`ChaCha8Rng`]; [`Rng`] is its word interface plus
 //! the typed draws built on it. Samplers are plain structs with a
@@ -189,28 +189,6 @@ pub fn standard_normal(rng: &mut impl Rng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Normal distribution `N(mean, std_dev²)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    /// Mean.
-    pub mean: f64,
-    /// Standard deviation (> 0).
-    pub std_dev: f64,
-}
-
-impl Normal {
-    /// Creates the sampler; panics if `std_dev <= 0`.
-    pub fn new(mean: f64, std_dev: f64) -> Self {
-        assert!(std_dev > 0.0, "std_dev must be positive");
-        Self { mean, std_dev }
-    }
-
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
-        self.mean + self.std_dev * standard_normal(rng)
-    }
-}
-
 /// Lognormal distribution: `exp(N(mu, sigma²))`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
@@ -294,8 +272,9 @@ impl Categorical {
             acc += w / total;
             cumulative.push(acc);
         }
-        // mcs-lint: allow(panic, loop above pushed >= 1 entry)
-        *cumulative.last_mut().expect("non-empty") = 1.0;
+        if let Some(last) = cumulative.last_mut() {
+            *last = 1.0;
+        }
         Self { cumulative }
     }
 
@@ -361,38 +340,6 @@ impl ExpMixtureSampler {
     }
 }
 
-/// Mixture of Gaussians in `ln x` space — i.e. a lognormal mixture. This is
-/// the generative counterpart of the paper's Fig. 3 model: inter-operation
-/// times whose *logarithm* is a two-component Gaussian mixture.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogSpaceGmmSampler {
-    choose: Categorical,
-    comps: Vec<LogNormal>,
-}
-
-impl LogSpaceGmmSampler {
-    /// Builds from `(weight, mu_ln, sigma_ln)` triples (parameters of the
-    /// Gaussians on ln x).
-    pub fn new(components: &[(f64, f64, f64)]) -> Self {
-        assert!(!components.is_empty(), "need at least one component");
-        let weights: Vec<f64> = components.iter().map(|&(w, _, _)| w).collect();
-        let comps = components
-            .iter()
-            .map(|&(_, mu, sigma)| LogNormal::new(mu, sigma))
-            .collect();
-        Self {
-            choose: Categorical::new(&weights),
-            comps,
-        }
-    }
-
-    /// Draws one sample (positive).
-    pub fn sample(&self, rng: &mut impl Rng) -> f64 {
-        let j = self.choose.sample(rng);
-        self.comps[j].sample(rng)
-    }
-}
-
 /// Stretched-exponential sampler by CCDF inversion:
 /// `P(X ≥ x) = exp(−(x/x₀)^c)` inverts to `x = x₀·(−ln U)^{1/c}`.
 ///
@@ -450,8 +397,9 @@ impl Zipf {
         for c in &mut cumulative {
             *c /= total;
         }
-        // mcs-lint: allow(panic, loop above pushed >= 1 entry)
-        *cumulative.last_mut().expect("non-empty") = 1.0;
+        if let Some(last) = cumulative.last_mut() {
+            *last = 1.0;
+        }
         Self { cumulative }
     }
 
@@ -568,9 +516,10 @@ mod tests {
     #[test]
     fn normal_moments() {
         let mut r = rng(1);
-        let d = Normal::new(5.0, 2.0);
         let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| d.sample(&mut r)).collect();
+        let xs: Vec<f64> = (0..n)
+            .map(|_| 5.0 + 2.0 * standard_normal(&mut r))
+            .collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
@@ -632,28 +581,6 @@ mod tests {
             (mean - expected_mean).abs() / expected_mean < 0.05,
             "{mean}"
         );
-    }
-
-    #[test]
-    fn log_space_gmm_is_bimodal_in_log() {
-        let mut r = rng(6);
-        // ~10 s and ~1 day modes (ln space), as in Fig. 3.
-        let d = LogSpaceGmmSampler::new(&[(0.7, 10f64.ln(), 1.0), (0.3, 86_400f64.ln(), 0.7)]);
-        let n = 40_000;
-        let (mut small, mut large) = (0u32, 0u32);
-        for _ in 0..n {
-            let x = d.sample(&mut r);
-            assert!(x > 0.0);
-            if x < 3600.0 {
-                small += 1;
-            } else if x > 3600.0 {
-                large += 1;
-            }
-        }
-        let frac_small = small as f64 / n as f64;
-        let frac_large = large as f64 / n as f64;
-        assert!((frac_small - 0.7).abs() < 0.05, "{frac_small}");
-        assert!((frac_large - 0.3).abs() < 0.05, "{frac_large}");
     }
 
     #[test]

@@ -149,24 +149,7 @@ impl DiurnalProfile {
             .iter()
             .enumerate()
             .max_by(|a, b| f64::total_cmp(a.1, b.1))
-            .map(|(h, _)| h)
-            // mcs-lint: allow(panic, hours is a fixed 24-slot array)
-            .expect("24 hours")
-    }
-
-    /// Normalises so the profile sums to 1 (an intensity distribution the
-    /// workload generator can sample hours from). All-zero profiles come
-    /// back uniform.
-    pub fn normalized(&self) -> [f64; 24] {
-        let total: f64 = self.hours.iter().sum();
-        if total <= 0.0 {
-            return [1.0 / 24.0; 24];
-        }
-        let mut out = [0.0; 24];
-        for (o, &h) in out.iter_mut().zip(self.hours.iter()) {
-            *o = h / total;
-        }
-        out
+            .map_or(0, |(h, _)| h)
     }
 }
 
@@ -267,23 +250,5 @@ mod tests {
         assert_eq!(d.peak_hour(), 23);
         assert!((d.hours[23] - 10.0).abs() < 1e-12);
         assert_eq!(d.hours[0], 0.0);
-    }
-
-    #[test]
-    fn diurnal_normalized_sums_to_one() {
-        let mut s = HourlySeries::new(DAY_SECS);
-        for h in 0..24u64 {
-            s.add(h * HOUR_SECS, (h + 1) as f64);
-        }
-        let norm = s.diurnal().normalized();
-        let total: f64 = norm.iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn all_zero_profile_normalizes_uniform() {
-        let s = HourlySeries::new(DAY_SECS);
-        let norm = s.diurnal().normalized();
-        assert!(norm.iter().all(|&p| (p - 1.0 / 24.0).abs() < 1e-15));
     }
 }

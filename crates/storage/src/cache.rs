@@ -102,15 +102,21 @@ impl LruCache {
         false
     }
 
+    /// Evicts the least recently used entry. `request` evicts only while
+    /// the cached bytes leave no room for an object that fits the cache,
+    /// so some entry is always there to evict.
     fn evict_lru(&mut self) {
-        let victim = self
+        let Some(victim) = self
             .entries
             .iter()
             .min_by_key(|(_, &(_, stamp))| stamp)
             .map(|(&id, _)| id)
-            // mcs-lint: allow(panic, caller only evicts when non-empty; victim key just read)
-            .expect("eviction needed but cache empty");
-        let (bytes, _) = self.entries.remove(&victim).expect("present");
+        else {
+            return;
+        };
+        let Some((bytes, _)) = self.entries.remove(&victim) else {
+            return;
+        };
         self.used_bytes -= bytes;
         self.stats.evictions += 1;
     }

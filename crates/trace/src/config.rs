@@ -75,8 +75,11 @@ impl FileSizeModel {
         if (wsum - 1.0).abs() > 1e-6 {
             return Err(format!("file size weights must sum to 1, got {wsum}"));
         }
-        if !self.components.iter().all(|&(w, m)| w >= 0.0 && m > 0.0) {
-            return Err("file size components need w >= 0 and mean > 0".into());
+        if !self.components.iter().all(|&(w, _)| w >= 0.0) {
+            return Err("file size weights must be >= 0".into());
+        }
+        for &(_, mean) in &self.components {
+            positive("file size mean", mean)?;
         }
         Ok(())
     }

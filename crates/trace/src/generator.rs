@@ -17,23 +17,13 @@
 //!
 //! * [`TraceGenerator::iter_user_records`]: per-user blocks, lazily, on
 //!   the calling thread;
-//! * [`TraceGenerator::par_user_records`]: every block, in user order;
-//! * [`TraceGenerator::generate_sorted`]: every record, time-sorted, for
-//!   traces that fit in memory;
-//! * [`TraceGenerator::write_shards_observed`]: shard files on disk (see
+//! * [`TraceGenerator::write_shards_observed`]: shard files on disk, on
+//!   [`TraceConfig::threads`] workers, booking the `gen.*` metrics (see
 //!   [`crate::shard`]).
-//!
-//! The last three run on [`TraceConfig::threads`] workers through one
-//! shared fan-out, which books the same `gen.*` metrics and trace events
-//! for all three.
 
-use std::convert::Infallible;
-use std::ops::Range;
-
-use mcs_obs::{Obs, Registry};
 use mcs_stats::rng::{stream_rng, ChaCha8Rng, LogNormal, Rng};
 
-use crate::blocks::{effective_threads, fan_out, shard_ranges, BlockSource};
+use crate::blocks::BlockSource;
 use crate::config::TraceConfig;
 use crate::netmodel::TimingSampler;
 use crate::population::{build_population, UserProfile};
@@ -118,88 +108,6 @@ impl TraceGenerator {
     /// Iterator over per-user record blocks (streaming-friendly).
     pub fn iter_user_records(&self) -> impl Iterator<Item = Vec<LogRecord>> + '_ {
         self.users.iter().map(|u| self.user_records(u))
-    }
-
-    /// All per-user record blocks in user order, generated on
-    /// [`TraceConfig::threads`] workers over contiguous user shards. Each
-    /// user draws from its own RNG stream, so the result equals
-    /// [`Self::iter_user_records`] at any thread count.
-    ///
-    /// Reports into `obs`: `gen.users`, `gen.records` and the
-    /// `gen.user_records` histogram, booked per shard and merged in shard
-    /// order (bit-identical at any thread count), plus one
-    /// `gen.shard.records` trace event per shard and `gen.merge.fan_in`.
-    pub fn par_user_records(&self, obs: &mut Obs) -> Vec<Vec<LogRecord>> {
-        let Ok(shards) = self.per_shard(self.thread_ranges(), obs, |_, blocks| {
-            Ok::<_, Infallible>(blocks.collect::<Vec<_>>())
-        });
-        shards.into_iter().flatten().collect()
-    }
-
-    /// Every record, sorted globally by `(timestamp_ms, user_id,
-    /// device_id)`, for traces that fit in memory. Each worker sorts its
-    /// user shard's records and the runs are k-way merged, so the output is
-    /// bit-identical to a single-threaded stable sort for any thread count.
-    /// Reports into `obs` exactly as [`Self::par_user_records`] does.
-    pub fn generate_sorted(&self, obs: &mut Obs) -> Vec<LogRecord> {
-        let Ok(runs) = self.per_shard(self.thread_ranges(), obs, |_, blocks| {
-            let mut run: Vec<LogRecord> = blocks.flatten().collect();
-            run.sort_by_key(sort_key);
-            Ok::<_, Infallible>(run)
-        });
-        merge_sorted_runs(runs)
-    }
-
-    /// One contiguous user shard per worker.
-    fn thread_ranges(&self) -> Vec<Range<usize>> {
-        shard_ranges(self.users.len(), effective_threads(self.cfg.threads))
-    }
-
-    /// The one generation fan-out: generates each range's users on
-    /// [`fan_out`] workers, hands shard `i`'s blocks in user order to
-    /// `sink(i, blocks)`, and returns the results in shard order, or the
-    /// first error in shard order. Each shard books its `gen.*` metrics
-    /// into a private registry; the registries merge into `obs` in shard
-    /// order, so the snapshot is the same at any thread or shard count.
-    /// The trace events (records per shard, fan-in) describe this run.
-    pub(crate) fn per_shard<S: Send, E: Send>(
-        &self,
-        ranges: Vec<Range<usize>>,
-        obs: &mut Obs,
-        sink: impl Fn(usize, &mut dyn Iterator<Item = Vec<LogRecord>>) -> Result<S, E> + Sync,
-    ) -> Result<Vec<S>, E> {
-        let shards = fan_out(
-            ranges.into_iter().enumerate().collect(),
-            effective_threads(self.cfg.threads),
-            |(i, range)| {
-                let mut metrics = Registry::new();
-                let users = metrics.counter("gen.users");
-                let records = metrics.counter("gen.records");
-                let per_user = metrics.histogram("gen.user_records");
-                let mut n = 0;
-                let out = sink(
-                    i,
-                    &mut self.users[range].iter().map(|u| {
-                        let block = self.user_records(u);
-                        metrics.inc(users);
-                        metrics.add(records, block.len() as u64);
-                        metrics.observe(per_user, block.len() as u64);
-                        n += block.len() as u64;
-                        block
-                    }),
-                )?;
-                Ok((out, metrics, n))
-            },
-        )?;
-        let fan_in = shards.len() as u64;
-        let mut out = Vec::with_capacity(shards.len());
-        for (i, (s, metrics, n)) in shards.into_iter().enumerate() {
-            obs.metrics.merge(&metrics);
-            obs.trace.event(i as u64, "gen.shard.records", n);
-            out.push(s);
-        }
-        obs.trace.event(fan_in, "gen.merge.fan_in", fan_in);
-        Ok(out)
     }
 
     /// Emits the records of one session into `out`.
@@ -302,37 +210,6 @@ impl BlockSource for TraceGenerator {
     }
 }
 
-/// Global trace order: timestamp, then user, then device.
-fn sort_key(r: &LogRecord) -> (u64, u64, u64) {
-    (r.timestamp_ms, r.user_id, r.device_id)
-}
-
-/// K-way merges per-shard runs already sorted by [`sort_key`]. Ties prefer
-/// the lower shard, which — with shards being contiguous user ranges —
-/// reproduces exactly what a global stable sort over the concatenated runs
-/// would produce.
-fn merge_sorted_runs(runs: Vec<Vec<LogRecord>>) -> Vec<LogRecord> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    let mut cursors = vec![0usize; runs.len()];
-    let mut heap = BinaryHeap::with_capacity(runs.len());
-    for (i, run) in runs.iter().enumerate() {
-        if let Some(r) = run.first() {
-            heap.push(Reverse((sort_key(r), i)));
-        }
-    }
-    while let Some(Reverse((_, i))) = heap.pop() {
-        out.push(runs[i][cursors[i]]);
-        cursors[i] += 1;
-        if let Some(next) = runs[i].get(cursors[i]) {
-            heap.push(Reverse((sort_key(next), i)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,7 +231,7 @@ mod tests {
     #[test]
     fn rejects_values_the_samplers_cannot_take() {
         // Each edit used to panic inside a sampler or pass silently.
-        let bad: [fn(&mut TraceConfig); 24] = [
+        let bad: [fn(&mut TraceConfig); 25] = [
             |c| c.session.intra_op_gap_sigma = 0.0,
             |c| c.session.intra_op_gap_median_s = f64::NAN,
             |c| c.session.straggler_gap_median_s = 0.0,
@@ -379,6 +256,7 @@ mod tests {
             |c| c.session.store_only_frac = f64::NAN,
             |c| c.diurnal.weekend_factor = -1.0,
             |c| c.diurnal.weekend_factor = f64::NAN,
+            |c| c.store_sizes.components = vec![(1.0, f64::INFINITY)],
         ];
         for (i, edit) in bad.iter().enumerate() {
             let mut cfg = TraceConfig::default();
@@ -460,92 +338,6 @@ mod tests {
                     assert!(r.rtt_ms > 0.0);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn generate_sorted_is_globally_ordered() {
-        let mut cfg = TraceConfig::small(13);
-        cfg.mobile_users = 300;
-        cfg.pc_only_users = 50;
-        let g = TraceGenerator::new(cfg).unwrap();
-        let all = g.generate_sorted(&mut Obs::new());
-        assert!(!all.is_empty());
-        for w in all.windows(2) {
-            assert!(w[0].timestamp_ms <= w[1].timestamp_ms);
-        }
-    }
-
-    #[test]
-    fn par_user_records_matches_sequential_for_any_thread_count() {
-        let sequential: Vec<Vec<LogRecord>> = generator(21).iter_user_records().collect();
-        for threads in [1usize, 2, 4, 7] {
-            let mut cfg = TraceConfig::small(21);
-            cfg.threads = threads;
-            let g = TraceGenerator::new(cfg).unwrap();
-            assert_eq!(
-                g.par_user_records(&mut Obs::new()),
-                sequential,
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_generate_sorted_is_bit_identical() {
-        let mut cfg = TraceConfig::small(22);
-        cfg.mobile_users = 400;
-        cfg.pc_only_users = 100;
-        cfg.threads = 1;
-        let baseline = TraceGenerator::new(cfg.clone())
-            .unwrap()
-            .generate_sorted(&mut Obs::new());
-        assert!(!baseline.is_empty());
-        for threads in [2usize, 3, 8] {
-            cfg.threads = threads;
-            let g = TraceGenerator::new(cfg.clone()).unwrap();
-            assert_eq!(
-                g.generate_sorted(&mut Obs::new()),
-                baseline,
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn observed_generation_metrics_shard_invariant_across_thread_counts() {
-        let mut cfg = TraceConfig::small(24);
-        cfg.mobile_users = 200;
-        cfg.pc_only_users = 50;
-        cfg.threads = 1;
-        let g1 = TraceGenerator::new(cfg.clone()).unwrap();
-        let mut base = Obs::new();
-        let blocks = g1.par_user_records(&mut base);
-        let base_snap = base.snapshot();
-        let total: u64 = blocks.iter().map(|b| b.len() as u64).sum();
-        assert_eq!(base_snap.counters["gen.users"], blocks.len() as u64);
-        assert_eq!(base_snap.counters["gen.records"], total);
-        assert_eq!(
-            base_snap.histograms["gen.user_records"].count,
-            blocks.len() as u64
-        );
-        for threads in [2usize, 3, 8] {
-            cfg.threads = threads;
-            let g = TraceGenerator::new(cfg.clone()).unwrap();
-            let mut obs = Obs::new();
-            assert_eq!(g.par_user_records(&mut obs), blocks);
-            let snap = obs.snapshot();
-            assert_eq!(snap, base_snap, "threads = {threads}");
-            // The sorted path books the same workload metrics, and its
-            // trace names the merge fan-in of this execution.
-            let mut sorted_obs = Obs::new();
-            let _ = g.generate_sorted(&mut sorted_obs);
-            assert_eq!(sorted_obs.snapshot(), base_snap, "threads = {threads}");
-            assert!(sorted_obs
-                .trace
-                .events()
-                .iter()
-                .any(|e| e.name == "gen.merge.fan_in"));
         }
     }
 

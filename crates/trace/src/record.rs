@@ -9,9 +9,6 @@
 /// Fixed chunk size of the examined service: 512 KB (§2.1).
 pub const CHUNK_SIZE: u64 = 512 * 1024;
 
-/// One week in milliseconds — the paper's observation horizon.
-pub const WEEK_MS: u64 = 7 * 24 * 3600 * 1000;
-
 /// Client platform of the device issuing a request.
 ///
 /// The paper's mobile dataset splits 78.4 % Android / 21.6 % iOS; a separate

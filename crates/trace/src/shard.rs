@@ -1,9 +1,8 @@
 //! Direct-to-disk trace emission: per-user record blocks streamed into
-//! shard files.
+//! shard files. This is the generator's one parallel entry point.
 //!
-//! The paper's trace is 349 M records — far past what
-//! [`TraceGenerator::generate_sorted`] should ever materialise.
-//! [`TraceGenerator::write_shards_observed`] writes a trace *as it is
+//! The paper's trace is 349 M records — far past what memory should ever
+//! hold. [`TraceGenerator::write_shards_observed`] writes a trace *as it is
 //! generated*: `shards` files of contiguous user ranges, each through one
 //! [`TraceWriter`], with peak memory of one user's records per worker. The
 //! shard layout depends only on the `shards` argument (never on the thread
@@ -16,9 +15,9 @@ use std::fs::File;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 
-use mcs_obs::Obs;
+use mcs_obs::Registry;
 
-use crate::blocks::shard_ranges;
+use crate::blocks::{effective_threads, fan_out, shard_ranges};
 use crate::generator::TraceGenerator;
 use crate::io::{TraceFormat, TraceWriter};
 
@@ -34,14 +33,14 @@ pub struct ShardedTrace {
 }
 
 impl TraceGenerator {
-    /// [`Self::write_shards_observed`] into a throwaway [`Obs`].
+    /// [`Self::write_shards_observed`] into a throwaway [`Registry`].
     pub fn write_shards(
         &self,
         dir: &Path,
         format: TraceFormat,
         shards: usize,
     ) -> io::Result<ShardedTrace> {
-        self.write_shards_observed(dir, format, shards, &mut Obs::new())
+        self.write_shards_observed(dir, format, shards, &mut Registry::new())
     }
 
     /// Writes the whole trace as `shards` files under `dir` (created if
@@ -49,33 +48,55 @@ impl TraceGenerator {
     /// workers. See the module docs for the layout contract. Returns the
     /// shard paths and totals, or the first error in shard order.
     ///
-    /// Reports into `obs` exactly as [`Self::par_user_records`] does: the
-    /// same `gen.*` metrics at any thread or shard count, and one
-    /// `gen.shard.records` trace event per file.
+    /// Reports into `metrics`: `gen.users`, `gen.records` and the
+    /// `gen.user_records` histogram. Each shard books into a private
+    /// registry and the registries merge in shard order, so the snapshot is
+    /// the same at any thread or shard count.
     pub fn write_shards_observed(
         &self,
         dir: &Path,
         format: TraceFormat,
         shards: usize,
-        obs: &mut Obs,
+        metrics: &mut Registry,
     ) -> io::Result<ShardedTrace> {
         std::fs::create_dir_all(dir)?;
         let ranges = shard_ranges(self.users().len(), shards);
-        let files = self.per_shard(ranges, obs, |i, blocks| {
-            let path = dir.join(format!("shard-{i:04}.{}", format.extension()));
-            let mut w = TraceWriter::new(BufWriter::new(File::create(&path)?), format)?;
-            for r in blocks.flatten() {
-                w.push(&r)?;
-            }
-            let (_, n) = w.finish()?;
-            let bytes = std::fs::metadata(&path)?.len();
-            Ok::<_, io::Error>((path, n, bytes))
-        })?;
-        Ok(ShardedTrace {
-            records: files.iter().map(|f| f.1).sum(),
-            bytes: files.iter().map(|f| f.2).sum(),
-            paths: files.into_iter().map(|f| f.0).collect(),
-        })
+        let files = fan_out(
+            ranges.into_iter().enumerate().collect(),
+            effective_threads(self.config().threads),
+            |(i, range)| {
+                let mut shard = Registry::new();
+                let users = shard.counter("gen.users");
+                let records = shard.counter("gen.records");
+                let per_user = shard.histogram("gen.user_records");
+                let path = dir.join(format!("shard-{i:04}.{}", format.extension()));
+                let mut w = TraceWriter::new(BufWriter::new(File::create(&path)?), format)?;
+                for user in &self.users()[range] {
+                    let block = self.user_records(user);
+                    shard.inc(users);
+                    shard.add(records, block.len() as u64);
+                    shard.observe(per_user, block.len() as u64);
+                    for r in &block {
+                        w.push(r)?;
+                    }
+                }
+                let (_, n) = w.finish()?;
+                let bytes = std::fs::metadata(&path)?.len();
+                Ok::<_, io::Error>((path, n, bytes, shard))
+            },
+        )?;
+        let mut out = ShardedTrace {
+            paths: Vec::with_capacity(files.len()),
+            records: 0,
+            bytes: 0,
+        };
+        for (path, n, bytes, shard) in files {
+            metrics.merge(&shard);
+            out.paths.push(path);
+            out.records += n;
+            out.bytes += bytes;
+        }
+        Ok(out)
     }
 }
 
@@ -156,49 +177,58 @@ mod tests {
 
     #[test]
     fn shard_metrics_match_in_memory_generation_at_any_thread_count() {
-        let g1 = small_gen(33, 1);
-        let mut base = Obs::new();
-        let _ = g1.par_user_records(&mut base);
+        // The one parallel generator books the same gen.* metrics at every
+        // thread and shard count, and they count what the sequential
+        // iterator yields.
+        let blocks: Vec<Vec<LogRecord>> = small_gen(33, 1).iter_user_records().collect();
+        let dir = temp_dir("metrics");
+        let mut base = Registry::new();
+        small_gen(33, 1)
+            .write_shards_observed(&dir, TraceFormat::Columnar, 1, &mut base)
+            .unwrap();
         let base_snap = base.snapshot();
-        for threads in [1usize, 3] {
-            let dir = temp_dir(&format!("metrics-t{threads}"));
-            let mut obs = Obs::new();
-            small_gen(33, threads)
-                .write_shards_observed(&dir, TraceFormat::Columnar, 6, &mut obs)
-                .unwrap();
-            assert_eq!(obs.snapshot(), base_snap, "threads = {threads}");
-            let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(base_snap.counters["gen.users"], blocks.len() as u64);
+        assert_eq!(
+            base_snap.counters["gen.records"],
+            blocks.iter().map(|b| b.len() as u64).sum::<u64>()
+        );
+        assert_eq!(
+            base_snap.histograms["gen.user_records"].count,
+            blocks.len() as u64
+        );
+        for threads in [1usize, 2, 3, 8] {
+            for shards in [1usize, 6] {
+                let mut metrics = Registry::new();
+                small_gen(33, threads)
+                    .write_shards_observed(&dir, TraceFormat::Columnar, shards, &mut metrics)
+                    .unwrap();
+                assert_eq!(
+                    metrics.snapshot(),
+                    base_snap,
+                    "threads = {threads}, shards = {shards}"
+                );
+            }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn one_shard_agrees_with_the_in_memory_paths() {
-        // One worker, one shard: the file is the in-memory blocks as one
-        // TraceWriter writes them, and all three paths leave equal metrics
-        // *and* trace events.
+        // One worker, one shard: the file is the sequential blocks as one
+        // TraceWriter writes them.
         let g = small_gen(38, 1);
-        let mut blocks = Obs::new();
         let mut w = TraceWriter::new(Vec::new(), TraceFormat::Columnar).unwrap();
-        for r in g.par_user_records(&mut blocks).iter().flatten() {
-            w.push(r).unwrap();
+        for r in g.iter_user_records().flatten() {
+            w.push(&r).unwrap();
         }
-        let mut sorted = Obs::new();
-        let _ = g.generate_sorted(&mut sorted);
         let dir = temp_dir("one");
-        let mut written = Obs::new();
-        let sharded = g
-            .write_shards_observed(&dir, TraceFormat::Columnar, 1, &mut written)
-            .unwrap();
+        let sharded = g.write_shards(&dir, TraceFormat::Columnar, 1).unwrap();
         assert_eq!(sharded.paths.len(), 1);
         assert_eq!(
             std::fs::read(&sharded.paths[0]).unwrap(),
             w.finish().unwrap().0
         );
         let _ = std::fs::remove_dir_all(&dir);
-        let names: Vec<&str> = blocks.trace.events().iter().map(|e| &*e.name).collect();
-        assert_eq!(names, ["gen.shard.records", "gen.merge.fan_in"]);
-        assert_eq!(sorted, blocks);
-        assert_eq!(written, blocks);
     }
 
     #[test]

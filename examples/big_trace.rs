@@ -12,7 +12,7 @@
 //! Run with `cargo run --release --example big_trace`.
 
 use mcs::analysis::{analyze, PipelineConfig, ShardFiles};
-use mcs::obs::Obs;
+use mcs::obs::Registry;
 use mcs::trace::{ErrorBudget, TraceConfig, TraceFormat, TraceGenerator};
 
 fn main() {
@@ -26,9 +26,9 @@ fn main() {
 
     // Reference: the classic in-memory pipeline over generator blocks.
     let pcfg = PipelineConfig::default();
-    let mut ref_obs = Obs::new();
-    let Ok((reference, _)) = analyze(&gen, &pcfg, &mut ref_obs);
-    let ref_json = ref_obs.snapshot().to_json();
+    let mut ref_metrics = Registry::new();
+    let Ok((reference, _)) = analyze(&gen, &pcfg, &mut ref_metrics);
+    let ref_json = ref_metrics.snapshot().to_json();
     println!(
         "in-memory reference: {} records / {} users -> {} sessions, tau = {:.0} s",
         reference.total_records,
@@ -66,9 +66,10 @@ fn main() {
             budget: ErrorBudget::default(),
         };
         for threads in [1, 4] {
-            let mut obs = Obs::new();
-            let (streamed, report) = analyze(&src, &PipelineConfig { threads, ..pcfg }, &mut obs)
-                .expect("streamed analysis failed");
+            let mut metrics = Registry::new();
+            let (streamed, report) =
+                analyze(&src, &PipelineConfig { threads, ..pcfg }, &mut metrics)
+                    .expect("streamed analysis failed");
             assert_eq!(report.records, sharded.records);
             assert!(report.quarantined.is_empty());
             assert_eq!(
@@ -76,7 +77,7 @@ fn main() {
                 "streamed analysis must be bit-identical to in-memory at {threads} threads"
             );
             assert_eq!(
-                obs.snapshot().to_json(),
+                metrics.snapshot().to_json(),
                 ref_json,
                 "metric snapshot must be byte-identical at {threads} threads"
             );

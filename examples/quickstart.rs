@@ -6,7 +6,7 @@
 //! ```
 
 use mcs::analysis::{analyze, PipelineConfig};
-use mcs::obs::Obs;
+use mcs::obs::Registry;
 use mcs::render::{pct, secs};
 use mcs::trace::{TraceConfig, TraceGenerator};
 
@@ -26,7 +26,7 @@ fn main() {
     );
 
     // 2. The paper's two-pass analysis: derive τ, sessionise, fit models.
-    let Ok((analysis, _)) = analyze(&gen, &PipelineConfig::default(), &mut Obs::new());
+    let Ok((analysis, _)) = analyze(&gen, &PipelineConfig::default(), &mut Registry::new());
     println!(
         "analysed {} records from {} users -> {} sessions",
         analysis.total_records, analysis.total_users, analysis.total_sessions

@@ -50,7 +50,7 @@ cargo run --offline --locked -p mcs-lint --release -- --debt 2> target/lint-debt
 cat target/lint-debt.txt >&2
 # The suppression ledger can only shrink: a change that adds an allow(...)
 # raises this ceiling in its own diff (DESIGN.md section 12).
-DEBT_CEILING=22
+DEBT_CEILING=15
 debt=$(awk '$1 == "total" { print $2 }' target/lint-debt.txt)
 if [ -z "$debt" ] || [ "$debt" -gt "$DEBT_CEILING" ]; then
     echo "ci: suppression debt ${debt:-unreadable} is above the ceiling $DEBT_CEILING" >&2

@@ -2,7 +2,7 @@
 //! pipeline → paper-shaped findings.
 
 use mcs::analysis::{analyze, PipelineConfig};
-use mcs::obs::Obs;
+use mcs::obs::Registry;
 use mcs::trace::{
     LogRecord, ReadError, RecordStream, TraceConfig, TraceFormat, TraceGenerator, TraceWriter,
 };
@@ -28,7 +28,7 @@ fn round_trip(records: &[LogRecord], format: TraceFormat) -> Result<Vec<LogRecor
 #[test]
 fn trace_survives_file_round_trip_and_analysis_agrees() {
     let gen = small_generator(11);
-    let records = gen.generate_sorted(&mut Obs::new());
+    let records: Vec<LogRecord> = gen.iter_user_records().flatten().collect();
 
     // CSV round trip.
     assert_eq!(round_trip(&records, TraceFormat::Csv).unwrap(), records);
@@ -41,7 +41,7 @@ fn trace_survives_file_round_trip_and_analysis_agrees() {
 #[test]
 fn analysis_recovers_paper_shapes_from_raw_logs() {
     let gen = small_generator(13);
-    let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Obs::new());
+    let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Registry::new());
 
     // §3.1.1 — write-dominated sessions with a τ in the inter-mode gap.
     assert!(a.sessions.store_only_frac() > 0.5);
@@ -79,12 +79,12 @@ fn analysis_recovers_paper_shapes_from_raw_logs() {
 fn analysis_is_deterministic_across_runs() {
     let a1 = {
         let gen = small_generator(17);
-        let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Obs::new());
+        let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Registry::new());
         a
     };
     let a2 = {
         let gen = small_generator(17);
-        let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Obs::new());
+        let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Registry::new());
         a
     };
     assert_eq!(a1.total_records, a2.total_records);
@@ -96,15 +96,15 @@ fn analysis_is_deterministic_across_runs() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = small_generator(1).generate_sorted(&mut Obs::new());
-    let b = small_generator(2).generate_sorted(&mut Obs::new());
+    let a: Vec<LogRecord> = small_generator(1).iter_user_records().flatten().collect();
+    let b: Vec<LogRecord> = small_generator(2).iter_user_records().flatten().collect();
     assert_ne!(a, b);
 }
 
 #[test]
 fn pc_only_users_do_not_pollute_mobile_figures() {
     let gen = small_generator(19);
-    let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Obs::new());
+    let Ok((a, _)) = analyze(&gen, &PipelineConfig::default(), &mut Registry::new());
     // Fig. 12/14/15 use mobile chunks only; PC records exist in the trace.
     let has_pc_records = gen
         .iter_user_records()
