@@ -342,6 +342,50 @@ mod tests {
     }
 
     #[test]
+    fn observed_generation_metrics_shard_invariant_across_thread_counts() {
+        use crate::io::{open_trace, TraceFormat};
+        use mcs_obs::Registry;
+
+        let mut cfg = TraceConfig::small(24);
+        cfg.mobile_users = 200;
+        cfg.pc_only_users = 50;
+        cfg.threads = 1;
+        let blocks: Vec<Vec<LogRecord>> = TraceGenerator::new(cfg.clone())
+            .unwrap()
+            .iter_user_records()
+            .collect();
+        let flat: Vec<LogRecord> = blocks.iter().flatten().cloned().collect();
+        let dir =
+            std::env::temp_dir().join(format!("mcs-gen-test-observed-{}", std::process::id()));
+        let mut base_snap = None;
+        for threads in [1usize, 2, 3, 8] {
+            cfg.threads = threads;
+            let g = TraceGenerator::new(cfg.clone()).unwrap();
+            let mut metrics = Registry::new();
+            let sharded = g
+                .write_shards_observed(&dir, TraceFormat::Columnar, 4, &mut metrics)
+                .unwrap();
+            let mut written = Vec::new();
+            for p in &sharded.paths {
+                for r in open_trace(p, TraceFormat::Columnar).unwrap() {
+                    written.push(r.unwrap());
+                }
+            }
+            assert_eq!(written, flat, "threads = {threads}");
+            let snap = metrics.snapshot();
+            let base = base_snap.get_or_insert_with(|| snap.clone());
+            assert_eq!(base.counters["gen.users"], blocks.len() as u64);
+            assert_eq!(base.counters["gen.records"], flat.len() as u64);
+            assert_eq!(
+                base.histograms["gen.user_records"].count,
+                blocks.len() as u64
+            );
+            assert_eq!(&snap, base, "threads = {threads}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn block_source_indexes_users_in_order() {
         let g = generator(23);
         assert_eq!(BlockSource::len(&g), g.users().len());
