@@ -26,15 +26,16 @@ use crate::sessionize::{derive_tau, file_op_intervals_s, sessionize, TauDerivati
 use crate::usage::{UsageCollector, UsageStats, UserSummary};
 use crate::workload::WorkloadSeries;
 
+/// Cap on points fed to EM fits (deterministic subsampling above it).
+const MAX_FIT_POINTS: usize = 60_000;
+/// Largest per-session file count binned in Fig. 5b,c.
+const MAX_VOLUME_BIN_FILES: u32 = 100;
+
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Trace horizon in seconds (for the hourly workload series).
     pub horizon_secs: u64,
-    /// Cap on points fed to EM fits (deterministic subsampling above it).
-    pub max_fit_points: usize,
-    /// Largest per-session file count binned in Fig. 5b,c.
-    pub max_volume_bin_files: u32,
     /// Worker threads for [`analyze`] (`0` = one per available core).
     /// Any value produces bit-identical results; the knob only trades
     /// wall-clock for cores.
@@ -45,8 +46,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
             horizon_secs: 7 * 24 * 3600,
-            max_fit_points: 60_000,
-            max_volume_bin_files: 100,
             threads: 0,
         }
     }
@@ -153,7 +152,7 @@ pub fn analyze<S: RecordSource + ?Sized>(
     src.check_budget(report.quarantined.len())?;
     report.record_metrics(metrics);
     let n_intervals = intervals.len() as u64;
-    let tau = derive_tau(&intervals, cfg.max_fit_points);
+    let tau = derive_tau(&intervals, MAX_FIT_POINTS);
     drop(intervals);
 
     // Pass 2: a private collector set per range, merged in range order.
@@ -310,11 +309,11 @@ impl Collectors {
         let metrics = std::mem::take(&mut self.metrics);
         let (filesize_store, filesize_retrieve) = self
             .filesize
-            .finish_on(cfg.max_fit_points, effective_threads(cfg.threads));
+            .finish_on(MAX_FIT_POINTS, effective_threads(cfg.threads));
         let analysis = FullAnalysis {
             tau,
             total_sessions: self.total_sessions,
-            sessions: self.session_stats.finish(cfg.max_volume_bin_files),
+            sessions: self.session_stats.finish(MAX_VOLUME_BIN_FILES),
             filesize_store,
             filesize_retrieve,
             workload: self.workload,

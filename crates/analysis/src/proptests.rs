@@ -78,8 +78,6 @@ fn arb_blocks(rng: &mut ChaCha8Rng) -> Vec<Vec<LogRecord>> {
 fn prop_par_analyze_invariant_in_shard_count() {
     let cfg = PipelineConfig {
         horizon_secs: 5_000,
-        max_fit_points: 500,
-        max_volume_bin_files: 20,
         threads: 0,
     };
     for case in 0..256 {

@@ -4,6 +4,7 @@
 //! side (from the analysed trace) and the packet-level side (from the
 //! `mcs-net` simulator standing in for the paper's active measurements).
 
+use mcs_faults::ConfigError;
 use mcs_net::chunkflow::FlowConfig;
 use mcs_net::device::{DeviceProfile, Direction as NetDirection};
 use mcs_net::experiments::{
@@ -571,13 +572,18 @@ impl ExperimentSuite {
     /// several connections to accelerate transfers; §4.1 explains why —
     /// each upload connection is clamped at 64 KB).
     pub(crate) fn exp_a6(&mut self) -> Report {
+        let title = "A6 — §3.1.3 acceleration: parallel TCP connections";
         let seed = self.config().seed + 400;
         let file = 16u64 << 20;
         let mut rows = Vec::new();
         let mut ios_results = Vec::new();
         for k in [1u32, 2, 4, 8] {
-            let i = run_parallel_upload(DeviceProfile::ios(), file, k, seed);
-            let a = run_parallel_upload(DeviceProfile::android(), file, k, seed + 50);
+            let ios = run_parallel_upload(DeviceProfile::ios(), file, k, seed);
+            let android = run_parallel_upload(DeviceProfile::android(), file, k, seed + 50);
+            let (i, a) = match (ios, android) {
+                (Ok(i), Ok(a)) => (i, a),
+                (Err(e), _) | (_, Err(e)) => return rejected(ExperimentId::A6, title, e),
+            };
             ios_results.push(i.goodput);
             rows.push(vec![
                 k.to_string(),
@@ -595,7 +601,7 @@ impl ExperimentSuite {
         );
         Report {
             id: ExperimentId::A6,
-            title: "A6 — §3.1.3 acceleration: parallel TCP connections".into(),
+            title: title.into(),
             body,
             metrics: vec![
                 Metric::checked(
@@ -627,12 +633,16 @@ impl ExperimentSuite {
     /// download"; the 512 KB-chunk + per-chunk-MD5 design makes resume
     /// natural).
     pub(crate) fn exp_a7(&mut self) -> Report {
+        let title = "A7 — §3.1.4 implication: resumable downloads";
         let seed = self.config().seed + 500;
         let file = 150u64 << 20; // the Table 2 µ3 object: a ~150 MB video
         let mut rows = Vec::new();
         let mut savings = Vec::new();
         for frac in [0.2, 0.5, 0.8] {
-            let r = run_resume_ablation(DeviceProfile::android(), file, frac, seed);
+            let r = match run_resume_ablation(DeviceProfile::android(), file, frac, seed) {
+                Ok(r) => r,
+                Err(e) => return rejected(ExperimentId::A7, title, e),
+            };
             savings.push(r.saving());
             rows.push(vec![
                 format!("{:.0}%", frac * 100.0),
@@ -647,7 +657,7 @@ impl ExperimentSuite {
         );
         Report {
             id: ExperimentId::A7,
-            title: "A7 — §3.1.4 implication: resumable downloads".into(),
+            title: title.into(),
             body,
             metrics: vec![
                 Metric::checked(
@@ -673,5 +683,36 @@ impl ExperimentSuite {
                 ),
             ],
         }
+    }
+}
+
+/// The report of an ablation whose runner rejected its inputs: one failed
+/// check that names the error.
+fn rejected(id: ExperimentId, title: &str, err: ConfigError) -> Report {
+    Report {
+        id,
+        title: title.into(),
+        body: String::new(),
+        metrics: vec![Metric::checked(
+            "ablation inputs simulate",
+            "valid flow configurations",
+            err.to_string(),
+            false,
+        )],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_rejected_ablation_is_a_mismatch_that_names_the_error() {
+        let err = ConfigError::ZeroCount {
+            what: "parallel connection",
+        };
+        let report = rejected(ExperimentId::A6, "A6", err);
+        assert!(!report.all_ok());
+        assert!(report.render().contains(&err.to_string()));
     }
 }

@@ -11,8 +11,9 @@
 //!   schedules generated from a single seed via
 //!   [`mcs_stats::rng::stream_rng`], plus stateless per-operation fault
 //!   coins ([`unit_coin`]) that do not depend on draw order,
-//! * [`retry`] — [`RetryPolicy`]: capped exponential backoff with
-//!   deterministic jitter, budget-bounded,
+//! * [`retry`] — [`RetryPolicy`]: an attempt budget over one fixed
+//!   backoff schedule (200 ms doubling to a 10 s cap, ±50 % deterministic
+//!   jitter),
 //! * [`error`] — [`ConfigError`], the shared invalid-configuration error
 //!   the storage and net crates return from fallible constructors.
 //!

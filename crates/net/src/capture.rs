@@ -88,7 +88,7 @@ impl FlowTrace {
     /// Bytes the receiver confirmed: the sum of the completed batches.
     /// Equals [`total_bytes`](Self::total_bytes) for a finished flow and
     /// falls short of it for an aborted one.
-    pub fn delivered_bytes(&self) -> u64 {
+    fn delivered_bytes(&self) -> u64 {
         self.chunk_records.iter().map(|c| c.bytes).sum()
     }
 

@@ -16,9 +16,13 @@ use mcs_sim::{EventQueue, Ticket, Time};
 use mcs_stats::rng::{stream_rng, ChaCha8Rng};
 
 use crate::capture::{ChunkRecord, FlowTrace, IdleRecord};
-use crate::device::{DeviceProfile, Direction, ServerProfile};
+use crate::device::{sample_srv, DeviceProfile, Direction};
 use crate::link::{Link, LinkConfig, LinkStats, Transmit};
-use crate::tcp::{CwndEvent, TcpConfig, TcpSender};
+use crate::tcp::{CwndEvent, TcpSender, MAX_WINDOW_NO_SCALING};
+
+/// Receive window a server that negotiates window scaling advertises to
+/// uploading clients, bytes.
+const SCALED_SERVER_WINDOW: u64 = 2 * 1024 * 1024;
 
 /// Flow configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,8 +31,6 @@ pub struct FlowConfig {
     pub direction: Direction,
     /// Client device model.
     pub device: DeviceProfile,
-    /// Server model.
-    pub server: ServerProfile,
     /// Data-path link (sender → receiver).
     pub data_link: LinkConfig,
     /// Reverse-path one-way delay for ACKs and control packets, µs.
@@ -50,10 +52,6 @@ pub struct FlowConfig {
     /// Server negotiates window scaling (§4.1/4.3 ablation; default off as
     /// deployed).
     pub server_window_scaling: bool,
-    /// Receiver delays ACKs per RFC 1122 (every second segment or a 40 ms
-    /// timer; out-of-order data still ACKs immediately). Off by default:
-    /// the §4 effects do not hinge on it, but the model supports it.
-    pub delayed_acks: bool,
     /// RNG seed for this flow.
     pub seed: u64,
 }
@@ -64,7 +62,6 @@ impl FlowConfig {
         Self {
             direction: Direction::Upload,
             device,
-            server: ServerProfile::default(),
             data_link: LinkConfig::default(),
             ack_delay: LinkConfig::default().delay,
             chunk_size: 512 * 1024,
@@ -73,7 +70,6 @@ impl FlowConfig {
             disable_ssai: false,
             pacing_after_idle: false,
             server_window_scaling: false,
-            delayed_acks: false,
             seed,
         }
     }
@@ -90,11 +86,8 @@ impl FlowConfig {
     /// unless scaling) for uploads, the device's (2–4 MB) for downloads.
     pub fn receiver_window(&self) -> u64 {
         match self.direction {
-            Direction::Upload => {
-                let mut s = self.server;
-                s.window_scaling = self.server_window_scaling;
-                s.receive_window()
-            }
+            Direction::Upload if self.server_window_scaling => SCALED_SERVER_WINDOW,
+            Direction::Upload => MAX_WINDOW_NO_SCALING,
             Direction::Download => self.device.receive_window,
         }
     }
@@ -175,8 +168,6 @@ enum Ev {
     RtoFire { f: usize, epoch: u64 },
     /// Pacing/emission timer releases flow `f`'s next segment.
     PacedSend { f: usize },
-    /// Delayed-ACK timer of flow `f` fires.
-    DelackFire { f: usize, epoch: u64 },
 }
 
 /// Runs one flow to completion on its own `data_link` and returns its
@@ -194,12 +185,8 @@ enum Ev {
 /// ```
 pub fn simulate_flow(cfg: &FlowConfig) -> FlowTrace {
     match try_simulate_shared_report(std::slice::from_ref(cfg), cfg.data_link, &Windows::empty()) {
-        Ok(mut report) => {
-            // One trace per input flow, so the pop cannot miss.
-            let mut t = report.traces.pop().unwrap_or_default();
-            t.duration = t.duration.max(1);
-            t
-        }
+        // One trace per input flow, so the pop cannot miss.
+        Ok(mut report) => report.traces.pop().unwrap_or_default(),
         // mcs-lint: allow(panic, convenience wrapper; fallible path is try_simulate_shared_report)
         Err(e) => panic!("invalid flow config: {e}"),
     }
@@ -224,7 +211,7 @@ pub struct SharedReport {
 /// unlike independent per-flow simulation, the aggregate cannot exceed the
 /// shared link rate, bursts from one flow can evict another flow's packets
 /// from the drop-tail queue, and RTTs inflate with the shared backlog.
-/// Each flow keeps its own device/server model and RNG stream; the
+/// Each flow keeps its own device model and RNG stream; the
 /// per-flow `data_link` configs are ignored in favour of `shared_link`.
 ///
 /// `blackouts` are µs windows on the simulation clock: every packet
@@ -289,8 +276,6 @@ struct FlowRt {
     // Receiver state.
     rcv_nxt: u64,
     ooo: BTreeMap<u64, u64>, // seq_start -> seq_end
-    delack_count: u8,
-    delack_epoch: u64,
     /// Batches the receiver has completed.
     next_boundary_idx: usize,
     /// Bytes per batch, `chunk_size × batch_chunks`.
@@ -313,11 +298,6 @@ struct PendingIdle {
 
 impl FlowRt {
     fn new(cfg: &FlowConfig, flow_index: usize) -> Self {
-        let tcp_cfg = TcpConfig {
-            rwnd: cfg.receiver_window(),
-            slow_start_after_idle: !cfg.disable_ssai,
-            ..TcpConfig::default()
-        };
         // The client stack is part of the bottleneck (the Fig. 13a slope
         // difference). Uploads: the client emits at most one segment per
         // `upload_packet_overhead`. Downloads: the client *processes* (and
@@ -334,7 +314,7 @@ impl FlowRt {
         Self {
             cfg: *cfg,
             rng: stream_rng(cfg.seed, 0xF10 + flow_index as u64),
-            tcp: TcpSender::new(tcp_cfg),
+            tcp: TcpSender::new(cfg.receiver_window(), !cfg.disable_ssai),
             snd_una: 0,
             snd_nxt: 0,
             unlocked_end: batch_bytes.min(cfg.total_bytes),
@@ -354,8 +334,6 @@ impl FlowRt {
             pace_armed: false,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
-            delack_count: 0,
-            delack_epoch: 0,
             next_boundary_idx: 0,
             batch_bytes,
             batches,
@@ -549,7 +527,7 @@ impl Engine {
                 let fl = &mut self.flows[f];
                 let delay_b = match fl.cfg.direction {
                     Direction::Upload => fl.cfg.device.sample_clt(Direction::Upload, &mut fl.rng),
-                    Direction::Download => fl.cfg.server.sample_srv(&mut fl.rng),
+                    Direction::Download => sample_srv(&mut fl.rng),
                 };
                 q.schedule_in(
                     delay_b,
@@ -569,12 +547,6 @@ impl Engine {
             Ev::PacedSend { f } => {
                 self.flows[f].pace_armed = false;
                 self.try_send(q, f);
-            }
-            Ev::DelackFire { f, epoch } => {
-                let fl = &mut self.flows[f];
-                if epoch == fl.delack_epoch && fl.delack_count > 0 {
-                    self.flush_ack(q, f, now);
-                }
             }
         }
         self.done_count < self.flows.len()
@@ -739,20 +711,8 @@ impl Engine {
         // than it can handle — throttling the sender's ACK clock.
         let processed_at = now.max(fl.rcv_busy).saturating_add(fl.rcv_overhead);
         fl.rcv_busy = processed_at;
-        // ACK policy: immediate per segment, or RFC 1122 delayed ACKs
-        // (every second segment / 40 ms timer; out-of-order data always
-        // ACKs immediately to feed fast retransmit).
-        let delayed = fl.cfg.delayed_acks;
-        fl.delack_count += 1;
-        if !delayed || fl.delack_count >= 2 || !fl.ooo.is_empty() {
-            self.flush_ack_at(q, f, processed_at);
-        } else {
-            let epoch = self.flows[f].delack_epoch;
-            q.schedule(
-                processed_at.saturating_add(40 * mcs_sim::MS),
-                Ev::DelackFire { f, epoch },
-            );
-        }
+        // Every segment is acknowledged as soon as it is processed.
+        self.flush_ack_at(q, f, processed_at);
 
         // Application-level completion of the current batch.
         let fl = &mut self.flows[f];
@@ -763,7 +723,7 @@ impl Engine {
             let batch = fl.next_boundary_idx;
             fl.next_boundary_idx += 1;
             let delay_a = match fl.cfg.direction {
-                Direction::Upload => fl.cfg.server.sample_srv(&mut fl.rng),
+                Direction::Upload => sample_srv(&mut fl.rng),
                 Direction::Download => fl.cfg.device.sample_clt(Direction::Download, &mut fl.rng),
             };
             q.schedule(
@@ -775,17 +735,10 @@ impl Engine {
         }
     }
 
-    /// Emits the receiver's current cumulative ACK (with SACK info) now.
-    fn flush_ack(&mut self, q: &mut EventQueue<Ev>, f: usize, now: Time) {
-        let processed_at = now.max(self.flows[f].rcv_busy);
-        self.flush_ack_at(q, f, processed_at);
-    }
-
-    /// Emits the ACK with a given receiver-processing completion time.
+    /// Emits the receiver's current cumulative ACK (with SACK info) once
+    /// its processing completes at `processed_at`.
     fn flush_ack_at(&mut self, q: &mut EventQueue<Ev>, f: usize, processed_at: Time) {
-        let fl = &mut self.flows[f];
-        fl.delack_count = 0;
-        fl.delack_epoch += 1;
+        let fl = &self.flows[f];
         let ack = fl.rcv_nxt;
         let first_hole_end = fl.ooo.keys().next().copied().unwrap_or(u64::MAX);
         let sacked: u64 = fl.ooo.iter().map(|(&s, &e)| e - s).sum();
@@ -1198,47 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn delayed_acks_complete_with_fewer_acks() {
-        // Delayed ACKs must not break correctness; throughput dips only
-        // mildly for window-bound flows (cwnd growth is byte-counted).
-        let base = FlowConfig {
-            batch_chunks: 8,
-            ..upload(DeviceProfile::ios(), 4 * 512 * 1024, 60)
-        };
-        let immediate = simulate_flow(&base);
-        let delayed = simulate_flow(&FlowConfig {
-            delayed_acks: true,
-            ..base
-        });
-        assert!(!delayed.aborted);
-        let bytes: u64 = delayed.chunk_records.iter().map(|c| c.bytes).sum();
-        assert_eq!(bytes, 4 * 512 * 1024);
-        // No more than ~40% slower (one extra 40ms timer per odd tail).
-        assert!(
-            delayed.duration < immediate.duration * 14 / 10,
-            "delayed {} vs immediate {}",
-            delayed.duration,
-            immediate.duration
-        );
-    }
-
-    #[test]
-    fn delayed_acks_still_fast_retransmit_on_loss() {
-        let cfg = FlowConfig {
-            delayed_acks: true,
-            data_link: LinkConfig {
-                loss_prob: 0.02,
-                ..quiet_link()
-            },
-            ..upload(DeviceProfile::ios(), 8 * 512 * 1024, 61)
-        };
-        let t = simulate_flow(&cfg);
-        assert!(!t.aborted, "lossy delayed-ack flow must complete");
-        let bytes: u64 = t.chunk_records.iter().map(|c| c.bytes).sum();
-        assert_eq!(bytes, 8 * 512 * 1024);
-    }
-
-    #[test]
     fn shared_bottleneck_two_flows_complete() {
         let cfgs = [
             upload(DeviceProfile::ios(), 4 * 512 * 1024, 70),
@@ -1340,7 +1252,7 @@ mod tests {
     fn golden_digest_over_the_variant_grid() {
         use crate::profile::LinkProfile;
         use std::fmt::Write;
-        let variants: [fn(FlowConfig) -> FlowConfig; 8] = [
+        let variants: [fn(FlowConfig) -> FlowConfig; 7] = [
             |c| c,
             |c| FlowConfig {
                 disable_ssai: true,
@@ -1348,10 +1260,6 @@ mod tests {
             },
             |c| FlowConfig {
                 pacing_after_idle: true,
-                ..c
-            },
-            |c| FlowConfig {
-                delayed_acks: true,
                 ..c
             },
             |c| FlowConfig {
@@ -1402,7 +1310,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cell, 384);
+        assert_eq!(cell, 336);
         for n in [2u64, 4, 6] {
             for profile in LinkProfile::presets() {
                 let link = profile.median_link();
@@ -1434,10 +1342,10 @@ mod tests {
         assert_eq!(h.0, GOLDEN_DIGEST, "digest {:#018x}", h.0);
     }
 
-    /// [`golden_digest_over_the_variant_grid`]'s digest, recorded on the
-    /// engine that queued one retransmission timer per send and kept RTT
-    /// samples in a B-tree.
-    const GOLDEN_DIGEST: u64 = 0x423f_5eb6_0235_e439;
+    /// [`golden_digest_over_the_variant_grid`]'s digest. The same grid
+    /// gave this value on the engine that still had a delayed-ACK mode, so
+    /// removing that mode moved no output.
+    const GOLDEN_DIGEST: u64 = 0x56fb_55a2_e216_078b;
 
     #[test]
     fn waiting_timer_dispatches_in_the_slot_it_was_armed_in() {

@@ -14,6 +14,9 @@
 //! * **Receive window** — mobile clients *do* negotiate window scaling
 //!   (§4.1: the Samsung Pad advertised 4 MB, the iPad 2 MB), so downloads
 //!   are not window-starved; the servers do not, so uploads cap at 64 KB.
+//!
+//! The server side is one fixed model, the deployed service's: `T_srv`
+//! draws from a lognormal with a 100 ms median for every device.
 
 use mcs_stats::rng::Rng;
 
@@ -104,52 +107,21 @@ impl DeviceProfile {
     }
 }
 
-/// Server-side model: `T_srv` (upstream storage processing, ≈ 100 ms median
-/// regardless of device — Fig. 16) and the receive window servers advertise
-/// (window scaling disabled in the examined service ⇒ 65 535 bytes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerProfile {
-    /// Median `T_srv`, µs.
-    pub srv_median: Time,
-    /// σ of ln `T_srv`.
-    pub srv_sigma: f64,
-    /// Whether the server negotiates RFC 7323 window scaling (the examined
-    /// service does not; enabling it is the §4.3 mitigation ablation).
-    pub window_scaling: bool,
-    /// Receive window when scaling is enabled, bytes.
-    pub scaled_window: u64,
-}
+/// Median server processing time `T_srv`, µs.
+const SRV_MEDIAN: Time = 100 * MS;
+/// σ of ln `T_srv`.
+const SRV_SIGMA: f64 = 0.55;
 
-impl Default for ServerProfile {
-    fn default() -> Self {
-        Self {
-            srv_median: 100 * MS,
-            srv_sigma: 0.55,
-            window_scaling: false,
-            scaled_window: 2 * 1024 * 1024,
-        }
-    }
-}
-
-impl ServerProfile {
-    /// Receive window the server advertises to uploading clients.
-    pub fn receive_window(&self) -> u64 {
-        if self.window_scaling {
-            self.scaled_window
-        } else {
-            crate::tcp::MAX_WINDOW_NO_SCALING
-        }
-    }
-
-    /// Draws a `T_srv`, µs.
-    pub fn sample_srv(&self, rng: &mut impl Rng) -> Time {
-        LogNormal::from_median(self.srv_median as f64, self.srv_sigma).sample(rng) as Time
-    }
+/// Draws a server processing time `T_srv` (upstream storage processing,
+/// ≈ 100 ms median regardless of device — Fig. 16), µs.
+pub(crate) fn sample_srv(rng: &mut impl Rng) -> Time {
+    LogNormal::from_median(SRV_MEDIAN as f64, SRV_SIGMA).sample(rng) as Time
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunkflow::FlowConfig;
     use mcs_stats::rng::stream_rng;
 
     #[test]
@@ -195,17 +167,25 @@ mod tests {
 
     #[test]
     fn server_window_depends_on_scaling() {
-        let mut s = ServerProfile::default();
-        assert_eq!(s.receive_window(), 65_535);
-        s.window_scaling = true;
-        assert_eq!(s.receive_window(), 2 * 1024 * 1024);
+        let up = FlowConfig::upload(DeviceProfile::android(), 1, 1);
+        assert_eq!(up.receiver_window(), 65_535);
+        let scaled = FlowConfig {
+            server_window_scaling: true,
+            ..up
+        };
+        assert_eq!(scaled.receiver_window(), 2 * 1024 * 1024);
+        // A download's receiver is the device, whatever the server does.
+        let down = FlowConfig {
+            direction: Direction::Download,
+            ..scaled
+        };
+        assert_eq!(down.receiver_window(), 4 * 1024 * 1024);
     }
 
     #[test]
     fn srv_time_sane() {
         let mut rng = stream_rng(3, 0);
-        let s = ServerProfile::default();
-        let mut v: Vec<Time> = (0..10_000).map(|_| s.sample_srv(&mut rng)).collect();
+        let mut v: Vec<Time> = (0..10_000).map(|_| sample_srv(&mut rng)).collect();
         v.sort_unstable();
         let median_ms = v[5000] / MS;
         assert!((80..=120).contains(&median_ms), "median {median_ms} ms");

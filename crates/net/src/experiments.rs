@@ -6,7 +6,7 @@
 //! These runners reproduce that campaign on the simulator and emit exactly
 //! the series Figs. 12, 13 and 16 plot.
 
-use mcs_faults::Windows;
+use mcs_faults::{ConfigError, Windows};
 use mcs_sim::SEC;
 use mcs_stats::Ecdf;
 
@@ -350,14 +350,20 @@ pub struct ParallelUploadResult {
     pub goodput: f64,
 }
 
-/// Uploads `total_bytes` over `k` parallel connections.
+/// Uploads `total_bytes` over `k` parallel connections. Rejects `k = 0`
+/// and a split whose flows [`FlowConfig::validate`] rejects with a typed
+/// [`ConfigError`].
 pub fn run_parallel_upload(
     device: DeviceProfile,
     total_bytes: u64,
     k: u32,
     seed: u64,
-) -> ParallelUploadResult {
-    assert!(k >= 1, "need at least one connection");
+) -> Result<ParallelUploadResult, ConfigError> {
+    if k == 0 {
+        return Err(ConfigError::ZeroCount {
+            what: "parallel connection",
+        });
+    }
     let share = total_bytes / k as u64;
     let cfgs: Vec<FlowConfig> = (0..k)
         .map(|i| {
@@ -366,18 +372,17 @@ pub fn run_parallel_upload(
             } else {
                 share
             };
-            FlowConfig::upload(device, bytes.max(1), seed + i as u64)
+            FlowConfig::upload(device, bytes.max(1), seed.wrapping_add(u64::from(i)))
         })
         .collect();
-    let traces = try_simulate_shared_report(&cfgs, cfgs[0].data_link, &Windows::empty())
-        .map(|report| report.traces)
-        .unwrap_or_default();
-    let slowest = traces.iter().map(|t| t.duration).max().unwrap_or(1);
-    ParallelUploadResult {
+    let report = try_simulate_shared_report(&cfgs, cfgs[0].data_link, &Windows::empty())?;
+    // One trace per flow, each at least 1 µs long.
+    let slowest = report.traces.iter().map(|t| t.duration).max().unwrap_or(1);
+    Ok(ParallelUploadResult {
         connections: k,
         duration: slowest,
         goodput: total_bytes as f64 / (slowest as f64 / SEC as f64),
-    }
+    })
 }
 
 /// §3.1.4 implication: *"a considerable fraction of retrievals download
@@ -406,30 +411,43 @@ impl ResumeRow {
 /// `fail_at_frac` of the file has been delivered, then completes either by
 /// restarting from scratch or by resuming from the last complete chunk
 /// (the service's chunk+MD5 design makes resume trivial — each 512 KB
-/// chunk is independently verifiable).
+/// chunk is independently verifiable). Rejects a failure point outside
+/// [0, 1) and a leg that [`FlowConfig::validate`] rejects (an empty file,
+/// or one too large to simulate) with a typed [`ConfigError`].
 pub fn run_resume_ablation(
     device: DeviceProfile,
     file_size: u64,
     fail_at_frac: f64,
     seed: u64,
-) -> ResumeRow {
-    assert!((0.0..1.0).contains(&fail_at_frac), "failure point in [0,1)");
+) -> Result<ResumeRow, ConfigError> {
+    if !(0.0..1.0).contains(&fail_at_frac) {
+        return Err(ConfigError::OutOfRange {
+            what: "failure point",
+            requirement: "must lie in [0, 1)",
+        });
+    }
     let chunk = 512 * 1024u64;
     // Bytes completed before the failure, rounded down to a chunk boundary
     // (partially transferred chunks cannot be verified and are discarded).
     let done = ((file_size as f64 * fail_at_frac) as u64) / chunk * chunk;
-    let first_leg = simulate_flow(&FlowConfig::download(device, done.max(chunk), seed));
-    let restart_leg = simulate_flow(&FlowConfig::download(device, file_size, seed + 1));
-    let resume_leg = simulate_flow(&FlowConfig::download(
-        device,
-        (file_size - done).max(chunk),
-        seed + 1,
-    ));
-    ResumeRow {
-        fail_at_frac,
-        restart_total: first_leg.duration.saturating_add(restart_leg.duration),
-        resume_total: first_leg.duration.saturating_add(resume_leg.duration),
+    let legs = [
+        FlowConfig::download(device, done.max(chunk), seed),
+        FlowConfig::download(device, file_size, seed.wrapping_add(1)),
+        FlowConfig::download(
+            device,
+            file_size.saturating_sub(done).max(chunk),
+            seed.wrapping_add(1),
+        ),
+    ];
+    for leg in &legs {
+        leg.validate()?;
     }
+    let [first, restart, resume] = legs.map(|leg| simulate_flow(&leg).duration);
+    Ok(ResumeRow {
+        fail_at_frac,
+        restart_total: first.saturating_add(restart),
+        resume_total: first.saturating_add(resume),
+    })
 }
 
 #[cfg(test)]
@@ -526,8 +544,8 @@ mod tests {
     fn parallel_connections_scale_window_bound_uploads() {
         // iOS uploads are receive-window-bound: splitting across
         // connections multiplies the aggregate window.
-        let one = run_parallel_upload(DeviceProfile::ios(), 16 << 20, 1, 777);
-        let four = run_parallel_upload(DeviceProfile::ios(), 16 << 20, 4, 777);
+        let one = run_parallel_upload(DeviceProfile::ios(), 16 << 20, 1, 777).unwrap();
+        let four = run_parallel_upload(DeviceProfile::ios(), 16 << 20, 4, 777).unwrap();
         assert!(
             four.duration * 2 < one.duration,
             "4 conns {} vs 1 conn {}",
@@ -538,7 +556,7 @@ mod tests {
         // Speedup saturates: going 4 → 16 connections on a 16 MB file
         // gains much less than 1 → 4 (per-flow slow start and chunk idles
         // stop amortising).
-        let sixteen = run_parallel_upload(DeviceProfile::ios(), 16 << 20, 16, 777);
+        let sixteen = run_parallel_upload(DeviceProfile::ios(), 16 << 20, 16, 777).unwrap();
         let gain_4 = one.duration as f64 / four.duration as f64;
         let gain_16 = four.duration as f64 / sixteen.duration as f64;
         assert!(gain_16 < gain_4, "4→16 gain {gain_16} vs 1→4 gain {gain_4}");
@@ -546,8 +564,8 @@ mod tests {
 
     #[test]
     fn resume_saves_proportionally_to_progress() {
-        let early = run_resume_ablation(DeviceProfile::android(), 150 << 20, 0.2, 1234);
-        let late = run_resume_ablation(DeviceProfile::android(), 150 << 20, 0.8, 1234);
+        let early = run_resume_ablation(DeviceProfile::android(), 150 << 20, 0.2, 1234).unwrap();
+        let late = run_resume_ablation(DeviceProfile::android(), 150 << 20, 0.8, 1234).unwrap();
         assert!(early.saving() > 0.1, "early saving {}", early.saving());
         assert!(
             late.saving() > early.saving(),
@@ -558,6 +576,57 @@ mod tests {
         // Resuming an 80%-complete 150 MB download saves most of the rework.
         assert!(late.saving() > 0.35, "late saving {}", late.saving());
         assert!(late.resume_total < late.restart_total);
+    }
+
+    #[test]
+    fn parallel_upload_rejects_what_it_cannot_simulate() {
+        let ios = DeviceProfile::ios();
+        assert_eq!(
+            run_parallel_upload(ios, 16 << 20, 0, 1).err(),
+            Some(ConfigError::ZeroCount {
+                what: "parallel connection"
+            })
+        );
+        // Regression: 2^41 batches on one connection fail `validate`, and
+        // the empty trace list read as a 1 µs upload at ~1.2·10^24 B/s.
+        assert_eq!(
+            run_parallel_upload(ios, 1 << 60, 1, 0).err(),
+            Some(ConfigError::OutOfRange {
+                what: "batch count",
+                requirement: "(total bytes ÷ batch size, rounded up) must fit in u32",
+            })
+        );
+    }
+
+    #[test]
+    fn resume_ablation_rejects_what_it_cannot_simulate() {
+        let android = DeviceProfile::android();
+        for frac in [-0.1, 1.0, 2.0, f64::NAN] {
+            assert_eq!(
+                run_resume_ablation(android, 8 << 20, frac, 1).err(),
+                Some(ConfigError::OutOfRange {
+                    what: "failure point",
+                    requirement: "must lie in [0, 1)",
+                }),
+                "fail_at_frac {frac}"
+            );
+        }
+        assert_eq!(
+            run_resume_ablation(android, 0, 0.5, 1).err(),
+            Some(ConfigError::OutOfRange {
+                what: "flow total bytes",
+                requirement: "must move at least one byte",
+            })
+        );
+        // Regression: the restart leg of an 8 EiB file reached
+        // `simulate_flow`'s panic.
+        assert_eq!(
+            run_resume_ablation(android, 1 << 63, 0.0, 1).err(),
+            Some(ConfigError::OutOfRange {
+                what: "batch count",
+                requirement: "(total bytes ÷ batch size, rounded up) must fit in u32",
+            })
+        );
     }
 
     #[test]

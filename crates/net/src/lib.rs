@@ -15,6 +15,12 @@
 //! Android/iOS client processing-time distributions — and Figs. 12, 13 and
 //! 16 fall out of [`experiments`].
 //!
+//! The model has one server, the deployed service's (`T_srv` ≈ 100 ms, an
+//! unscaled 64 KB window), and stock TCP with immediate ACKs. A
+//! [`FlowConfig`] sets only what the §4 experiments and the §4.3
+//! mitigations vary: device, links, chunk size, batching,
+//! slow-start-after-idle, pacing and server window scaling.
+//!
 //! Packet, ACK, timer and chunk-control events run on the `mcs-sim`
 //! [`EventQueue`](mcs_sim::EventQueue); this crate re-exports only its
 //! time units ([`Time`], [`MS`], [`SEC`]). Everything is deterministic in
@@ -35,11 +41,11 @@ pub mod tcp;
 
 pub use capture::{ChunkRecord, FlowTrace, IdleRecord};
 pub use chunkflow::{simulate_flow, try_simulate_shared_report, FlowConfig, SharedReport};
-pub use device::{DeviceProfile, Direction, ServerProfile};
+pub use device::{DeviceProfile, Direction};
 pub use link::{Link, LinkConfig, LinkStats};
 pub use mcs_sim::{Time, MS, SEC};
 pub use profile::{
     access_cap_bps, fluid_cap_bps, simulate_fair_share, FairFlowSpec, FairShareOutcome,
     LinkProfile, ProfileMix,
 };
-pub use tcp::{TcpConfig, TcpSender, MSS};
+pub use tcp::{TcpSender, MSS};

@@ -163,7 +163,7 @@ impl Link {
     }
 
     /// Serialization time of `bytes` at the link rate, µs.
-    pub fn serialization_time(&self, bytes: u64) -> Time {
+    fn serialization_time(&self, bytes: u64) -> Time {
         (bytes * 8).saturating_mul(SEC) / self.cfg.rate_bps
     }
 

@@ -204,7 +204,7 @@ impl LinkProfile {
 
     /// Draws one RTT from the profile's distribution. σ = 0 always
     /// returns the median without consuming RNG state.
-    pub fn sample_rtt(&self, rng: &mut impl Rng) -> Time {
+    fn sample_rtt(&self, rng: &mut impl Rng) -> Time {
         if self.rtt_sigma <= 0.0 {
             return self.rtt_median;
         }
@@ -216,7 +216,7 @@ impl LinkProfile {
     }
 
     /// Draws one concrete link.
-    pub fn sample_link(&self, rng: &mut impl Rng) -> LinkConfig {
+    fn sample_link(&self, rng: &mut impl Rng) -> LinkConfig {
         self.link_for_rtt(self.sample_rtt(rng))
     }
 

@@ -6,8 +6,8 @@
 //! * fast retransmit / simplified fast recovery on three duplicate ACKs,
 //! * retransmission timeout with exponential backoff and the RFC 6298
 //!   estimator `RTO = SRTT + max(G, 4·RTTVAR)` (the paper quotes the Linux
-//!   flavour `SRTT + max(200 ms, 4·RTTVAR)`, reproduced here with a 200 ms
-//!   floor term),
+//!   flavour `SRTT + max(200 ms, 4·RTTVAR)`, reproduced here; since SRTT
+//!   is never negative, its 200 ms term is also the RTO's floor),
 //! * **slow-start restart after idle** (RFC 5681 §4.1): when the connection
 //!   has sent nothing for more than one RTO, `cwnd` collapses back to the
 //!   initial window before new data goes out. This is the §4.2 mechanism
@@ -29,35 +29,8 @@ pub const INITIAL_WINDOW_SEGS: u64 = 10;
 /// 2¹⁶ − 1 bytes. The paper's servers advertise exactly this (Fig. 15).
 pub const MAX_WINDOW_NO_SCALING: u64 = 65_535;
 
-/// Congestion-control configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TcpConfig {
-    /// Maximum segment size, bytes.
-    pub mss: u64,
-    /// Receive window advertised by the peer, bytes (65 535 when the peer
-    /// disables window scaling, as the paper's servers do for uploads).
-    pub rwnd: u64,
-    /// Whether slow-start-after-idle is active (RFC 5681 §4.1; on in every
-    /// stock stack — the paper's §4.3 discusses disabling it).
-    pub slow_start_after_idle: bool,
-    /// Minimum RTO, µs (RFC 6298 recommends 1 s; Linux uses 200 ms — the
-    /// paper's estimator carries the 200 ms term, so that is the default).
-    pub min_rto: Time,
-    /// Initial RTO before any RTT sample, µs.
-    pub initial_rto: Time,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        Self {
-            mss: MSS,
-            rwnd: MAX_WINDOW_NO_SCALING,
-            slow_start_after_idle: true,
-            min_rto: 200 * MS,
-            initial_rto: 1000 * MS,
-        }
-    }
-}
+/// RTO before the first RTT sample (RFC 6298 §2.1 suggests 1 s).
+const INITIAL_RTO: Time = 1000 * MS;
 
 /// Why `cwnd` changed — kept on transitions for tests and the Fig. 13/16
 /// accounting.
@@ -74,7 +47,12 @@ pub enum CwndEvent {
 /// TCP sender congestion state.
 #[derive(Debug, Clone)]
 pub struct TcpSender {
-    cfg: TcpConfig,
+    /// Receive window advertised by the peer, bytes (65 535 when the peer
+    /// disables window scaling, as the paper's servers do for uploads).
+    rwnd: u64,
+    /// Whether slow-start-after-idle is active (RFC 5681 §4.1; on in every
+    /// stock stack — the paper's §4.3 discusses disabling it).
+    slow_start_after_idle: bool,
     /// Congestion window, bytes (fractional growth in congestion
     /// avoidance).
     cwnd: f64,
@@ -102,16 +80,17 @@ pub struct TcpSender {
 }
 
 impl TcpSender {
-    /// Fresh connection state.
-    pub fn new(cfg: TcpConfig) -> Self {
-        let iw = (INITIAL_WINDOW_SEGS * cfg.mss) as f64;
+    /// Fresh connection state towards a peer that advertises `rwnd` bytes,
+    /// with slow-start-after-idle on or off.
+    pub fn new(rwnd: u64, slow_start_after_idle: bool) -> Self {
         Self {
-            cfg,
-            cwnd: iw,
+            rwnd,
+            slow_start_after_idle,
+            cwnd: (INITIAL_WINDOW_SEGS * MSS) as f64,
             ssthresh: f64::INFINITY,
             srtt: None,
             rttvar: 0.0,
-            rto: cfg.initial_rto,
+            rto: INITIAL_RTO,
             backoffs: 0,
             dupacks: 0,
             recover: 0,
@@ -137,7 +116,7 @@ impl TcpSender {
     }
 
     /// Whether the sender is in slow start.
-    pub fn in_slow_start(&self) -> bool {
+    fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 
@@ -148,7 +127,7 @@ impl TcpSender {
 
     /// Effective send window: min(cwnd, rwnd).
     pub fn send_window(&self) -> u64 {
-        (self.cwnd as u64).min(self.cfg.rwnd)
+        (self.cwnd as u64).min(self.rwnd)
     }
 
     /// Bytes the sender may put on the wire right now given `inflight`
@@ -162,13 +141,13 @@ impl TcpSender {
     /// the congestion window collapses to the initial window (RFC 5681
     /// §4.1). Returns the restart event if it fired.
     pub fn on_send_attempt(&mut self, now: Time) -> Option<CwndEvent> {
-        let idle_restart = self.cfg.slow_start_after_idle
+        let idle_restart = self.slow_start_after_idle
             && match self.last_send {
                 Some(t) => now.saturating_sub(t) > self.rto,
                 None => false,
             };
         if idle_restart {
-            let iw = (INITIAL_WINDOW_SEGS * self.cfg.mss) as f64;
+            let iw = (INITIAL_WINDOW_SEGS * MSS) as f64;
             if self.cwnd > iw {
                 self.cwnd = iw;
                 // ssthresh keeps its value: the restart re-enters slow
@@ -215,23 +194,23 @@ impl TcpSender {
         self.backoffs = 0;
         if self.in_recovery && ack_seq >= self.recover {
             self.in_recovery = false;
-            self.cwnd = self.ssthresh.max((2 * self.cfg.mss) as f64);
+            self.cwnd = self.ssthresh.max((2 * MSS) as f64);
         }
         if !self.in_recovery {
             if self.in_slow_start() {
                 // Slow start: cwnd grows by the bytes acked (≤ per-ACK cap).
-                self.cwnd += newly_acked.min(self.cfg.mss) as f64;
+                self.cwnd += newly_acked.min(MSS) as f64;
             } else {
                 // Congestion avoidance: ~one MSS per RTT.
-                self.cwnd += (self.cfg.mss * self.cfg.mss) as f64 / self.cwnd;
+                self.cwnd += (MSS * MSS) as f64 / self.cwnd;
             }
         }
         None
     }
 
     fn enter_fast_recovery(&mut self, current_snd_nxt_hint: u64) {
-        let flight = self.cwnd.max((2 * self.cfg.mss) as f64);
-        self.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
+        let flight = self.cwnd.max((2 * MSS) as f64);
+        self.ssthresh = (flight / 2.0).max((2 * MSS) as f64);
         self.cwnd = self.ssthresh;
         self.in_recovery = true;
         self.recover = current_snd_nxt_hint;
@@ -247,9 +226,9 @@ impl TcpSender {
     /// Handles an expired retransmission timer: collapse to one segment,
     /// halve ssthresh, back the timer off exponentially (RFC 6298 §5).
     pub fn on_timeout(&mut self) -> CwndEvent {
-        let flight = self.cwnd.max((2 * self.cfg.mss) as f64);
-        self.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
-        self.cwnd = self.cfg.mss as f64;
+        let flight = self.cwnd.max((2 * MSS) as f64);
+        self.ssthresh = (flight / 2.0).max((2 * MSS) as f64);
+        self.cwnd = MSS as f64;
         self.in_recovery = false;
         self.dupacks = 0;
         self.backoffs += 1;
@@ -258,7 +237,8 @@ impl TcpSender {
     }
 
     /// RFC 6298 estimator with the 200 ms variance floor the paper quotes:
-    /// `RTO = SRTT + max(200 ms, 4·RTTVAR)`, clamped at `min_rto`.
+    /// `RTO = SRTT + max(200 ms, 4·RTTVAR)`. SRTT is never negative, so
+    /// that term is also the RTO's floor.
     fn take_rtt_sample(&mut self, sample: Time) {
         let r = sample as f64;
         let srtt = match self.srtt {
@@ -275,7 +255,7 @@ impl TcpSender {
         };
         self.srtt = Some(srtt);
         let var_term = (4.0 * self.rttvar).max(200_000.0);
-        self.rto = ((srtt + var_term) as Time).max(self.cfg.min_rto);
+        self.rto = (srtt + var_term) as Time;
     }
 }
 
@@ -285,7 +265,7 @@ mod tests {
     use mcs_sim::SEC;
 
     fn sender() -> TcpSender {
-        TcpSender::new(TcpConfig::default())
+        TcpSender::new(MAX_WINDOW_NO_SCALING, true)
     }
 
     #[test]
@@ -354,10 +334,7 @@ mod tests {
 
     #[test]
     fn idle_restart_respects_config_toggle() {
-        let mut s = TcpSender::new(TcpConfig {
-            slow_start_after_idle: false,
-            ..TcpConfig::default()
-        });
+        let mut s = TcpSender::new(MAX_WINDOW_NO_SCALING, false);
         s.cwnd = 60_000.0;
         s.register_send(0);
         assert_eq!(s.on_send_attempt(5 * SEC), None);
@@ -385,6 +362,39 @@ mod tests {
         }
         let rto_ms = s.rto() / MS;
         assert!((295..=310).contains(&rto_ms), "rto {rto_ms} ms");
+    }
+
+    #[test]
+    fn rto_floor_holds_over_random_sample_sequences() {
+        // Every sample sets `RTO = SRTT + max(4·RTTVAR, 200 ms)`, truncated
+        // to µs. SRTT never goes negative, so the 200 ms term is the RTO's
+        // floor: no zero, sub-millisecond or alternating sample sequence
+        // takes it lower, with or without timeouts in between.
+        use mcs_stats::rng::{stream_rng, Rng};
+        let mut rng = stream_rng(0x270, 0);
+        for case in 0..400u64 {
+            let mut s = sender();
+            let kind = case % 5;
+            for i in 0..rng.random_range(1u64..80) {
+                if rng.random::<f64>() < 0.2 {
+                    s.on_timeout();
+                }
+                let sample = match (kind, i % 2) {
+                    (0, _) => 0,
+                    (1, _) => rng.random_range(0..MS),
+                    (2, _) => rng.random_range(SEC..30 * SEC),
+                    (3, 0) => rng.random_range(0..MS),
+                    (3, _) => rng.random_range(SEC..30 * SEC),
+                    _ => [0, rng.random_range(0..MS), rng.random_range(SEC..30 * SEC)]
+                        [rng.random_range(0usize..3)],
+                };
+                s.take_rtt_sample(sample);
+                let srtt = s.srtt().unwrap();
+                let want = (srtt + (4.0 * s.rttvar).max(200_000.0)) as Time;
+                assert_eq!(s.rto(), want, "case {case}, sample {i} = {sample} µs");
+                assert!(s.rto() >= 200 * MS, "case {case}: rto {} µs", s.rto());
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! the workload-level findings (§2.4 load, §3.2 usage) exercise the §2.1
 //! system end to end.
 //!
+//! Content identity follows one fixed model: each store is, with
+//! probability 0.03, a duplicate of one of 64 popular objects (the same
+//! pick is always the same bytes), and unique content otherwise. A user
+//! who owns no stored file retrieves from that pool.
+//!
 //! [`replay`] is the one entry point. Under a non-empty [`FaultPlan`]
 //! operations retry, fail over and sometimes fail, and the
 //! [`ReplayStats`] grow degraded-mode accounting (failed ops, retries,
@@ -63,12 +68,6 @@ use crate::service::{RetrieveOutcome, RetryMode, StorageService};
 pub struct ReplayConfig {
     /// Number of front-end servers.
     pub frontends: usize,
-    /// Probability that an upload is a duplicate of shared popular content
-    /// (the same video forwarded around — what makes the §2.1 dedup pay).
-    pub duplicate_prob: f64,
-    /// Size of the popular-content pool duplicates are drawn from; at
-    /// least 1.
-    pub popular_pool: u64,
     /// RNG seed for duplicate selection.
     pub seed: u64,
     /// Run faulted operations in [`RetryMode::Resume`]: an interrupted
@@ -94,8 +93,6 @@ impl Default for ReplayConfig {
     fn default() -> Self {
         Self {
             frontends: 8,
-            duplicate_prob: 0.03,
-            popular_pool: 64,
             seed: 7,
             resumable: true,
             profiles: None,
@@ -163,13 +160,18 @@ impl ReplayStats {
     }
 }
 
+/// Probability that an upload is a duplicate of shared popular content
+/// (the same video forwarded around — what makes the §2.1 dedup pay).
+const DUPLICATE_PROB: f64 = 0.03;
+/// Size of the popular-content pool duplicates are drawn from.
+const POPULAR_POOL: u64 = 64;
 /// Size of popular-pool object 0, bytes.
 const POPULAR_BASE: u64 = 1_000_000;
 /// Size step between consecutive popular-pool objects, bytes.
 const POPULAR_STEP: u64 = 450_000;
 
-/// Deterministic size of a popular-pool object (photo- to clip-sized).
-/// [`validate`] rejects every pool whose largest size would overflow.
+/// Deterministic size of a popular-pool object (photo- to clip-sized,
+/// 1 MB to about 29 MB).
 fn popular_size(seed: u64) -> u64 {
     POPULAR_BASE + seed * POPULAR_STEP
 }
@@ -189,9 +191,8 @@ fn popular_size(seed: u64) -> u64 {
 /// are stateless hashes and faulted operations execute in global trace-time
 /// order (not per-user plan order), so the outputs are bit-identical
 /// across runs and thread counts. Fails only on invalid configuration
-/// (zero front-ends, an empty popular-content pool or one whose object
-/// sizes overflow, a duplicate probability outside [0, 1], an invalid
-/// profile mix or retry policy).
+/// (zero front-ends, an invalid profile mix, front-end link rate or retry
+/// policy).
 pub fn replay(
     gen: &TraceGenerator,
     cfg: &ReplayConfig,
@@ -230,32 +231,10 @@ pub fn replay(
     Ok((svc, stats, obs.snapshot()))
 }
 
-/// Rejects what the planner cannot take: an empty popular-content pool, a
-/// pool whose largest object size would overflow a `u64`, a duplicate
-/// probability outside [0, 1] (or NaN), and an invalid profile mix or
-/// front-end link rate when the network pass is on. Front-end counts and
-/// fault plans are the service's to check.
+/// Rejects an invalid profile mix or front-end link rate when the network
+/// pass is on. Front-end counts and fault plans are the service's to
+/// check.
 fn validate(cfg: &ReplayConfig) -> Result<(), ConfigError> {
-    let Some(largest_seed) = cfg.popular_pool.checked_sub(1) else {
-        return Err(ConfigError::ZeroCount {
-            what: "popular-content pool",
-        });
-    };
-    let largest = largest_seed
-        .checked_mul(POPULAR_STEP)
-        .and_then(|step| step.checked_add(POPULAR_BASE));
-    if largest.is_none() {
-        return Err(ConfigError::OutOfRange {
-            what: "popular-content pool",
-            requirement: "must keep every object's size within u64",
-        });
-    }
-    if !(0.0..=1.0).contains(&cfg.duplicate_prob) {
-        return Err(ConfigError::OutOfRange {
-            what: "duplicate probability",
-            requirement: "must be in [0, 1]",
-        });
-    }
     if let Some(mix) = &cfg.profiles {
         mix.validate()?;
         if cfg.frontend_link_bps == 0 {
@@ -577,11 +556,11 @@ fn plan_ops(gen: &TraceGenerator, cfg: &ReplayConfig) -> Vec<PlannedOp> {
                 match f.direction {
                     Direction::Store => {
                         seq += 1;
-                        let (seed, size) = if rng.random::<f64>() < cfg.duplicate_prob {
+                        let (seed, size) = if rng.random::<f64>() < DUPLICATE_PROB {
                             // Popular content has a fixed identity: the
                             // same seed always means the same bytes (and
                             // size), otherwise nothing would ever dedup.
-                            let seed = rng.random_range(0..cfg.popular_pool);
+                            let seed = rng.random_range(0..POPULAR_POOL);
                             (seed, popular_size(seed))
                         } else {
                             (1_000_000 + seq, f.size.max(1))
@@ -600,9 +579,9 @@ fn plan_ops(gen: &TraceGenerator, cfg: &ReplayConfig) -> Vec<PlannedOp> {
                         // no planned store, which is exactly when the old
                         // loop drew it from stream A.
                         let fallback_seed = if has_store {
-                            fallback_rng.random_range(0..cfg.popular_pool)
+                            fallback_rng.random_range(0..POPULAR_POOL)
                         } else {
-                            rng.random_range(0..cfg.popular_pool)
+                            rng.random_range(0..POPULAR_POOL)
                         };
                         ops.push(PlannedOp {
                             user: user.user_id,
@@ -1270,35 +1249,6 @@ mod tests {
     }
 
     #[test]
-    fn higher_duplicate_rate_saves_more() {
-        let gen = small_gen(47);
-        let low = fair(
-            &gen,
-            &ReplayConfig {
-                duplicate_prob: 0.01,
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap()
-        .1;
-        let high = fair(
-            &gen,
-            &ReplayConfig {
-                duplicate_prob: 0.25,
-                ..ReplayConfig::default()
-            },
-        )
-        .unwrap()
-        .1;
-        assert!(
-            high.bytes_deduplicated > low.bytes_deduplicated,
-            "high {} vs low {}",
-            high.bytes_deduplicated,
-            low.bytes_deduplicated
-        );
-    }
-
-    #[test]
     fn zero_frontends_is_a_config_error() {
         let gen = small_gen(48);
         let cfg = ReplayConfig {
@@ -1306,73 +1256,6 @@ mod tests {
             ..ReplayConfig::default()
         };
         assert!(fair(&gen, &cfg).is_err());
-    }
-
-    #[test]
-    fn empty_popular_pool_is_a_config_error() {
-        let gen = small_gen(3);
-        let cfg = ReplayConfig {
-            popular_pool: 0,
-            ..ReplayConfig::default()
-        };
-        let err = fair(&gen, &cfg).err();
-        assert_eq!(
-            err,
-            Some(ConfigError::ZeroCount {
-                what: "popular-content pool"
-            })
-        );
-    }
-
-    #[test]
-    fn duplicate_prob_outside_the_unit_interval_is_a_config_error() {
-        let gen = small_gen(3);
-        for duplicate_prob in [2.0, -1.0, f64::NAN] {
-            let cfg = ReplayConfig {
-                duplicate_prob,
-                ..ReplayConfig::default()
-            };
-            assert_eq!(
-                fair(&gen, &cfg).err(),
-                Some(ConfigError::OutOfRange {
-                    what: "duplicate probability",
-                    requirement: "must be in [0, 1]",
-                }),
-                "duplicate_prob {duplicate_prob}"
-            );
-        }
-        for duplicate_prob in [0.0, 1.0] {
-            let cfg = ReplayConfig {
-                duplicate_prob,
-                ..ReplayConfig::default()
-            };
-            assert!(fair(&gen, &cfg).is_ok(), "duplicate_prob {duplicate_prob}");
-        }
-    }
-
-    #[test]
-    fn popular_pool_whose_sizes_overflow_is_a_config_error() {
-        // Regression: popular_size(seed) wrapped in release builds past
-        // seed ≈ 4.1·10¹³, and a wrapped size ended the process in a
-        // failed allocation.
-        let overflow = Some(ConfigError::OutOfRange {
-            what: "popular-content pool",
-            requirement: "must keep every object's size within u64",
-        });
-        let cfg = ReplayConfig {
-            popular_pool: u64::MAX,
-            duplicate_prob: 0.5,
-            ..ReplayConfig::default()
-        };
-        assert_eq!(fair(&small_gen(3), &cfg).err(), overflow);
-        // The boundary: the largest pool whose last object still fits.
-        let fits = (u64::MAX - POPULAR_BASE) / POPULAR_STEP + 1;
-        let at = |popular_pool| ReplayConfig {
-            popular_pool,
-            ..ReplayConfig::default()
-        };
-        assert_eq!(validate(&at(fits)), Ok(()));
-        assert_eq!(validate(&at(fits + 1)).err(), overflow);
     }
 
     #[test]
@@ -1427,10 +1310,7 @@ mod tests {
         for w in &mut plan.frontend_outages {
             *w = mcs_faults::Windows::new(vec![(0, u64::MAX)]);
         }
-        let retry = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
+        let retry = RetryPolicy { max_attempts: 2 };
         let (_, stats, _) = replay(&gen, &cfg, &plan, retry).unwrap();
         assert!(stats.failed_stores > 0);
         assert!(stats.retrieves > 0);
@@ -1485,10 +1365,7 @@ mod tests {
         let gen = small_gen(57);
         let cfg = ReplayConfig::default();
         let plan = aggressive_plan(&gen, &cfg);
-        let retry = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
+        let retry = RetryPolicy { max_attempts: 2 };
         let whole_cfg = ReplayConfig {
             resumable: false,
             ..cfg
@@ -1519,10 +1396,7 @@ mod tests {
         let cfg = ReplayConfig::default();
         // Heavy, long outages: plenty of fault activity, no panics.
         let plan = aggressive_plan(&gen, &cfg);
-        let retry = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
+        let retry = RetryPolicy { max_attempts: 2 };
         let (_, stats, _) = replay(&gen, &cfg, &plan, retry).unwrap();
         let avail = stats.availability();
         assert!(avail < 1.0, "faults must cost availability: {avail}");

@@ -916,10 +916,7 @@ mod tests {
             for w in &mut plan.frontend_outages {
                 *w = Windows::new(vec![(0, u64::MAX)]);
             }
-            let retry = RetryPolicy {
-                max_attempts: 3,
-                ..RetryPolicy::default()
-            };
+            let retry = RetryPolicy { max_attempts: 3 };
             svc.set_fault_plan(plan, retry, mode).unwrap();
             let err = svc
                 .store(1, FileManifest::build("a.jpg", &photo(1)), 0)
@@ -963,10 +960,7 @@ mod tests {
             let mut plan = FaultPlan::none(1);
             plan.frontend_brownouts[0] = Windows::new(vec![(0, u64::MAX)]);
             plan.chunk_timeout_prob = 1.0;
-            let retry = RetryPolicy {
-                max_attempts: 2,
-                ..RetryPolicy::default()
-            };
+            let retry = RetryPolicy { max_attempts: 2 };
             svc.set_fault_plan(plan, retry, mode).unwrap();
             let err = svc
                 .store(1, FileManifest::build("a.jpg", &photo(1)), 0)
@@ -1022,12 +1016,7 @@ mod tests {
         plan
     }
 
-    const TWO_ATTEMPTS: RetryPolicy = RetryPolicy {
-        max_attempts: 2,
-        base_backoff_ms: 200,
-        cap_backoff_ms: 10_000,
-        jitter_frac: 0.5,
-    };
+    const TWO_ATTEMPTS: RetryPolicy = RetryPolicy { max_attempts: 2 };
 
     #[test]
     fn mid_transfer_outage_resumes_only_missing_chunks() {

@@ -17,44 +17,21 @@ use mcs_stats::rng::LogNormal;
 use crate::config::NetworkModel;
 use crate::record::{DeviceType, Direction, CHUNK_SIZE};
 
-/// Per-device, per-direction client processing time medians/sigmas, ms.
-/// (Fig. 16: Android spends ≈ 90 ms more than iOS preparing upload chunks;
-/// retrieval medians are similar but Android's tail reaches ≈ 1 s.)
-#[derive(Debug, Clone, Copy)]
-pub struct CltModel {
-    /// Median T_clt for Android uploads.
-    pub upload_android_median: f64,
-    /// Median T_clt for iOS uploads.
-    pub upload_ios_median: f64,
-    /// σ of ln T_clt for uploads.
-    pub upload_sigma: f64,
-    /// Median T_clt for Android downloads.
-    pub download_android_median: f64,
-    /// Median T_clt for iOS downloads.
-    pub download_ios_median: f64,
-    /// σ of ln T_clt for Android downloads (heavy tail).
-    pub download_android_sigma: f64,
-    /// σ of ln T_clt for iOS downloads.
-    pub download_ios_sigma: f64,
-}
-
-impl Default for CltModel {
-    fn default() -> Self {
-        Self {
-            upload_android_median: 190.0,
-            upload_ios_median: 100.0,
-            upload_sigma: 0.8,
-            download_android_median: 110.0,
-            download_ios_median: 95.0,
-            download_android_sigma: 1.5,
-            download_ios_sigma: 0.8,
-        }
-    }
-}
+// Per-device, per-direction client processing time `T_clt`: medians in
+// ms and σ of ln T_clt. Fig. 16: Android spends ≈ 90 ms more than iOS
+// preparing upload chunks; retrieval medians are similar but Android's
+// tail reaches ≈ 1 s.
+const CLT_UPLOAD_ANDROID_MEDIAN: f64 = 190.0;
+const CLT_UPLOAD_IOS_MEDIAN: f64 = 100.0;
+const CLT_UPLOAD_SIGMA: f64 = 0.8;
+const CLT_DOWNLOAD_ANDROID_MEDIAN: f64 = 110.0;
+const CLT_DOWNLOAD_IOS_MEDIAN: f64 = 95.0;
+const CLT_DOWNLOAD_ANDROID_SIGMA: f64 = 1.5;
+const CLT_DOWNLOAD_IOS_SIGMA: f64 = 0.8;
 
 /// Stateless sampler bundle built from a [`NetworkModel`].
 #[derive(Debug, Clone)]
-pub struct TimingSampler {
+pub(crate) struct TimingSampler {
     rtt: LogNormal,
     srv: LogNormal,
     chunk_up_android: LogNormal,
@@ -62,7 +39,6 @@ pub struct TimingSampler {
     chunk_down_android: LogNormal,
     chunk_down_ios: LogNormal,
     chunk_pc: LogNormal,
-    clt: CltModel,
     proxied_frac: f64,
     window_bound_frac: f64,
 }
@@ -87,7 +63,6 @@ impl TimingSampler {
                 net.chunk_sigma,
             ),
             chunk_pc: LogNormal::from_median(net.pc_chunk_median_ms, net.chunk_sigma),
-            clt: CltModel::default(),
             proxied_frac: net.proxied_frac,
             window_bound_frac: net.window_bound_frac,
         }
@@ -155,17 +130,14 @@ impl TimingSampler {
     pub fn clt_ms(&self, rng: &mut impl Rng, device: DeviceType, dir: Direction) -> f64 {
         let (median, sigma) = match (device, dir) {
             (DeviceType::Android, Direction::Store) => {
-                (self.clt.upload_android_median, self.clt.upload_sigma)
+                (CLT_UPLOAD_ANDROID_MEDIAN, CLT_UPLOAD_SIGMA)
             }
-            (DeviceType::Ios, Direction::Store) => {
-                (self.clt.upload_ios_median, self.clt.upload_sigma)
+            (DeviceType::Ios, Direction::Store) => (CLT_UPLOAD_IOS_MEDIAN, CLT_UPLOAD_SIGMA),
+            (DeviceType::Android, Direction::Retrieve) => {
+                (CLT_DOWNLOAD_ANDROID_MEDIAN, CLT_DOWNLOAD_ANDROID_SIGMA)
             }
-            (DeviceType::Android, Direction::Retrieve) => (
-                self.clt.download_android_median,
-                self.clt.download_android_sigma,
-            ),
             (DeviceType::Ios, Direction::Retrieve) => {
-                (self.clt.download_ios_median, self.clt.download_ios_sigma)
+                (CLT_DOWNLOAD_IOS_MEDIAN, CLT_DOWNLOAD_IOS_SIGMA)
             }
             (DeviceType::Pc, _) => (40.0, 0.5),
         };

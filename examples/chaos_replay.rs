@@ -61,10 +61,7 @@ fn main() {
         ..FaultPlanConfig::default()
     })
     .expect("valid fault plan config");
-    let retry = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
+    let retry = RetryPolicy { max_attempts: 2 };
     let cfg = ReplayConfig::default();
     let (_, run1, snap1) = replay(&gen, &cfg, &plan, retry).expect("valid config");
     let (_, run2, snap2) = replay(&gen, &cfg, &plan, retry).expect("valid config");

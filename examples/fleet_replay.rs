@@ -56,10 +56,7 @@ fn rough_plan(gen: &TraceGenerator) -> FaultPlan {
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let replay_cfg = ReplayConfig::default();
-    let retry = RetryPolicy {
-        max_attempts: 3,
-        ..RetryPolicy::default()
-    };
+    let retry = RetryPolicy { max_attempts: 3 };
     let fair_weather = FaultPlan::none(replay_cfg.frontends);
 
     let mut fair_json: Option<String> = None;

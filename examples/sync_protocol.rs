@@ -46,10 +46,7 @@ fn main() {
         ..FaultPlanConfig::default()
     })
     .expect("valid fault plan config");
-    let retry = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
+    let retry = RetryPolicy { max_attempts: 2 };
 
     // --- Determinism first: the resumable faulted replay must be ---------
     //     bit-identical across runs and trace-generation thread counts.

@@ -8,7 +8,13 @@ cd "$(dirname "$0")/.."
 # nothing is downloaded and nothing is re-resolved.
 CARGO_HOME=$(mktemp -d)
 export CARGO_HOME
-trap 'rm -rf "$CARGO_HOME"' EXIT
+# perfbench's build prunes the stand-ins its committed Cargo.lock still
+# lists (the workspace no longer uses them), so keep a copy of the file and
+# put it back after that step and on every exit, failures included: a run
+# of this script leaves the tree as it found it.
+PERFBENCH_LOCK=$(mktemp)
+cp perfbench/Cargo.lock "$PERFBENCH_LOCK"
+trap 'cp "$PERFBENCH_LOCK" perfbench/Cargo.lock; rm -rf "$CARGO_HOME" "$PERFBENCH_LOCK"' EXIT
 # The workspace depends on nothing outside this repository: every package
 # in Cargo.lock is a path package, which cargo records without `source =`.
 if grep -n '^source = ' Cargo.lock; then
@@ -22,6 +28,7 @@ fi
 # Fig 12/13/15 orderings). It builds from perfbench/vendor, so it needs no
 # registry and works with an empty cargo cache.
 (cd perfbench && cargo test --release --offline)
+cp "$PERFBENCH_LOCK" perfbench/Cargo.lock
 cargo build --offline --locked --release
 cargo test --offline --locked -q
 # The storage crate's refcount and byte-total arithmetic again in release

@@ -42,10 +42,7 @@ fn faulted_replay_is_bit_identical_across_runs_and_thread_counts() {
     let g1 = gen_with_threads(1);
     let g7 = gen_with_threads(7);
     let plan = rough_plan(&g1);
-    let retry = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
+    let retry = RetryPolicy { max_attempts: 2 };
     let cfg = ReplayConfig::default();
     let (_, a, _) = replay(&g1, &cfg, &plan, retry).unwrap();
     let (_, b, _) = replay(&g1, &cfg, &plan, retry).unwrap();
@@ -59,10 +56,7 @@ fn faulted_replay_is_bit_identical_across_runs_and_thread_counts() {
 
 #[test]
 fn faulted_metric_snapshots_are_bit_identical_across_thread_counts() {
-    let retry = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
+    let retry = RetryPolicy { max_attempts: 2 };
     let faulted = ReplayConfig::default();
     // Fair weather with the network pass on a front-end link slow enough
     // that flows contend: the manifest hand-over, the plan-order dispatch
@@ -125,10 +119,7 @@ fn faulted_metric_snapshots_are_bit_identical_across_thread_counts() {
 fn outage_plan_degrades_gracefully_without_panicking() {
     let gen = gen_with_threads(0);
     let plan = rough_plan(&gen);
-    let retry = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
+    let retry = RetryPolicy { max_attempts: 2 };
     let (_, s, _) = replay(&gen, &ReplayConfig::default(), &plan, retry).unwrap();
     let avail = s.availability();
     assert!(
@@ -152,10 +143,7 @@ fn resumable_replay_snapshots_identical_across_thread_counts() {
     // dedup, resume accounting — must stay bit-identical across runs and
     // trace-generation thread counts.
     let plan = rough_plan(&gen_with_threads(1));
-    let retry = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
+    let retry = RetryPolicy { max_attempts: 2 };
     let cfg = ReplayConfig::default();
     let (_, base_stats, base_snap) = replay(&gen_with_threads(1), &cfg, &plan, retry).unwrap();
     assert!(base_stats.resumed_transfers > 0, "{base_stats:?}");
@@ -188,10 +176,7 @@ fn gc_after_faulted_replay_keeps_every_live_file_whole() {
     // garbage must free only what no live file needs, in either mode.
     let gen = gen_with_threads(0);
     let plan = rough_plan(&gen);
-    let retry = RetryPolicy {
-        max_attempts: 2,
-        ..RetryPolicy::default()
-    };
+    let retry = RetryPolicy { max_attempts: 2 };
     for resumable in [true, false] {
         let cfg = ReplayConfig {
             resumable,
