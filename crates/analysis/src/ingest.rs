@@ -232,14 +232,14 @@ mod tests {
         }
     }
 
-    /// Writes each record group to its own JSONL file under `dir`.
-    fn write_jsonl_files(dir: &std::path::Path, groups: &[&[LogRecord]]) -> Vec<PathBuf> {
+    /// Writes each record group to its own CSV file under `dir`.
+    fn write_csv_files(dir: &std::path::Path, groups: &[&[LogRecord]]) -> Vec<PathBuf> {
         std::fs::create_dir_all(dir).unwrap();
         let mut paths = Vec::new();
         for (i, group) in groups.iter().enumerate() {
-            let path = dir.join(format!("{i}.jsonl"));
+            let path = dir.join(format!("{i}.csv"));
             let file = std::fs::File::create(&path).unwrap();
-            let mut w = TraceWriter::new(file, TraceFormat::Jsonl).unwrap();
+            let mut w = TraceWriter::new(file, TraceFormat::Csv).unwrap();
             group.iter().for_each(|r| w.push(r).unwrap());
             w.finish().unwrap();
             paths.push(path);
@@ -251,9 +251,8 @@ mod tests {
     /// `path`, `prev_user` and `user` at every listed thread count.
     fn assert_user_order(paths: &[PathBuf], want: (&PathBuf, u64, u64), threads: &[usize]) {
         for &t in threads {
-            let err =
-                par_analyze_shards(paths, TraceFormat::Jsonl, ErrorBudget::default(), &cfg(t))
-                    .unwrap_err();
+            let err = par_analyze_shards(paths, TraceFormat::Csv, ErrorBudget::default(), &cfg(t))
+                .unwrap_err();
             match err {
                 ReadError::UserOrder {
                     path,
@@ -422,7 +421,7 @@ mod tests {
             "test premise: the boundary must split a user"
         );
         let dir = std::env::temp_dir().join("mcs-ingest-straddle");
-        let paths = write_jsonl_files(&dir, &[&records[..split], &records[split..]]);
+        let paths = write_csv_files(&dir, &[&records[..split], &records[split..]]);
         assert_user_order(&paths, (&paths[1], user, user), &[1, 2]);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -440,14 +439,14 @@ mod tests {
         let mut late = blocks[half..].to_vec();
         let n = late.len();
         late.swap(n - 2, n - 1);
-        let paths = write_jsonl_files(
+        let paths = write_csv_files(
             &dir.join("users"),
             &[&blocks[..half].concat(), &late.concat()],
         );
         assert_user_order(&paths, (&paths[1], user(last), user(last - 1)), &[1, 2]);
 
         // Across files: whole-user files handed over in the wrong order.
-        let paths = write_jsonl_files(
+        let paths = write_csv_files(
             &dir.join("files"),
             &[&blocks[half..].concat(), &blocks[..half].concat()],
         );
@@ -461,17 +460,17 @@ mod tests {
         // range blows the budget alone but the global count does.
         let gen = small_gen();
         let dir = std::env::temp_dir().join("mcs-ingest-budget");
-        let sharded = gen.write_shards(&dir, TraceFormat::Jsonl, 4).unwrap();
+        let sharded = gen.write_shards(&dir, TraceFormat::Csv, 4).unwrap();
         for p in &sharded.paths {
             let mut text = std::fs::read_to_string(p).unwrap();
-            text.push_str("not json\n");
+            text.push_str("not a record\n");
             std::fs::write(p, text).unwrap();
         }
         // 4 bad lines, budget 3: every thread count must fail…
         for threads in [1, 2, 4] {
             let err = par_analyze_shards(
                 &sharded.paths,
-                TraceFormat::Jsonl,
+                TraceFormat::Csv,
                 ErrorBudget { max_errors: 3 },
                 &cfg(threads),
             )
@@ -484,11 +483,11 @@ mod tests {
         // …and with budget 4 every thread count must succeed, identically.
         let budget = ErrorBudget { max_errors: 4 };
         let (seq, rep) =
-            par_analyze_shards(&sharded.paths, TraceFormat::Jsonl, budget, &cfg(1)).unwrap();
+            par_analyze_shards(&sharded.paths, TraceFormat::Csv, budget, &cfg(1)).unwrap();
         assert_eq!(rep.quarantined.len(), 4);
         for threads in [2, 4] {
             let (par, par_rep) =
-                par_analyze_shards(&sharded.paths, TraceFormat::Jsonl, budget, &cfg(threads))
+                par_analyze_shards(&sharded.paths, TraceFormat::Csv, budget, &cfg(threads))
                     .unwrap();
             assert_eq!(par, seq, "threads {threads}");
             assert_eq!(par_rep.quarantined.len(), 4);

@@ -510,7 +510,7 @@ mod tests {
 
         let blocks: Vec<Vec<LogRecord>> = gen.iter_user_records().collect();
         let dir = std::env::temp_dir().join("mcs-analyze-identity");
-        let shards = [TraceFormat::Jsonl, TraceFormat::Csv, TraceFormat::Columnar].map(|format| {
+        let shards = [TraceFormat::Csv, TraceFormat::Columnar].map(|format| {
             let sharded = gen
                 .write_shards(&dir.join(format.extension()), format, 5)
                 .unwrap();

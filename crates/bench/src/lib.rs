@@ -1,7 +1,6 @@
-//! Shared helpers for the `repro` harness and the `trace_ingest` format
-//! benchmark: scale parsing and the experiment runner. `trace_ingest`
-//! times itself with `std::time::Instant`; layer-by-layer timing lives in
-//! `perfbench/`.
+//! Shared helpers for the `repro` harness: scale parsing and the
+//! experiment runner. The crate reads no clock (`mcs-lint`'s R2 covers
+//! it); wall-clock timing lives in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Planted R2 violation: wall-clock read outside crates/bench.
+//! Planted R2 violation: wall-clock read in library code.
 
 pub fn stamp() -> u64 {
     let _t = std::time::Instant::now();

@@ -254,7 +254,8 @@ fn sorted_out_of_band(toks: &[Tok], method_idx: usize) -> bool {
 
 // ---------------------------------------------------------------- R2
 
-/// R2: no wall-clock or entropy sources outside `crates/bench`.
+/// R2: no wall-clock or entropy sources in the scanned code (timing
+/// belongs in `perfbench/`).
 pub(crate) fn rule_clock(f: &Scanned, ctx: &mut RuleCtx) {
     let toks = &f.file.tokens;
     for i in 0..toks.len() {
@@ -281,7 +282,7 @@ pub(crate) fn rule_clock(f: &Scanned, ctx: &mut RuleCtx) {
             line: t.line,
             message: format!(
                 "`{source}` is a nondeterminism source; seed explicitly from config \
-                 (wall-clock timing belongs in crates/bench)"
+                 (wall-clock timing belongs in perfbench/)"
             ),
         });
     }

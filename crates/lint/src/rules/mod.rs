@@ -3,7 +3,7 @@
 //! | Rule | Name | Contract |
 //! |---|---|---|
 //! | R1 | `map-iter` | No iteration over `HashMap`/`HashSet` in non-test library code unless the same statement canonicalises the order (an explicit `sort*`, a `BTree*`/`BinaryHeap` collect) or ends in an order-insensitive terminal (`count`, `sum`, `min_by_key`, …) |
-//! | R2 | `clock` | No wall-clock or entropy sources (`Instant::now`, `SystemTime`, `thread_rng`, `from_entropy`) anywhere outside `crates/bench` |
+//! | R2 | `clock` | No wall-clock or entropy sources (`Instant::now`, `SystemTime`, `thread_rng`, `from_entropy`) in the library crates, `crates/bench`, `src/`, `tests/` or `examples/`; wall-clock timing belongs in `perfbench/` |
 //! | R3 | `panic` | No `unwrap()`/`expect()`/`panic!`/`todo!`/`unimplemented!` in non-test library code |
 //! | R4 | `merge-law` | Every type in `crates/analysis` or `crates/obs` defining `fn merge(` must be referenced by a same-crate test whose name contains `merge` or `shard` |
 //! | R5 | `unsafe` | Every library crate root must carry `#![forbid(unsafe_code)]` |
@@ -182,11 +182,11 @@ pub fn run_lint_report(root: &Path) -> io::Result<LintReport> {
         float_merge::check(f, &mut ctx);
     }
 
-    // R2 also covers the harness crate, integration tests, and examples
-    // (everything that feeds reproduction output). `crates/bench` is the
-    // one sanctioned home for wall-clock timing.
+    // R2 also covers the `repro` harness, the root package, integration
+    // tests and examples (everything that feeds reproduction output).
+    // Wall-clock timing lives in `perfbench/`, its own workspace.
     let mut extra_files: Vec<Scanned> = Vec::new();
-    for dir in ["src", "tests", "examples"] {
+    for dir in ["crates/bench", "src", "tests", "examples"] {
         extra_files.extend(scan_tree(root, &root.join(dir))?);
     }
     for f in &extra_files {

@@ -24,6 +24,16 @@ use crate::tcp::{CwndEvent, TcpSender, MAX_WINDOW_NO_SCALING};
 /// uploading clients, bytes.
 const SCALED_SERVER_WINDOW: u64 = 2 * 1024 * 1024;
 
+/// Largest flow [`FlowConfig::validate`] accepts, bytes. A [`FlowTrace`]
+/// keeps about three samples per segment, some 35 MB per GiB moved, so
+/// this bounds one flow's samples near 140 MB.
+const MAX_FLOW_BYTES: u64 = 4 << 30;
+
+/// Most batches [`FlowConfig::validate`] accepts in one flow. The trace
+/// keeps a [`ChunkRecord`] and an [`IdleRecord`] per batch, about 72 B,
+/// so this bounds them near 75 MB.
+const MAX_BATCHES: u64 = 1 << 20;
+
 /// Flow configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowConfig {
@@ -102,10 +112,10 @@ impl FlowConfig {
                 requirement: "must be positive",
             });
         }
-        if self.total_bytes == 0 {
+        if !(1..=MAX_FLOW_BYTES).contains(&self.total_bytes) {
             return Err(ConfigError::OutOfRange {
                 what: "flow total bytes",
-                requirement: "must move at least one byte",
+                requirement: "must lie in [1 B, 4 GiB]",
             });
         }
         if self.batch_chunks == 0 {
@@ -119,11 +129,10 @@ impl FlowConfig {
                 requirement: "(chunk size × chunks per batch) must fit in u64",
             });
         };
-        // The trace counts batches in a `u32` (`FlowTrace::batches`).
-        if u32::try_from(self.total_bytes.div_ceil(batch_bytes)).is_err() {
+        if self.total_bytes.div_ceil(batch_bytes) > MAX_BATCHES {
             return Err(ConfigError::OutOfRange {
                 what: "batch count",
-                requirement: "(total bytes ÷ batch size, rounded up) must fit in u32",
+                requirement: "(total bytes ÷ batch size, rounded up) must be at most 2^20",
             });
         }
         self.data_link.validate()
@@ -308,7 +317,7 @@ impl FlowRt {
             Direction::Upload => (cfg.device.upload_packet_overhead, 0),
             Direction::Download => (0, cfg.device.download_packet_overhead),
         };
-        // `validate` bounds both: the product fits a `u64`, the count a `u32`.
+        // `validate` bounds both: the product fits a `u64`, the count 2^20.
         let batch_bytes = cfg.chunk_size.saturating_mul(u64::from(cfg.batch_chunks));
         let batches = u32::try_from(cfg.total_bytes.div_ceil(batch_bytes)).unwrap_or(u32::MAX);
         Self {
@@ -1448,6 +1457,14 @@ mod tests {
     fn invalid_flows_are_typed_errors() {
         let ok = upload(DeviceProfile::ios(), 512 * 1024, 1);
         let link = quiet_link();
+        let too_big = ConfigError::OutOfRange {
+            what: "flow total bytes",
+            requirement: "must lie in [1 B, 4 GiB]",
+        };
+        let too_many = ConfigError::OutOfRange {
+            what: "batch count",
+            requirement: "(total bytes ÷ batch size, rounded up) must be at most 2^20",
+        };
         assert_eq!(
             try_simulate_shared_report(&[], link, &Windows::empty()).err(),
             Some(ConfigError::ZeroCount {
@@ -1470,10 +1487,7 @@ mod tests {
                     total_bytes: 0,
                     ..ok
                 },
-                ConfigError::OutOfRange {
-                    what: "flow total bytes",
-                    requirement: "must move at least one byte",
-                },
+                too_big,
             ),
             (
                 FlowConfig {
@@ -1507,29 +1521,35 @@ mod tests {
         // engine's batch-boundary lists (2^44 entries a flow at 512 KB
         // chunks) got the process killed for want of memory.
         let vast = upload(DeviceProfile::ios(), 1 << 63, 1);
-        let too_many = ConfigError::OutOfRange {
-            what: "batch count",
-            requirement: "(total bytes ÷ batch size, rounded up) must fit in u32",
-        };
-        assert_eq!(vast.validate(), Err(too_many));
+        assert_eq!(vast.validate(), Err(too_big));
         let shared = try_simulate_shared_report(&[vast, vast], link, &Windows::empty());
-        assert_eq!(shared.err(), Some(too_many));
-        // The most batches a flow may have, and one more.
-        let batches = |n: u64| FlowConfig {
-            total_bytes: n * ok.chunk_size,
+        assert_eq!(shared.err(), Some(too_big));
+        // The largest flow, and one byte more: its samples would outgrow
+        // the memory bound.
+        let bytes = |n: u64| FlowConfig {
+            total_bytes: n,
             ..ok
         };
-        assert_eq!(batches(u64::from(u32::MAX)).validate(), Ok(()));
-        assert_eq!(batches(u64::from(u32::MAX) + 1).validate(), Err(too_many));
-        // The largest batch that fits: the batch ends stop at the total
-        // instead of wrapping past it.
+        assert_eq!(bytes(MAX_FLOW_BYTES).validate(), Ok(()));
+        assert_eq!(bytes(MAX_FLOW_BYTES + 1).validate(), Err(too_big));
+        // The most batches a flow may have, and one more, in 1-byte chunks.
+        let batches = |n: u64| FlowConfig {
+            chunk_size: 1,
+            total_bytes: n,
+            ..ok
+        };
+        assert_eq!(batches(MAX_BATCHES).validate(), Ok(()));
+        assert_eq!(batches(MAX_BATCHES + 1).validate(), Err(too_many));
+        // A flow `validate` rejects, and the largest batch that fits: the
+        // runtime's batch ends stop at the total instead of wrapping past
+        // it.
         let huge = FlowConfig {
             chunk_size: 1 << 62,
             batch_chunks: 2,
             total_bytes: u64::MAX,
             ..ok
         };
-        assert_eq!(huge.validate(), Ok(()));
+        assert_eq!(huge.validate(), Err(too_big));
         let fl = FlowRt::new(&huge, 0);
         assert_eq!(fl.batches, 2);
         assert_eq!([fl.batch_end(0), fl.batch_end(1)], [1 << 63, u64::MAX]);

@@ -587,13 +587,13 @@ mod tests {
                 what: "parallel connection"
             })
         );
-        // Regression: 2^41 batches on one connection fail `validate`, and
-        // the empty trace list read as a 1 µs upload at ~1.2·10^24 B/s.
+        // Regression: a 1 EiB flow fails `validate`, and the empty trace
+        // list read as a 1 µs upload at ~1.2·10^24 B/s.
         assert_eq!(
             run_parallel_upload(ios, 1 << 60, 1, 0).err(),
             Some(ConfigError::OutOfRange {
-                what: "batch count",
-                requirement: "(total bytes ÷ batch size, rounded up) must fit in u32",
+                what: "flow total bytes",
+                requirement: "must lie in [1 B, 4 GiB]",
             })
         );
     }
@@ -611,22 +611,18 @@ mod tests {
                 "fail_at_frac {frac}"
             );
         }
-        assert_eq!(
-            run_resume_ablation(android, 0, 0.5, 1).err(),
-            Some(ConfigError::OutOfRange {
-                what: "flow total bytes",
-                requirement: "must move at least one byte",
-            })
-        );
-        // Regression: the restart leg of an 8 EiB file reached
-        // `simulate_flow`'s panic.
-        assert_eq!(
-            run_resume_ablation(android, 1 << 63, 0.0, 1).err(),
-            Some(ConfigError::OutOfRange {
-                what: "batch count",
-                requirement: "(total bytes ÷ batch size, rounded up) must fit in u32",
-            })
-        );
+        // An empty file, and (a regression) the restart leg of an 8 EiB
+        // file, which reached `simulate_flow`'s panic.
+        for size in [0, 1 << 63] {
+            assert_eq!(
+                run_resume_ablation(android, size, 0.0, 1).err(),
+                Some(ConfigError::OutOfRange {
+                    what: "flow total bytes",
+                    requirement: "must lie in [1 B, 4 GiB]",
+                }),
+                "size {size}"
+            );
+        }
     }
 
     #[test]

@@ -43,23 +43,6 @@ pub enum StoreDecision {
     },
 }
 
-/// Metadata-server statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetadataStats {
-    /// File-storage operations handled.
-    pub store_ops: u64,
-    /// Stores satisfied by deduplication.
-    pub dedup_hits: u64,
-    /// Bytes the dedup avoided uploading.
-    pub dedup_bytes_saved: u64,
-    /// File-retrieval operations handled.
-    pub retrieve_ops: u64,
-    /// Retrievals that failed (unknown path/URL).
-    pub retrieve_misses: u64,
-    /// Delete operations handled.
-    pub delete_ops: u64,
-}
-
 /// A stored content: its manifest minus the name (paths live in the
 /// namespaces), and the front-end holding it.
 #[derive(Debug)]
@@ -98,8 +81,6 @@ pub struct MetadataServer {
     urls: BTreeMap<ShareUrl, Digest>,
     /// Number of front-end servers to spread uploads over.
     frontends: usize,
-    /// Counters.
-    pub stats: MetadataStats,
 }
 
 impl MetadataServer {
@@ -123,7 +104,6 @@ impl MetadataServer {
         manifest: &FileManifest,
         now_ms: u64,
     ) -> StoreDecision {
-        self.stats.store_ops += 1;
         let entry = FileEntry {
             digest: manifest.file_digest,
             stored_at_ms: now_ms,
@@ -132,8 +112,6 @@ impl MetadataServer {
         let ns = self.namespaces.entry(user).or_default();
         ns.insert(manifest.name.clone(), entry);
         if known {
-            self.stats.dedup_hits += 1;
-            self.stats.dedup_bytes_saved += manifest.size;
             StoreDecision::Deduplicated
         } else {
             StoreDecision::Upload {
@@ -156,15 +134,13 @@ impl MetadataServer {
     }
 
     /// Resolves `digest` for a retrieve into a manifest named `name`.
-    fn resolve(&mut self, digest: Option<Digest>, name: &str) -> Option<(FileManifest, usize)> {
-        self.stats.retrieve_ops += 1;
-        let found = digest.and_then(|d| Some(self.known.get(&d)?.manifest(name.to_string(), d)));
-        self.stats.retrieve_misses += u64::from(found.is_none());
-        found
+    fn resolve(&self, digest: Option<Digest>, name: &str) -> Option<(FileManifest, usize)> {
+        let d = digest?;
+        Some(self.known.get(&d)?.manifest(name.to_string(), d))
     }
 
     /// Resolves a path in a user's namespace into a manifest named `path`.
-    pub fn begin_retrieve(&mut self, user: UserId, path: &str) -> Option<(FileManifest, usize)> {
+    pub fn begin_retrieve(&self, user: UserId, path: &str) -> Option<(FileManifest, usize)> {
         let entry = self.namespaces.get(&user).and_then(|ns| ns.get(path));
         self.resolve(entry.map(|e| e.digest), path)
     }
@@ -180,7 +156,7 @@ impl MetadataServer {
     /// Resolves a share URL (the §2.1 retrieval path: URL → file MD5 →
     /// manifest). The manifest is named after the URL.
     pub fn begin_retrieve_url(
-        &mut self,
+        &self,
         _requester: UserId,
         url: &ShareUrl,
     ) -> Option<(FileManifest, usize)> {
@@ -193,9 +169,7 @@ impl MetadataServer {
     /// (the §2.1 note that deletes never touch the front-end data path is
     /// why the paper's logs do not contain them).
     pub fn delete(&mut self, user: UserId, path: &str) -> Option<FileEntry> {
-        let entry = self.namespaces.get_mut(&user)?.remove(path)?;
-        self.stats.delete_ops += 1;
-        Some(entry)
+        self.namespaces.get_mut(&user)?.remove(path)
     }
 
     /// Contents with no remaining namespace links (eligible for GC):
@@ -290,8 +264,6 @@ mod tests {
         // Same content, other user, other name.
         let m2 = manifest("b.jpg", 1, 1000);
         assert_eq!(md.begin_store(11, &m2, 5), StoreDecision::Deduplicated);
-        assert_eq!(md.stats.dedup_hits, 1);
-        assert_eq!(md.stats.dedup_bytes_saved, 1000);
         assert_eq!(md.distinct_contents(), 1);
     }
 
@@ -319,7 +291,6 @@ mod tests {
         assert!(fe < 2);
         assert!(md.begin_retrieve(1, "docs/missing.pdf").is_none());
         assert!(md.begin_retrieve(2, "docs/x.pdf").is_none());
-        assert_eq!(md.stats.retrieve_misses, 2);
     }
 
     #[test]

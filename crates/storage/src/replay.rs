@@ -1183,9 +1183,6 @@ mod tests {
         assert_eq!(stats.retrieve_misses, 0);
         assert!(stats.bytes_deduplicated > 0, "popular dupes must dedup");
         assert!(svc.frontends().iter().all(|f| f.missing_gets == 0));
-        // Metadata sees every user store plus the first-touch uploads of
-        // shared popular objects.
-        assert!(svc.metadata().stats.store_ops >= stats.stores);
         // Fair weather: no degraded-mode activity, full availability.
         assert_eq!(stats.failed_stores, 0);
         assert_eq!(stats.failed_retrieves, 0);

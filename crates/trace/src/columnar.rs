@@ -1,12 +1,12 @@
 //! The `.mct` binary columnar trace shard format.
 //!
-//! JSONL and CSV keep paper-scale traces honest but slow: at 349 M
-//! records the text formats spend their time in JSON/CSV parsing
-//! and burn ~200 bytes per record. `.mct` stores the Table 1 schema as
-//! fixed-width little-endian columns inside length-prefixed blocks, with
-//! the high-cardinality user/device identifiers interned through a
-//! per-shard dictionary — decoding is a bounds-checked memcpy per column,
-//! and a record costs ~49 bytes plus its share of the dictionary.
+//! CSV keeps paper-scale traces readable but slow: at 349 M records the
+//! text format spends its time parsing and burns ~100 bytes per record.
+//! `.mct` stores the Table 1 schema as fixed-width little-endian columns
+//! inside length-prefixed blocks, with the high-cardinality user/device
+//! identifiers interned through a per-shard dictionary — decoding is a
+//! bounds-checked memcpy per column, and a record costs ~49 bytes plus
+//! its share of the dictionary.
 //!
 //! On-disk layout (DESIGN.md §11 is the normative spec):
 //!

@@ -1,10 +1,10 @@
-//! Trace serialisation: JSON-lines, a compact CSV form, and the binary
-//! columnar `.mct` shard format (see [`crate::columnar`]).
+//! Trace serialisation: a compact CSV form and the binary columnar `.mct`
+//! shard format (see [`crate::columnar`]).
 //!
 //! The public dataset the paper released was a flat log file; this module
 //! lets generated traces round-trip through files so the analysis pipeline
-//! can be pointed at stored traces, not only live generators. Every format
-//! streams record by record in both directions, through one reader and one
+//! can be pointed at stored traces, not only live generators. Both formats
+//! stream record by record in both directions, through one reader and one
 //! writer:
 //!
 //! * [`RecordStream`] (or [`open_trace`] for a path) yields
@@ -24,8 +24,8 @@ use crate::columnar::{ColumnarRecords, ColumnarWriter};
 use crate::record::{DeviceType, Direction, LogRecord, RequestType};
 
 /// Why reading a trace file failed. Every variant carries a location —
-/// line number for the text formats, block/record coordinates for the
-/// columnar format — so malformed logs surface as actionable diagnostics
+/// line number for CSV, block/record coordinates for the columnar
+/// format — so malformed logs surface as actionable diagnostics
 /// instead of panics or stringly-typed `io::Error`s.
 #[derive(Debug)]
 pub enum ReadError {
@@ -33,13 +33,6 @@ pub enum ReadError {
     Io(io::Error),
     /// The CSV header line is missing or does not match [`CSV_HEADER`].
     BadHeader,
-    /// A JSON line did not parse as a [`LogRecord`].
-    Json {
-        /// 1-based line number.
-        line: usize,
-        /// The parse error.
-        source: JsonError,
-    },
     /// A CSV line had the wrong number of fields.
     FieldCount {
         /// 1-based line number.
@@ -134,8 +127,7 @@ impl ReadError {
     pub fn is_record_level(&self) -> bool {
         matches!(
             self,
-            ReadError::Json { .. }
-                | ReadError::FieldCount { .. }
+            ReadError::FieldCount { .. }
                 | ReadError::Field { .. }
                 | ReadError::DictIndex { .. }
                 | ReadError::OpCode { .. }
@@ -148,7 +140,6 @@ impl fmt::Display for ReadError {
         match self {
             ReadError::Io(e) => write!(f, "read failed: {e}"),
             ReadError::BadHeader => write!(f, "line 1: missing or wrong CSV header"),
-            ReadError::Json { line, source } => write!(f, "line {line}: {source}"),
             ReadError::FieldCount { line, got } => {
                 write!(f, "line {line}: expected 10 fields, got {got}")
             }
@@ -213,7 +204,6 @@ impl std::error::Error for ReadError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReadError::Io(e) => Some(e),
-            ReadError::Json { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -223,266 +213,6 @@ impl From<io::Error> for ReadError {
     fn from(e: io::Error) -> Self {
         ReadError::Io(e)
     }
-}
-
-/// Why one JSON line failed to parse as a [`LogRecord`].
-///
-/// The JSONL codec is hand-rolled against the fixed Table 1 schema (one
-/// object per record, fields in declaration order, enum variants as
-/// `"Android"` / `{"Chunk":"Store"}`), so trace files need no JSON
-/// library on the hot ingest path.
-#[derive(Debug)]
-pub struct JsonError {
-    msg: String,
-}
-
-impl JsonError {
-    fn new(msg: impl Into<String>) -> Self {
-        Self { msg: msg.into() }
-    }
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.msg)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Minimal JSON cursor for [`parse_json_record`] — supports exactly the
-/// value shapes the Table 1 schema emits, plus generic skipping so lines
-/// with extra fields still parse.
-struct JsonParser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn err(&self, msg: &str) -> JsonError {
-        JsonError::new(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str) -> Result<(), JsonError> {
-        self.skip_ws();
-        if self.b[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    /// Parses a string with no escape sequences (none of the schema's
-    /// strings contain any).
-    fn string(&mut self) -> Result<&'a str, JsonError> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        while let Some(&c) = self.b.get(self.pos) {
-            match c {
-                b'"' => {
-                    let s = std::str::from_utf8(&self.b[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                b'\\' => return Err(self.err("escape sequences unsupported")),
-                _ => self.pos += 1,
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number_slice(&mut self) -> Result<&'a str, JsonError> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(&c) = self.b.get(self.pos) {
-            match c {
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E' => self.pos += 1,
-                _ => break,
-            }
-        }
-        if start == self.pos {
-            return Err(self.err("expected number"));
-        }
-        std::str::from_utf8(&self.b[start..self.pos]).map_err(|_| self.err("invalid number"))
-    }
-
-    fn u64(&mut self) -> Result<u64, JsonError> {
-        let s = self.number_slice()?;
-        s.parse()
-            .map_err(|_| self.err(&format!("invalid u64 `{s}`")))
-    }
-
-    fn f64(&mut self) -> Result<f64, JsonError> {
-        let s = self.number_slice()?;
-        s.parse()
-            .map_err(|_| self.err(&format!("invalid f64 `{s}`")))
-    }
-
-    fn bool(&mut self) -> Result<bool, JsonError> {
-        match self.peek() {
-            Some(b't') => self.eat_lit("true").map(|()| true),
-            Some(b'f') => self.eat_lit("false").map(|()| false),
-            _ => Err(self.err("expected bool")),
-        }
-    }
-
-    /// Skips one value of any shape (for unknown fields).
-    fn skip_value(&mut self) -> Result<(), JsonError> {
-        match self.peek() {
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') => self.eat_lit("true"),
-            Some(b'f') => self.eat_lit("false"),
-            Some(b'n') => self.eat_lit("null"),
-            Some(b'{') => {
-                self.eat(b'{')?;
-                if self.peek() == Some(b'}') {
-                    return self.eat(b'}');
-                }
-                loop {
-                    self.string()?;
-                    self.eat(b':')?;
-                    self.skip_value()?;
-                    match self.peek() {
-                        Some(b',') => self.eat(b',')?,
-                        _ => return self.eat(b'}'),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.eat(b'[')?;
-                if self.peek() == Some(b']') {
-                    return self.eat(b']');
-                }
-                loop {
-                    self.skip_value()?;
-                    match self.peek() {
-                        Some(b',') => self.eat(b',')?,
-                        _ => return self.eat(b']'),
-                    }
-                }
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number_slice().map(|_| ()),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-}
-
-/// Parses one JSON line in the [`LogRecord`] encoding.
-/// Unknown fields are skipped; missing fields are errors.
-fn parse_json_record(line: &str) -> Result<LogRecord, JsonError> {
-    let mut p = JsonParser {
-        b: line.as_bytes(),
-        pos: 0,
-    };
-    let mut timestamp_ms = None;
-    let mut device_type = None;
-    let mut device_id = None;
-    let mut user_id = None;
-    let mut request = None;
-    let mut volume_bytes = None;
-    let mut processing_ms = None;
-    let mut srv_ms = None;
-    let mut rtt_ms = None;
-    let mut proxied = None;
-
-    let direction = |p: &mut JsonParser<'_>| -> Result<Direction, JsonError> {
-        match p.string()? {
-            "Store" => Ok(Direction::Store),
-            "Retrieve" => Ok(Direction::Retrieve),
-            other => Err(JsonError::new(format!("unknown direction `{other}`"))),
-        }
-    };
-
-    p.eat(b'{')?;
-    if p.peek() == Some(b'}') {
-        p.eat(b'}')?;
-    } else {
-        loop {
-            let key = p.string()?;
-            p.eat(b':')?;
-            match key {
-                "timestamp_ms" => timestamp_ms = Some(p.u64()?),
-                "device_id" => device_id = Some(p.u64()?),
-                "user_id" => user_id = Some(p.u64()?),
-                "volume_bytes" => volume_bytes = Some(p.u64()?),
-                "processing_ms" => processing_ms = Some(p.f64()?),
-                "srv_ms" => srv_ms = Some(p.f64()?),
-                "rtt_ms" => rtt_ms = Some(p.f64()?),
-                "proxied" => proxied = Some(p.bool()?),
-                "device_type" => {
-                    device_type = Some(match p.string()? {
-                        "Android" => DeviceType::Android,
-                        "Ios" => DeviceType::Ios,
-                        "Pc" => DeviceType::Pc,
-                        other => {
-                            return Err(JsonError::new(format!("unknown device_type `{other}`")))
-                        }
-                    })
-                }
-                "request" => {
-                    p.eat(b'{')?;
-                    let variant = p.string()?;
-                    p.eat(b':')?;
-                    let dir = direction(&mut p)?;
-                    request = Some(match variant {
-                        "FileOp" => RequestType::FileOp(dir),
-                        "Chunk" => RequestType::Chunk(dir),
-                        other => return Err(JsonError::new(format!("unknown request `{other}`"))),
-                    });
-                    p.eat(b'}')?;
-                }
-                _ => p.skip_value()?,
-            }
-            match p.peek() {
-                Some(b',') => p.eat(b',')?,
-                Some(b'}') => {
-                    p.eat(b'}')?;
-                    break;
-                }
-                _ => return Err(p.err("expected ',' or '}'")),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return Err(p.err("trailing characters"));
-    }
-
-    let missing = |name: &str| JsonError::new(format!("missing field `{name}`"));
-    Ok(LogRecord {
-        timestamp_ms: timestamp_ms.ok_or_else(|| missing("timestamp_ms"))?,
-        device_type: device_type.ok_or_else(|| missing("device_type"))?,
-        device_id: device_id.ok_or_else(|| missing("device_id"))?,
-        user_id: user_id.ok_or_else(|| missing("user_id"))?,
-        request: request.ok_or_else(|| missing("request"))?,
-        volume_bytes: volume_bytes.ok_or_else(|| missing("volume_bytes"))?,
-        processing_ms: processing_ms.ok_or_else(|| missing("processing_ms"))?,
-        srv_ms: srv_ms.ok_or_else(|| missing("srv_ms"))?,
-        rtt_ms: rtt_ms.ok_or_else(|| missing("rtt_ms"))?,
-        proxied: proxied.ok_or_else(|| missing("proxied"))?,
-    })
 }
 
 // ------------------------------------------------------------- reading
@@ -497,28 +227,21 @@ fn parse_json_record(line: &str) -> Result<LogRecord, JsonError> {
 pub struct RecordStream<R: BufRead>(Decoder<R>);
 
 enum Decoder<R: BufRead> {
-    Lines(LineRecords<R>),
+    Csv(CsvRecords<R>),
     Columnar(ColumnarRecords<R>),
 }
 
 impl<R: BufRead> RecordStream<R> {
     /// Wraps a reader positioned at the start of a trace in `format`.
     pub fn new(r: R, format: TraceFormat) -> Self {
-        type Parse = fn(usize, &str) -> Result<LogRecord, ReadError>;
-        let (header, parse): (_, Parse) = match format {
-            TraceFormat::Jsonl => (None, |line, text| {
-                parse_json_record(text).map_err(|source| ReadError::Json { line, source })
+        Self(match format {
+            TraceFormat::Csv => Decoder::Csv(CsvRecords {
+                lines: r.lines(),
+                line_no: 0,
+                done: false,
             }),
-            TraceFormat::Csv => (Some(CSV_HEADER), parse_csv_record),
-            TraceFormat::Columnar => return Self(Decoder::Columnar(ColumnarRecords::new(r))),
-        };
-        Self(Decoder::Lines(LineRecords {
-            lines: r.lines(),
-            line_no: 0,
-            header,
-            parse,
-            done: false,
-        }))
+            TraceFormat::Columnar => Decoder::Columnar(ColumnarRecords::new(r)),
+        })
     }
 }
 
@@ -527,27 +250,24 @@ impl<R: BufRead> Iterator for RecordStream<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         match &mut self.0 {
-            Decoder::Lines(s) => s.next(),
+            Decoder::Csv(s) => s.next(),
             Decoder::Columnar(s) => s.next(),
         }
     }
 }
 
-/// The text formats: one record per line, blank lines skipped. Line
-/// numbers in diagnostics are 1-based and count every physical line. A
-/// malformed line is a record-level `Err` and the stream continues; an
-/// I/O error, or a CSV first line that is not [`CSV_HEADER`], ends it.
-/// Empty input is an empty trace.
-struct LineRecords<R: BufRead> {
+/// The CSV reader: one record per line after [`CSV_HEADER`], blank lines
+/// skipped. Line numbers in diagnostics are 1-based and count every
+/// physical line. A malformed line is a record-level `Err` and the stream
+/// continues; an I/O error, or a first line that is not the header, ends
+/// it. Empty input is an empty trace.
+struct CsvRecords<R: BufRead> {
     lines: io::Lines<R>,
     line_no: usize,
-    /// The header the first line must be, until it has been checked.
-    header: Option<&'static str>,
-    parse: fn(usize, &str) -> Result<LogRecord, ReadError>,
     done: bool,
 }
 
-impl<R: BufRead> Iterator for LineRecords<R> {
+impl<R: BufRead> Iterator for CsvRecords<R> {
     type Item = Result<LogRecord, ReadError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -560,13 +280,13 @@ impl<R: BufRead> Iterator for LineRecords<R> {
                 }
                 Some(Ok(line)) => {
                     self.line_no += 1;
-                    if let Some(header) = self.header.take() {
-                        if line.trim() != header {
+                    if self.line_no == 1 {
+                        if line.trim() != CSV_HEADER {
                             self.done = true;
                             return Some(Err(ReadError::BadHeader));
                         }
                     } else if !line.trim().is_empty() {
-                        return Some((self.parse)(self.line_no, &line));
+                        return Some(parse_csv_record(self.line_no, &line));
                     }
                 }
             }
@@ -682,7 +402,7 @@ impl LossyRead {
     }
 }
 
-// ------------------------------------------------------------ line codecs
+// ------------------------------------------------------------ CSV codec
 
 /// Header line of the CSV format.
 pub const CSV_HEADER: &str =
@@ -722,55 +442,6 @@ fn parse_request(s: &str) -> Option<RequestType> {
         "chunk_retrieve" => Some(RequestType::Chunk(Direction::Retrieve)),
         _ => None,
     }
-}
-
-/// Formats an `f64` as JSON: shortest round-trip decimal for finite
-/// values, `null` for non-finite ones.
-struct JsonF64(f64);
-
-impl fmt::Display for JsonF64 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_finite() {
-            write!(f, "{:?}", self.0)
-        } else {
-            f.write_str("null")
-        }
-    }
-}
-
-/// Serialises one record as a JSON line, fields in declaration order
-/// ([`parse_json_record`] is the inverse).
-fn write_jsonl_record<W: Write>(w: &mut W, r: &LogRecord) -> io::Result<()> {
-    let device_type = match r.device_type {
-        DeviceType::Android => "Android",
-        DeviceType::Ios => "Ios",
-        DeviceType::Pc => "Pc",
-    };
-    let (req_variant, dir) = match r.request {
-        RequestType::FileOp(d) => ("FileOp", d),
-        RequestType::Chunk(d) => ("Chunk", d),
-    };
-    let direction = match dir {
-        Direction::Store => "Store",
-        Direction::Retrieve => "Retrieve",
-    };
-    writeln!(
-        w,
-        "{{\"timestamp_ms\":{},\"device_type\":\"{}\",\"device_id\":{},\"user_id\":{},\
-         \"request\":{{\"{}\":\"{}\"}},\"volume_bytes\":{},\"processing_ms\":{},\
-         \"srv_ms\":{},\"rtt_ms\":{},\"proxied\":{}}}",
-        r.timestamp_ms,
-        device_type,
-        r.device_id,
-        r.user_id,
-        req_variant,
-        direction,
-        r.volume_bytes,
-        JsonF64(r.processing_ms),
-        JsonF64(r.srv_ms),
-        JsonF64(r.rtt_ms),
-        r.proxied,
-    )
 }
 
 /// Serialises one record as a CSV body line. No field can contain
@@ -828,12 +499,10 @@ fn parse_csv_record(line_no: usize, line: &str) -> Result<LogRecord, ReadError> 
 /// Trace file format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
-    /// One JSON object per record and line.
-    Jsonl,
     /// Compact CSV with [`CSV_HEADER`].
     Csv,
-    /// Binary columnar `.mct` shard (see [`crate::columnar`]): ~4× denser
-    /// than the text formats and decoded without per-record parsing.
+    /// Binary columnar `.mct` shard (see [`crate::columnar`]): about half
+    /// CSV's size and decoded without per-record parsing.
     Columnar,
 }
 
@@ -841,7 +510,6 @@ impl TraceFormat {
     /// Conventional file extension for this format.
     pub fn extension(self) -> &'static str {
         match self {
-            TraceFormat::Jsonl => "jsonl",
             TraceFormat::Csv => "csv",
             TraceFormat::Columnar => "mct",
         }
@@ -860,8 +528,7 @@ pub struct TraceWriter<W: Write> {
 }
 
 enum Sink<W: Write> {
-    /// A text format: one line per record.
-    Lines(W, fn(&mut W, &LogRecord) -> io::Result<()>),
+    Csv(W),
     Columnar(ColumnarWriter<W>),
 }
 
@@ -869,10 +536,9 @@ impl<W: Write> TraceWriter<W> {
     /// Starts a trace in `format`, writing any header immediately.
     pub fn new(mut w: W, format: TraceFormat) -> io::Result<Self> {
         let sink = match format {
-            TraceFormat::Jsonl => Sink::Lines(w, write_jsonl_record),
             TraceFormat::Csv => {
                 writeln!(w, "{CSV_HEADER}")?;
-                Sink::Lines(w, write_csv_record)
+                Sink::Csv(w)
             }
             TraceFormat::Columnar => Sink::Columnar(ColumnarWriter::new(w)?),
         };
@@ -882,7 +548,7 @@ impl<W: Write> TraceWriter<W> {
     /// Appends one record.
     pub fn push(&mut self, r: &LogRecord) -> io::Result<()> {
         match &mut self.sink {
-            Sink::Lines(w, line) => line(w, r)?,
+            Sink::Csv(w) => write_csv_record(w, r)?,
             Sink::Columnar(cw) => cw.push(r)?,
         }
         self.written += 1;
@@ -893,7 +559,7 @@ impl<W: Write> TraceWriter<W> {
     /// underlying writer, returning it with the total record count.
     pub fn finish(self) -> io::Result<(W, u64)> {
         let mut w = match self.sink {
-            Sink::Lines(w, _) => w,
+            Sink::Csv(w) => w,
             Sink::Columnar(cw) => cw.finish()?,
         };
         w.flush()?;
@@ -972,13 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trip() {
-        let recs = sample_records();
-        let buf = encode(&recs, TraceFormat::Jsonl);
-        assert_eq!(read(&buf, TraceFormat::Jsonl).unwrap(), recs);
-    }
-
-    #[test]
     fn csv_round_trip() {
         let recs = sample_records();
         let buf = encode(&recs, TraceFormat::Csv);
@@ -988,13 +647,8 @@ mod tests {
     #[test]
     fn trace_writer_writes_the_documented_lines() {
         let first = &sample_records()[..1];
-        let jsonl = "{\"timestamp_ms\":0,\"device_type\":\"Android\",\"device_id\":1,\
-                     \"user_id\":10,\"request\":{\"FileOp\":\"Store\"},\"volume_bytes\":0,\
-                     \"processing_ms\":12.5,\"srv_ms\":3.0,\"rtt_ms\":88.0,\"proxied\":false}\n";
-        assert_eq!(encode(first, TraceFormat::Jsonl), jsonl.as_bytes());
         let csv = format!("{CSV_HEADER}\n0,android,1,10,file_store,0,12.5,3,88,0\n");
         assert_eq!(encode(first, TraceFormat::Csv), csv.as_bytes());
-        assert_eq!(encode(&[], TraceFormat::Jsonl), b"");
         assert_eq!(
             read(&encode(&[], TraceFormat::Csv), TraceFormat::Csv).unwrap(),
             []
@@ -1002,22 +656,15 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_skips_blank_lines() {
-        let mut buf = encode(&sample_records(), TraceFormat::Jsonl);
-        buf.extend_from_slice(b"\n\n");
-        assert_eq!(read(&buf, TraceFormat::Jsonl).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn jsonl_rejects_garbage() {
-        let mut buf = encode(&sample_records(), TraceFormat::Jsonl);
-        buf.extend_from_slice(b"not json\n");
-        let err = read(&buf, TraceFormat::Jsonl).unwrap_err();
-        match err {
-            ReadError::Json { line, .. } => assert_eq!(line, 4),
-            other => panic!("expected Json error, got {other:?}"),
-        }
-        assert!(err.to_string().starts_with("line 4:"));
+    fn csv_skips_blank_lines() {
+        let text = String::from_utf8(encode(&sample_records(), TraceFormat::Csv)).unwrap();
+        // A blank line after the header and after the first record, and
+        // two at the end, one of them only whitespace.
+        let text = text.replacen('\n', "\n\n", 2) + "\n \n";
+        assert_eq!(
+            read(text.as_bytes(), TraceFormat::Csv).unwrap(),
+            sample_records()
+        );
     }
 
     #[test]
@@ -1060,8 +707,6 @@ mod tests {
 
     #[test]
     fn read_error_exposes_sources() {
-        let json_err = read(b"{\n", TraceFormat::Jsonl).unwrap_err();
-        assert!(std::error::Error::source(&json_err).is_some());
         let io_err = ReadError::from(io::Error::other("disk on fire"));
         assert!(std::error::Error::source(&io_err).is_some());
         assert!(io_err.to_string().contains("disk on fire"));
@@ -1075,9 +720,9 @@ mod tests {
 
     #[test]
     fn record_level_classification() {
-        assert!(ReadError::Json {
+        assert!(ReadError::Field {
             line: 1,
-            source: parse_json_record("{").unwrap_err(),
+            field: "rtt"
         }
         .is_record_level());
         assert!(ReadError::FieldCount { line: 1, got: 3 }.is_record_level());
@@ -1102,29 +747,15 @@ mod tests {
 
     #[test]
     fn streaming_iterator_continues_past_record_errors() {
-        let mut buf = encode(&sample_records(), TraceFormat::Jsonl);
-        buf.extend_from_slice(b"not json\n");
-        buf.extend(encode(&sample_records(), TraceFormat::Jsonl));
-        let items: Vec<_> = RecordStream::new(&buf[..], TraceFormat::Jsonl).collect();
+        let recs = sample_records();
+        let mut buf = encode(&recs, TraceFormat::Csv);
+        buf.extend_from_slice(b"not a record\n");
+        // The same records again, without a second header line.
+        buf.extend(&encode(&recs, TraceFormat::Csv)[CSV_HEADER.len() + 1..]);
+        let items: Vec<_> = RecordStream::new(&buf[..], TraceFormat::Csv).collect();
         assert_eq!(items.len(), 7);
         assert!(items[3].is_err());
         assert_eq!(items.iter().filter(|i| i.is_ok()).count(), 6);
-    }
-
-    #[test]
-    fn lossy_jsonl_quarantines_garbage_lines() {
-        let recs = sample_records();
-        let mut buf = encode(&recs, TraceFormat::Jsonl);
-        buf.extend_from_slice(b"not json\n{\"half\": \n");
-        buf.extend(encode(&recs, TraceFormat::Jsonl));
-        let got = read_lossy(&buf, TraceFormat::Jsonl, ErrorBudget::default()).unwrap();
-        assert_eq!(got.records.len(), 6, "good lines survive the bad ones");
-        assert_eq!(got.quarantined.len(), 2);
-        assert!(matches!(
-            got.quarantined[0],
-            ReadError::Json { line: 4, .. }
-        ));
-        assert!((got.error_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -1195,7 +826,6 @@ mod tests {
 
     #[test]
     fn format_extensions() {
-        assert_eq!(TraceFormat::Jsonl.extension(), "jsonl");
         assert_eq!(TraceFormat::Csv.extension(), "csv");
         assert_eq!(TraceFormat::Columnar.extension(), "mct");
     }
@@ -1213,7 +843,7 @@ mod tests {
         assert!(expected.len() > 100);
         let dir = std::env::temp_dir();
         let mut sizes = Vec::new();
-        for format in [TraceFormat::Jsonl, TraceFormat::Csv, TraceFormat::Columnar] {
+        for format in [TraceFormat::Csv, TraceFormat::Columnar] {
             let path = dir.join(format!("mcs-io-test.{}", format.extension()));
             let file = io::BufWriter::new(std::fs::File::create(&path).unwrap());
             let mut w = TraceWriter::new(file, format).unwrap();
@@ -1230,9 +860,12 @@ mod tests {
             sizes.push(std::fs::metadata(&path).unwrap().len());
             let _ = std::fs::remove_file(path);
         }
+        // 49 B of fixed-width columns per record, plus the dictionaries
+        // and block frames.
         assert!(
-            sizes[2] < sizes[0] / 3,
-            "columnar file should be far denser than JSONL: {sizes:?}"
+            sizes[1] <= 50 * expected.len() as u64,
+            ".mct should take at most 50 B per record: {sizes:?} for {} records",
+            expected.len()
         );
     }
 }

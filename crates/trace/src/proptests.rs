@@ -1,15 +1,18 @@
-//! Property-based round-trip tests over the three trace formats: for
-//! *any* record sequence (not only generator-shaped ones), encode →
-//! decode must be the identity, and decode → re-encode must reproduce
-//! the file byte for byte. Each seeded case is backed by a splitmix64
-//! corpus so it sweeps a wide swath of the value space, including the
-//! `u64::MAX` / zero edges.
+//! Property-based tests over the two trace formats. For *any* record
+//! sequence (not only generator-shaped ones), encode → decode must be the
+//! identity, and decode → re-encode must reproduce the file byte for byte.
+//! Each seeded case is backed by a splitmix64 corpus so it sweeps a wide
+//! swath of the value space, including the `u64::MAX` / zero edges and
+//! every non-NaN float. And for any damage to a file, both decoders must
+//! return records or a typed [`ReadError`], never panic.
 
 #![cfg(test)]
 
 use mcs_stats::rng::{stream_rng, Rng};
 
-use crate::io::{RecordStream, TraceFormat, TraceWriter};
+use crate::io::{
+    collect_records_lossy, ErrorBudget, ReadError, RecordStream, TraceFormat, TraceWriter,
+};
 use crate::record::{DeviceType, Direction, LogRecord, RequestType};
 
 /// splitmix64: deterministic, well-mixed 64-bit stream.
@@ -21,16 +24,27 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A finite, Display-round-trippable f64 from random bits (millisecond
-/// timings in the trace are non-negative; keep to that domain but allow
-/// huge and tiny magnitudes).
-fn finite_f64(bits: u64) -> f64 {
-    match bits % 5 {
-        0 => 0.0,
-        1 => (bits >> 8) as f64,
-        2 => (bits >> 8) as f64 / 1024.0,
-        3 => (bits >> 40) as f64 * 1e-9,
-        _ => (bits >> 20) as f64 * 1e6,
+/// Any non-NaN f64: a quarter of draws are an edge value, the rest raw
+/// bit patterns (negatives, subnormals, huge and tiny magnitudes). A NaN
+/// pattern becomes the infinity of its sign.
+fn any_f64(bits: u64) -> f64 {
+    const EDGES: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        5e-324, // the smallest subnormal
+    ];
+    let x = f64::from_bits(bits);
+    if bits.is_multiple_of(4) {
+        EDGES[(bits >> 2) as usize % EDGES.len()]
+    } else if x.is_nan() {
+        f64::INFINITY.copysign(x)
+    } else {
+        x
     }
 }
 
@@ -60,9 +74,9 @@ fn random_record(state: &mut u64) -> LogRecord {
         user_id: pick(state),
         request,
         volume_bytes: pick(state),
-        processing_ms: finite_f64(next(state)),
-        srv_ms: finite_f64(next(state)),
-        rtt_ms: finite_f64(next(state)),
+        processing_ms: any_f64(next(state)),
+        srv_ms: any_f64(next(state)),
+        rtt_ms: any_f64(next(state)),
         proxied: next(state).is_multiple_of(2),
     }
 }
@@ -88,7 +102,7 @@ fn decode(bytes: &[u8], format: TraceFormat) -> Vec<LogRecord> {
 const SEED: u64 = 0x5EED;
 
 /// Encode → decode is the identity and decode → re-encode reproduces
-/// the bytes, in every format, for arbitrary record sequences.
+/// the bytes, in both formats, for arbitrary record sequences.
 #[test]
 fn prop_round_trip_and_reencode_all_formats() {
     for case in 0..256 {
@@ -99,7 +113,7 @@ fn prop_round_trip_and_reencode_all_formats() {
         for sub in 0..16 {
             let n = (len + sub * 13) % 200;
             let records: Vec<LogRecord> = (0..n).map(|_| random_record(&mut state)).collect();
-            for format in [TraceFormat::Jsonl, TraceFormat::Csv, TraceFormat::Columnar] {
+            for format in [TraceFormat::Csv, TraceFormat::Columnar] {
                 let bytes = encode(&records, format);
                 let back = decode(&bytes, format);
                 assert_eq!(back, records, "case {case}.{sub}: {format:?} round trip");
@@ -136,5 +150,66 @@ fn prop_columnar_block_size_invariant() {
                 "case {case}: block size {block_records}"
             );
         }
+    }
+}
+
+/// Damages `bytes` with 1 to 8 mutations, each a bit flip, a deleted
+/// byte, an inserted byte or a truncation.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut impl Rng) {
+    for _ in 0..rng.random_range(1..9u32) {
+        let at = rng.random_range(0..bytes.len() + 1);
+        match rng.random_range(0..4u32) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << rng.random_range(0..8u32),
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            2 => bytes.insert(at, rng.random::<u64>() as u8),
+            _ => bytes.truncate(at),
+        }
+    }
+}
+
+/// Both decoders survive arbitrary damage: a strict and a lossy read of a
+/// mutated file each return records or a typed [`ReadError`] (a panic
+/// fails the test), and where the strict read succeeds the lossy one
+/// returns the same records.
+#[test]
+fn prop_mutated_files_read_as_records_or_typed_errors() {
+    const CASES: u64 = 2_000;
+    for format in [TraceFormat::Csv, TraceFormat::Columnar] {
+        let (mut strict_ok, mut lossy_ok) = (0, 0);
+        for case in 0..CASES {
+            let mut rng = stream_rng(SEED ^ 0xbad, case);
+            let mut state = rng.random::<u64>();
+            let n = rng.random_range(0..61usize);
+            let records: Vec<LogRecord> = (0..n).map(|_| random_record(&mut state)).collect();
+            let mut bytes = encode(&records, format);
+            mutate(&mut bytes, &mut rng);
+            let strict: Result<Vec<LogRecord>, ReadError> =
+                RecordStream::new(&bytes[..], format).collect();
+            let lossy = collect_records_lossy(
+                RecordStream::new(&bytes[..], format),
+                ErrorBudget::default(),
+            );
+            if let Ok(records) = &strict {
+                let lossy = lossy
+                    .as_ref()
+                    .expect("a clean strict read is a clean lossy read");
+                // Compared as bytes: a flipped bit can make a NaN.
+                let (got, want) = (encode(&lossy.records, format), encode(records, format));
+                assert_eq!(got, want, "case {case}: {format:?}");
+            }
+            strict_ok += u64::from(strict.is_ok());
+            lossy_ok += u64::from(lossy.is_ok());
+        }
+        // Both outcomes occur, so the damage reaches past the first check.
+        assert!(
+            (1..CASES).contains(&strict_ok),
+            "{format:?}: {strict_ok} strict reads succeeded"
+        );
+        assert!(
+            (1..CASES).contains(&lossy_ok),
+            "{format:?}: {lossy_ok} lossy reads succeeded"
+        );
     }
 }

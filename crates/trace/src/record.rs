@@ -253,17 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        use crate::io::{RecordStream, TraceFormat, TraceWriter};
-        let r = sample_record();
-        let mut w = TraceWriter::new(Vec::new(), TraceFormat::Jsonl).unwrap();
-        w.push(&r).unwrap();
-        let (buf, _) = w.finish().unwrap();
-        let back = RecordStream::new(&buf[..], TraceFormat::Jsonl).collect::<Result<Vec<_>, _>>();
-        assert_eq!(back.unwrap(), vec![r]);
-    }
-
-    #[test]
     fn prop_chunks_sum_to_size() {
         for case in 0..256 {
             let size = stream_rng(0x5EED, case).random_range(0..100 * CHUNK_SIZE);

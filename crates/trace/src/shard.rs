@@ -135,7 +135,7 @@ mod tests {
     fn shards_concatenate_to_the_full_trace_in_every_format() {
         let g = small_gen(31, 1);
         let expected: Vec<LogRecord> = g.iter_user_records().flatten().collect();
-        for format in [TraceFormat::Jsonl, TraceFormat::Csv, TraceFormat::Columnar] {
+        for format in [TraceFormat::Csv, TraceFormat::Columnar] {
             let dir = temp_dir(&format!("concat-{}", format.extension()));
             let sharded = g.write_shards(&dir, format, 4).unwrap();
             assert_eq!(sharded.paths.len(), 4);

@@ -1,13 +1,12 @@
 //! Out-of-core trace tour: the generator streams a sharded trace straight
-//! to disk (JSONL and columnar `.mct`), and the streaming two-pass
-//! analysis reads it back without ever materialising the records — at any
-//! thread count, bit-identical to the in-memory pipeline.
+//! to disk (CSV and columnar `.mct`), and the streaming two-pass analysis
+//! reads it back without ever materialising the records — at any thread
+//! count, bit-identical to the in-memory pipeline.
 //!
 //! This is the 349 M-record workflow of the paper at example scale: the
 //! only thing that grows with the real trace is the disk files, not this
-//! process. `cargo run -p mcs-bench --bin trace_ingest` runs the same
-//! pipeline at the hundred-million-record scale and records the numbers
-//! in `BENCH_trace_ingest.json`.
+//! process. perfbench's `trace_ingest` workload times the same pipeline
+//! over `.mct` shards, layer by layer.
 //!
 //! Run with `cargo run --release --example big_trace`.
 
@@ -38,7 +37,7 @@ fn main() {
     );
 
     let dir = std::env::temp_dir().join("mcs-big-trace");
-    for format in [TraceFormat::Jsonl, TraceFormat::Columnar] {
+    for format in [TraceFormat::Csv, TraceFormat::Columnar] {
         // 1. Stream the trace to disk as shards: whole users per shard,
         //    ascending user order — the grouping contract the streaming
         //    readers rely on. Writing is itself out-of-core: each user's

@@ -97,10 +97,7 @@ cargo run --offline --locked --release --example sync_protocol
 # packet-level parity band, and byte-identical reports across 2 runs x 2
 # thread counts (small smoke matrix; --full runs the paper's 2/10/80 MB).
 cargo run --offline --locked --release --example scenario_matrix
-# Out-of-core ingest: sharded JSONL + columnar traces streamed back
+# Out-of-core ingest: sharded CSV + columnar traces streamed back
 # bit-identical to the in-memory pipeline at several thread counts.
 cargo run --offline --locked --release --example big_trace
-# Same pipeline across all three formats at smoke scale, plus the
-# columnar density floor.
-cargo run --offline --locked --release -p mcs-bench --bin trace_ingest -- --smoke
 echo "ci: all checks passed"
