@@ -77,7 +77,7 @@ macro_rules! uniform_int {
     )*};
 }
 
-uniform_int!(u32, u64, usize);
+uniform_int!(u8, u32, u64, usize);
 
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
@@ -491,6 +491,17 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn random_range_rejects_an_empty_range() {
         let _ = rng(0).random_range(3..3u32);
+    }
+
+    #[test]
+    fn a_draw_is_the_same_value_in_every_width() {
+        // One 64-bit word and a multiply-shift whatever the type, so a
+        // narrower draw over a range it holds reads the same value.
+        let (mut a, mut b) = (rng(5), rng(5));
+        for _ in 0..1000 {
+            let wide = a.random_range(0u64..64);
+            assert_eq!(u64::from(b.random_range(0u8..64)), wide);
+        }
     }
 
     #[test]

@@ -40,6 +40,14 @@ pub enum ServiceError {
     },
     /// The path (or URL) does not resolve — not a fault, just absent.
     NotFound,
+    /// A store's manifest does not list one chunk digest per chunk of its
+    /// file size — a client error, not a fault.
+    MalformedManifest {
+        /// Chunk digests the manifest lists.
+        chunks: u64,
+        /// Chunks a file of its size has.
+        expected: u64,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -64,6 +72,10 @@ impl fmt::Display for ServiceError {
                 )
             }
             ServiceError::NotFound => write!(f, "path not found"),
+            ServiceError::MalformedManifest { chunks, expected } => write!(
+                f,
+                "manifest lists {chunks} chunk digest(s) for a file of {expected} chunk(s)"
+            ),
         }
     }
 }
@@ -72,10 +84,13 @@ impl std::error::Error for ServiceError {}
 
 impl ServiceError {
     /// True when the failure was fault-induced (as opposed to the path
-    /// simply not existing) — the replay layer's availability accounting
-    /// only counts these against the service.
+    /// simply not existing, or a malformed request) — the replay layer's
+    /// availability accounting only counts these against the service.
     pub fn is_fault(&self) -> bool {
-        !matches!(self, ServiceError::NotFound)
+        !matches!(
+            self,
+            ServiceError::NotFound | ServiceError::MalformedManifest { .. }
+        )
     }
 }
 
@@ -98,5 +113,14 @@ mod tests {
         assert!(e.is_fault());
         assert!(!ServiceError::NotFound.is_fault());
         assert_eq!(ServiceError::NotFound.to_string(), "path not found");
+        let e = ServiceError::MalformedManifest {
+            chunks: 2,
+            expected: 1,
+        };
+        assert_eq!(
+            e.to_string(),
+            "manifest lists 2 chunk digest(s) for a file of 1 chunk(s)"
+        );
+        assert!(!e.is_fault());
     }
 }

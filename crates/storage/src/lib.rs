@@ -52,7 +52,7 @@ pub use defer::{evaluate_deferral, DeferPolicy, UploadJob};
 pub use error::ServiceError;
 pub use frontend::FrontEnd;
 pub use md5::{md5 as md5_digest, Digest, Md5};
-pub use metadata::{MetadataServer, ShareUrl, StoreDecision, UserId};
+pub use metadata::{MetadataServer, ShareUrl, UserId};
 pub use replay::{
     replay, replay_trace_faulted_observed, replay_trace_observed, ReplayConfig, ReplayStats,
 };

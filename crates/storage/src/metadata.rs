@@ -6,12 +6,14 @@
 //! and tells the client **not** to upload (file-level deduplication).
 //! Otherwise it directs the client to the closest front-end. For retrieval
 //! it resolves a path or shared URL to the manifest and a front-end.
+//! Namespaces map paths to digests; a content's chunk digests live in one
+//! flat arena, which garbage collection compacts (DESIGN.md §2.5).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use mcs_faults::ConfigError;
 
-use crate::content::FileManifest;
+use crate::content::{chunk_count, FileManifest};
 use crate::md5::{Digest, DigestHash};
 
 /// User account identifier.
@@ -22,18 +24,9 @@ pub type UserId = u64;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShareUrl(pub String);
 
-/// One file entry in a user's namespace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileEntry {
-    /// Content digest (keys into the known-content table).
-    pub digest: Digest,
-    /// Upload (link) time, ms since trace start.
-    pub stored_at_ms: u64,
-}
-
 /// Outcome of a file-storage operation request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreDecision {
+pub(crate) enum StoreDecision {
     /// Content already known: linked into the namespace, no upload needed.
     Deduplicated,
     /// Content unknown: client must upload all chunks to this front-end.
@@ -44,39 +37,40 @@ pub enum StoreDecision {
 }
 
 /// A stored content: its manifest minus the name (paths live in the
-/// namespaces), and the front-end holding it.
+/// namespaces) and the file digest (its key), and the front-end holding
+/// it. Its `chunk_count(size)` chunk digests start at `first` in the
+/// server's arena.
 #[derive(Debug)]
 struct ContentRecord {
     size: u64,
-    chunk_digests: Box<[Digest]>,
+    first: usize,
     frontend: usize,
 }
 
 impl ContentRecord {
-    /// The manifest, named `name`, and the front-end holding it.
-    fn manifest(&self, name: String, file_digest: Digest) -> (FileManifest, usize) {
-        let manifest = FileManifest {
-            name,
-            size: self.size,
-            file_digest,
-            chunk_digests: self.chunk_digests.to_vec(),
-        };
-        (manifest, self.frontend)
+    /// The record's chunk digests in `arena`; `None` only if they do not
+    /// fit, which no record of a checked manifest can reach.
+    fn chunks<'a>(&self, arena: &'a [Digest]) -> Option<&'a [Digest]> {
+        let n = usize::try_from(chunk_count(self.size)).ok()?;
+        arena.get(self.first..self.first.checked_add(n)?)
     }
 }
 
 /// The metadata server.
 ///
 /// The content table, where every store's dedup lookup goes, is hashed by
-/// the digest itself (`DigestHash`); [`Self::orphans`] sorts its listing.
-/// The other tables are B-tree maps, listed in key order. So every output
-/// is structurally deterministic (the contract `mcs-lint` rule R1 enforces).
+/// the digest itself (`DigestHash`); garbage collection sorts what it
+/// removes. The other tables are B-tree maps, listed in key order. So
+/// every output is structurally deterministic (the contract `mcs-lint`
+/// rule R1 enforces).
 #[derive(Debug, Default)]
 pub struct MetadataServer {
     /// Content known to exist on storage servers, by file digest.
     known: HashMap<Digest, ContentRecord, DigestHash>,
-    /// Per-user namespaces: path → entry.
-    namespaces: BTreeMap<UserId, BTreeMap<String, FileEntry>>,
+    /// Every known content's chunk digests, one content after another.
+    chunks: Vec<Digest>,
+    /// Per-user namespaces: path → content digest.
+    namespaces: BTreeMap<UserId, BTreeMap<Box<str>, Digest>>,
     /// Published share URLs.
     urls: BTreeMap<ShareUrl, Digest>,
     /// Number of front-end servers to spread uploads over.
@@ -98,20 +92,10 @@ impl MetadataServer {
 
     /// Handles a file-storage operation request: dedup check + namespace
     /// link + front-end selection.
-    pub fn begin_store(
-        &mut self,
-        user: UserId,
-        manifest: &FileManifest,
-        now_ms: u64,
-    ) -> StoreDecision {
-        let entry = FileEntry {
-            digest: manifest.file_digest,
-            stored_at_ms: now_ms,
-        };
-        let known = self.known.contains_key(&entry.digest);
+    pub(crate) fn begin_store(&mut self, user: UserId, manifest: &FileManifest) -> StoreDecision {
         let ns = self.namespaces.entry(user).or_default();
-        ns.insert(manifest.name.clone(), entry);
-        if known {
+        ns.insert(manifest.name.as_str().into(), manifest.file_digest);
+        if self.known.contains_key(&manifest.file_digest) {
             StoreDecision::Deduplicated
         } else {
             StoreDecision::Upload {
@@ -121,35 +105,43 @@ impl MetadataServer {
     }
 
     /// Marks an upload complete: the content now exists on `frontend`,
-    /// and future stores of it deduplicate at file level. The record keeps
-    /// the chunk list, not the name. Which chunks the front-end holds is
-    /// its own chunk store's record, not this server's.
-    pub fn complete_upload(&mut self, manifest: FileManifest, frontend: usize) {
+    /// and future stores of it deduplicate at file level. Its chunk digests
+    /// go to the arena; the caller has checked that there are
+    /// `chunk_count(size)` of them.
+    pub(crate) fn complete_upload(&mut self, manifest: &FileManifest, frontend: usize) {
+        debug_assert_eq!(manifest.chunk_count(), chunk_count(manifest.size));
         let record = ContentRecord {
             size: manifest.size,
-            chunk_digests: manifest.chunk_digests.into_boxed_slice(),
+            first: self.chunks.len(),
             frontend,
         };
+        self.chunks.extend_from_slice(&manifest.chunk_digests);
         self.known.insert(manifest.file_digest, record);
     }
 
-    /// Resolves `digest` for a retrieve into a manifest named `name`.
-    fn resolve(&self, digest: Option<Digest>, name: &str) -> Option<(FileManifest, usize)> {
-        let d = digest?;
-        Some(self.known.get(&d)?.manifest(name.to_string(), d))
+    /// The manifest of content `d`, named `name`, and the front-end
+    /// holding it.
+    fn manifest(&self, d: Digest, name: String) -> Option<(FileManifest, usize)> {
+        let record = self.known.get(&d)?;
+        let manifest = FileManifest {
+            name,
+            size: record.size,
+            file_digest: d,
+            chunk_digests: record.chunks(&self.chunks)?.to_vec(),
+        };
+        Some((manifest, record.frontend))
     }
 
     /// Resolves a path in a user's namespace into a manifest named `path`.
     pub fn begin_retrieve(&self, user: UserId, path: &str) -> Option<(FileManifest, usize)> {
-        let entry = self.namespaces.get(&user).and_then(|ns| ns.get(path));
-        self.resolve(entry.map(|e| e.digest), path)
+        self.manifest(*self.namespaces.get(&user)?.get(path)?, path.to_string())
     }
 
     /// Publishes a share URL for a stored file.
     pub fn publish_url(&mut self, user: UserId, path: &str) -> Option<ShareUrl> {
-        let entry = self.namespaces.get(&user)?.get(path)?;
-        let url = ShareUrl(format!("mcs://share/{}", entry.digest.to_hex()));
-        self.urls.insert(url.clone(), entry.digest);
+        let digest = *self.namespaces.get(&user)?.get(path)?;
+        let url = ShareUrl(format!("mcs://share/{}", digest.to_hex()));
+        self.urls.insert(url.clone(), digest);
         Some(url)
     }
 
@@ -160,49 +152,55 @@ impl MetadataServer {
         _requester: UserId,
         url: &ShareUrl,
     ) -> Option<(FileManifest, usize)> {
-        self.resolve(self.urls.get(url).copied(), &url.0)
+        self.manifest(*self.urls.get(url)?, url.0.clone())
     }
 
-    /// Deletes a path from a user's namespace; returns the entry if it
-    /// existed. Content is *not* erased here — other users may still link
-    /// it; orphan collection is the front-end's garbage-collection job
-    /// (the §2.1 note that deletes never touch the front-end data path is
-    /// why the paper's logs do not contain them).
-    pub fn delete(&mut self, user: UserId, path: &str) -> Option<FileEntry> {
+    /// Deletes a path from a user's namespace; returns the digest it
+    /// linked, if it existed. Content is *not* erased here — other users
+    /// may still link it; orphan collection is the front-end's
+    /// garbage-collection job (the §2.1 note that deletes never touch the
+    /// front-end data path is why the paper's logs do not contain them).
+    pub fn delete(&mut self, user: UserId, path: &str) -> Option<Digest> {
         self.namespaces.get_mut(&user)?.remove(path)
     }
 
-    /// Contents with no remaining namespace links (eligible for GC):
-    /// each manifest (unnamed) with the front-end holding it, in digest
-    /// order.
-    pub fn orphans(&self) -> Vec<(FileManifest, usize)> {
-        let mut linked: BTreeSet<Digest> = BTreeSet::new();
-        for ns in self.namespaces.values() {
-            for e in ns.values() {
-                linked.insert(e.digest);
+    /// Garbage collection's metadata half: removes every content no
+    /// namespace links and returns each removed manifest (unnamed) with
+    /// the front-end holding it, in digest order, for the front-ends to
+    /// reclaim. The arena is rebuilt from the surviving records, so it
+    /// never holds the chunk lists of removed contents.
+    pub(crate) fn collect_unlinked(&mut self) -> Vec<(FileManifest, usize)> {
+        let linked: BTreeSet<Digest> = self
+            .namespaces
+            .values()
+            .flat_map(|ns| ns.values().copied())
+            .collect();
+        let mut removed: Vec<_> = self
+            .known
+            .keys()
+            .filter(|d| !linked.contains(d))
+            .filter_map(|&d| self.manifest(d, String::new()))
+            .collect();
+        removed.sort_unstable_by_key(|(m, _)| m.file_digest);
+        self.known.retain(|d, _| linked.contains(d));
+        // The survivors' chunk lists, in digest order.
+        let arena = std::mem::take(&mut self.chunks);
+        for d in &linked {
+            if let Some(record) = self.known.get_mut(d) {
+                let chunks = record.chunks(&arena).unwrap_or_default();
+                record.first = self.chunks.len();
+                self.chunks.extend_from_slice(chunks);
             }
         }
-        let mut orphans: Vec<_> = self
-            .known
-            .iter()
-            .filter(|(d, _)| !linked.contains(d))
-            .map(|(d, record)| record.manifest(String::new(), *d))
-            .collect();
-        orphans.sort_unstable_by_key(|(m, _)| m.file_digest);
-        orphans
+        removed
     }
 
-    /// Forgets an orphaned content (after the front-end reclaimed it).
-    pub fn forget(&mut self, digest: &Digest) -> bool {
-        self.known.remove(digest).is_some()
-    }
-
-    /// Lists a user's namespace (path, entry) pairs, sorted by path
-    /// (namespaces are path-keyed B-trees, so iteration is the sort).
-    pub fn list(&self, user: UserId) -> Vec<(String, FileEntry)> {
+    /// Lists a user's namespace (path, content digest) pairs, sorted by
+    /// path (namespaces are path-keyed B-trees, so iteration is the sort).
+    pub fn list(&self, user: UserId) -> Vec<(String, Digest)> {
         self.namespaces
             .get(&user)
-            .map(|ns| ns.iter().map(|(k, e)| (k.clone(), e.clone())).collect())
+            .map(|ns| ns.iter().map(|(k, &d)| (k.to_string(), d)).collect())
             .unwrap_or_default()
     }
 
@@ -256,14 +254,14 @@ mod tests {
     fn first_store_uploads_second_dedups() {
         let mut md = MetadataServer::new(4).unwrap();
         let m = manifest("a.jpg", 1, 1000);
-        match md.begin_store(10, &m, 0) {
+        match md.begin_store(10, &m) {
             StoreDecision::Upload { frontend } => assert!(frontend < 4),
             other => panic!("expected upload, got {other:?}"),
         }
-        md.complete_upload(m.clone(), 0);
+        md.complete_upload(&m, 0);
         // Same content, other user, other name.
         let m2 = manifest("b.jpg", 1, 1000);
-        assert_eq!(md.begin_store(11, &m2, 5), StoreDecision::Deduplicated);
+        assert_eq!(md.begin_store(11, &m2), StoreDecision::Deduplicated);
         assert_eq!(md.distinct_contents(), 1);
     }
 
@@ -271,11 +269,11 @@ mod tests {
     fn dedup_requires_completed_upload() {
         let mut md = MetadataServer::new(1).unwrap();
         let m = manifest("a.jpg", 1, 1000);
-        let _ = md.begin_store(10, &m, 0);
+        let _ = md.begin_store(10, &m);
         // Upload never completed; the same content must upload again.
         let m2 = manifest("a.jpg", 1, 1000);
         assert!(matches!(
-            md.begin_store(11, &m2, 1),
+            md.begin_store(11, &m2),
             StoreDecision::Upload { .. }
         ));
     }
@@ -284,8 +282,8 @@ mod tests {
     fn retrieve_by_path() {
         let mut md = MetadataServer::new(2).unwrap();
         let m = manifest("docs/x.pdf", 7, 5000);
-        let _ = md.begin_store(1, &m, 0);
-        md.complete_upload(m.clone(), 0);
+        let _ = md.begin_store(1, &m);
+        md.complete_upload(&m, 0);
         let (got, fe) = md.begin_retrieve(1, "docs/x.pdf").expect("found");
         assert_eq!(got.file_digest, m.file_digest);
         assert!(fe < 2);
@@ -297,8 +295,8 @@ mod tests {
     fn share_urls() {
         let mut md = MetadataServer::new(2).unwrap();
         let m = manifest("video.mp4", 9, 150_000_000);
-        let _ = md.begin_store(1, &m, 0);
-        md.complete_upload(m.clone(), 0);
+        let _ = md.begin_store(1, &m);
+        md.complete_upload(&m, 0);
         let url = md.publish_url(1, "video.mp4").expect("published");
         // A different user retrieves via the URL.
         let (got, _) = md.begin_retrieve_url(99, &url).expect("resolved");
@@ -316,8 +314,8 @@ mod tests {
         let mut md = MetadataServer::new(1).unwrap();
         for (name, seed) in [("b.jpg", 1u64), ("a.jpg", 2), ("c.jpg", 3)] {
             let m = manifest(name, seed, 100);
-            let _ = md.begin_store(5, &m, 0);
-            md.complete_upload(m, 0);
+            let _ = md.begin_store(5, &m);
+            md.complete_upload(&m, 0);
         }
         let listing = md.list(5);
         let names: Vec<&str> = listing.iter().map(|(n, _)| n.as_str()).collect();
@@ -331,10 +329,10 @@ mod tests {
         let mut md = MetadataServer::new(1).unwrap();
         let v1 = manifest("note.txt", 1, 100);
         let v2 = manifest("note.txt", 2, 120);
-        let _ = md.begin_store(1, &v1, 0);
-        md.complete_upload(v1, 0);
-        let _ = md.begin_store(1, &v2, 10);
-        md.complete_upload(v2.clone(), 0);
+        let _ = md.begin_store(1, &v1);
+        md.complete_upload(&v1, 0);
+        let _ = md.begin_store(1, &v2);
+        md.complete_upload(&v2, 0);
         let (got, _) = md.begin_retrieve(1, "note.txt").unwrap();
         assert_eq!(got.file_digest, v2.file_digest);
         assert_eq!(md.distinct_contents(), 2, "old content still exists");
@@ -346,10 +344,10 @@ mod tests {
         // bytes; each retrieve names the path its caller asked for.
         let mut md = MetadataServer::new(2).unwrap();
         let x = manifest("x.jpg", 3, 4000);
-        let _ = md.begin_store(1, &x, 0);
-        md.complete_upload(x.clone(), 0);
+        let _ = md.begin_store(1, &x);
+        md.complete_upload(&x, 0);
         let b = manifest("b.jpg", 3, 4000);
-        assert_eq!(md.begin_store(2, &b, 1), StoreDecision::Deduplicated);
+        assert_eq!(md.begin_store(2, &b), StoreDecision::Deduplicated);
         let (got, _) = md.begin_retrieve(2, "b.jpg").unwrap();
         assert_eq!(got, b);
         assert_eq!(md.begin_retrieve(1, "x.jpg").unwrap().0, x);
@@ -363,19 +361,25 @@ mod tests {
     fn orphans_carry_their_chunk_lists() {
         let mut md = MetadataServer::new(2).unwrap();
         let m = manifest("a.bin", 4, 1_200_000);
-        let _ = md.begin_store(1, &m, 0);
-        md.complete_upload(m.clone(), 1);
-        assert!(md.orphans().is_empty());
-        md.delete(1, "a.bin").unwrap();
-        let orphans = md.orphans();
+        let _ = md.begin_store(1, &m);
+        md.complete_upload(&m, 1);
+        assert!(md.collect_unlinked().is_empty());
+        assert_eq!(md.delete(1, "a.bin"), Some(m.file_digest));
+        let orphans = md.collect_unlinked();
         assert_eq!(orphans.len(), 1);
         let (got, fe) = &orphans[0];
         assert_eq!((got.file_digest, got.size, *fe), (m.file_digest, m.size, 1));
         assert_eq!(got.chunk_digests, m.chunk_digests);
         assert!(got.name.is_empty(), "no path links an orphan");
-        assert!(md.forget(&m.file_digest));
-        assert!(!md.forget(&m.file_digest));
         assert_eq!(md.distinct_contents(), 0);
+        assert!(
+            md.chunks.is_empty(),
+            "the arena keeps no removed chunk list"
+        );
+        assert!(
+            md.collect_unlinked().is_empty(),
+            "an orphan is removed once"
+        );
     }
 
     #[test]
@@ -383,11 +387,15 @@ mod tests {
         let mut md = MetadataServer::new(2).unwrap();
         for seed in 0..12u64 {
             let m = manifest(&format!("f{seed}"), seed, 1000 + seed);
-            let _ = md.begin_store(seed, &m, 0);
-            md.complete_upload(m, 0);
+            let _ = md.begin_store(seed, &m);
+            md.complete_upload(&m, 0);
             md.delete(seed, &format!("f{seed}")).unwrap();
         }
-        let digests: Vec<Digest> = md.orphans().iter().map(|(m, _)| m.file_digest).collect();
+        let digests: Vec<Digest> = md
+            .collect_unlinked()
+            .iter()
+            .map(|(m, _)| m.file_digest)
+            .collect();
         assert_eq!(digests.len(), 12);
         assert!(
             digests.windows(2).all(|w| w[0] < w[1]),
@@ -395,10 +403,93 @@ mod tests {
         );
     }
 
+    /// A seeded model check of the chunk-digest arena and the GC call,
+    /// through the fair-weather service. Each of the 64 cases runs 1-99
+    /// ops by 3 users over 6 paths: a store (40 %) of one of 24 contents
+    /// (fresh, a dedup, or an overwrite of a path), a retrieve (25 %) of a
+    /// present or absent path, a delete (20 %) or a GC (15 %). The model
+    /// is a `BTreeMap` of live paths to their contents.
+    #[test]
+    fn arena_and_gc_match_a_model_over_seeded_op_sequences() {
+        use crate::content::CHUNK_SIZE;
+        use crate::service::StorageService;
+        use mcs_stats::rng::{stream_rng, Rng};
+        const SIZES: [u64; 6] = [
+            0,
+            1,
+            CHUNK_SIZE,
+            CHUNK_SIZE + 1,
+            1_500_000,
+            3 * CHUNK_SIZE + 7,
+        ];
+        let content = |seed: u64| Content::Synthetic {
+            seed,
+            size: SIZES[(seed % 6) as usize],
+        };
+        for case in 0..64 {
+            let mut rng = stream_rng(0xA2E4A, case);
+            let mut svc = StorageService::new(3, 24).unwrap();
+            let mut live: BTreeMap<(UserId, String), u64> = BTreeMap::new();
+            // Contents stored and not yet collected, by seed.
+            let mut known: BTreeSet<u64> = BTreeSet::new();
+            for t in 0..rng.random_range(1u64..100) {
+                let user = rng.random_range(0u64..3);
+                let path = format!("f{}", rng.random_range(0u32..6));
+                let at = format!("case {case}, op {t}: user {user} {path}");
+                match rng.random_range(0u32..20) {
+                    0..=7 => {
+                        let seed = rng.random_range(0u64..24);
+                        let m = FileManifest::build(path.as_str(), &content(seed));
+                        let out = svc.store(user, m, t).unwrap();
+                        assert_eq!(out.deduplicated, known.contains(&seed), "{at}");
+                        known.insert(seed);
+                        live.insert((user, path), seed);
+                    }
+                    8..=12 => {
+                        let got = svc.metadata().begin_retrieve(user, &path);
+                        let bytes = svc.retrieve(user, &path, t).map(|r| r.bytes_downloaded);
+                        match live.get(&(user, path.clone())) {
+                            Some(&seed) => {
+                                let want = FileManifest::build(path.as_str(), &content(seed));
+                                assert_eq!(got.map(|(m, _)| m), Some(want), "{at}");
+                                assert_eq!(bytes, Ok(content(seed).size()), "{at}");
+                            }
+                            None => {
+                                assert!(got.is_none(), "{at}");
+                                assert_eq!(bytes, Err(crate::ServiceError::NotFound), "{at}");
+                            }
+                        }
+                    }
+                    13..=16 => {
+                        let existed = live.remove(&(user, path.clone())).is_some();
+                        assert_eq!(svc.delete(user, &path), existed, "{at}");
+                    }
+                    _ => {
+                        let linked: BTreeSet<u64> = live.values().copied().collect();
+                        let freed: u64 =
+                            known.difference(&linked).map(|&s| content(s).size()).sum();
+                        assert_eq!(svc.collect_garbage(), freed, "{at}");
+                        known = linked;
+                        let arena: u64 =
+                            known.iter().map(|&s| chunk_count(content(s).size())).sum();
+                        assert_eq!(svc.metadata().chunks.len() as u64, arena, "{at}");
+                    }
+                }
+                assert_eq!(svc.metadata().distinct_contents(), known.len(), "{at}");
+            }
+        }
+    }
+
     #[test]
     fn content_record_stays_small() {
-        // One record per stored content: size, boxed chunk list, home.
-        assert!(std::mem::size_of::<ContentRecord>() <= 32);
+        // One record per stored content: size, arena offset, home.
+        assert!(std::mem::size_of::<ContentRecord>() <= 24);
+    }
+
+    #[test]
+    fn namespace_slot_stays_small() {
+        // One slot per stored path: a boxed path and its content digest.
+        assert!(std::mem::size_of::<(Box<str>, Digest)>() <= 32);
     }
 
     #[test]

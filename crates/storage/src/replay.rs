@@ -25,28 +25,20 @@
 //! every retry restarts the file from byte zero — the baseline the §3.3
 //! sync-efficiency comparison measures against.
 //!
-//! The replay runs in two phases (DESIGN.md §10.4): a *plan* phase walks
-//! the trace in its original per-user order (so every RNG draw replays
-//! the pre-timeline sequence bit for bit) and fixes each operation's
-//! content and fallbacks, then an *execute* phase dispatches the planned
-//! operations one after another in their dispatch order and counts them
-//! per front-end, so the `sim.steps` and per-front-end `sim.events.*`
-//! counters land in the observed snapshot. The execute phase splits the
-//! work the way the protocol does (§2.1): a client stage on a second
-//! thread computes every store's file and chunk MD5s ahead of the service
-//! stage, which dispatches the ops and sends each store the manifest its
-//! client computed.
-//!
-//! The two modes dispatch in different orders. Under a *faulted* plan ops
-//! run in global trace-time order (by `at_ms * MS`, ties in plan order)
-//! because fault windows are time-gated and every front-end must agree
-//! about "now"; an *empty* plan gates nothing and keeps the fair-weather
-//! order, which is how the [`FaultPlan::none`] promise above holds. In
-//! *fair weather* ops run in plan order: dedup attribution (first store
-//! of a content uploads, later ones dedup) is order-dependent, and the
-//! pre-timeline total order keeps it bit-identical to the old loop.
+//! The replay runs in two phases (DESIGN.md §10.4). The *plan* phase walks
+//! the trace in its original per-user order, so every RNG draw replays the
+//! pre-timeline sequence bit for bit, and fixes each operation in 40 B: a
+//! store keeps its number, size and popular-pool pick, from which its path
+//! and content seed follow. The *execute* phase dispatches the planned ops
+//! one after another — in plan order in fair weather and under an empty
+//! plan (dedup attribution depends on order), in trace-time order under a
+//! faulted one (fault windows are time-gated) — and counts them per
+//! front-end into `sim.*`. A client stage on a second thread computes every
+//! store's file and chunk MD5s ahead of the service stage, which sends each
+//! store the manifest its client computed.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::{self, ScopedJoinHandle};
@@ -164,16 +156,16 @@ impl ReplayStats {
 /// (the same video forwarded around — what makes the §2.1 dedup pay).
 const DUPLICATE_PROB: f64 = 0.03;
 /// Size of the popular-content pool duplicates are drawn from.
-const POPULAR_POOL: u64 = 64;
+const POPULAR_POOL: u8 = 64;
 /// Size of popular-pool object 0, bytes.
 const POPULAR_BASE: u64 = 1_000_000;
 /// Size step between consecutive popular-pool objects, bytes.
 const POPULAR_STEP: u64 = 450_000;
 
-/// Deterministic size of a popular-pool object (photo- to clip-sized,
-/// 1 MB to about 29 MB).
-fn popular_size(seed: u64) -> u64 {
-    POPULAR_BASE + seed * POPULAR_STEP
+/// Deterministic size of popular-pool object `pick` (photo- to
+/// clip-sized, 1 MB to about 29 MB).
+fn popular_size(pick: u8) -> u64 {
+    POPULAR_BASE + u64::from(pick) * POPULAR_STEP
 }
 
 /// Replays every planned session of `gen` into a fresh service under
@@ -284,7 +276,7 @@ fn execute(eng: &mut ReplayEngine, ops: &[PlannedOp], plan: &FaultPlan) {
                     let manifest = handover.manifest(store_path(op.user, seq), size);
                     eng.store(i, op, seq, manifest);
                 }
-                PlannedKind::Retrieve { fallback_seed } => eng.retrieve(i, op, fallback_seed),
+                PlannedKind::Retrieve { fallback } => eng.retrieve(i, op, fallback),
             }
         }
     });
@@ -341,9 +333,11 @@ fn hash_stores(
     let mut block = Vec::new();
     let mut stores = 0;
     for i in order {
-        let PlannedKind::Store { seed, size, .. } = ops[i].kind else {
+        let PlannedKind::Store { seq, size, pool } = ops[i].kind else {
             continue;
         };
+        // A pool pick is its own seed; unique content has one of its own.
+        let seed = pool.map_or(1_000_000 + seq, u64::from);
         let content = Content::Synthetic { seed, size };
         block.push(content.file_digest());
         block.extend((0..chunk_count(size)).map(|c| content.chunk_digest(c)));
@@ -509,11 +503,18 @@ impl ReplayIds {
 /// One planned service call. The plan fixes everything random *before*
 /// execution, so a faulted replay may dispatch operations in global
 /// time order while every RNG draw replays the original per-user plan
-/// order. A store's path is formatted from its number at dispatch.
+/// order. A store's path is formatted from its number at dispatch, and its
+/// content seed derived from its number and pool pick ([`hash_stores`]).
 #[derive(Debug, Clone)]
 enum PlannedKind {
-    Store { seq: u64, seed: u64, size: u64 },
-    Retrieve { fallback_seed: u64 },
+    Store {
+        seq: u64,
+        size: u64,
+        pool: Option<u8>,
+    },
+    Retrieve {
+        fallback: u8,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -556,20 +557,20 @@ fn plan_ops(gen: &TraceGenerator, cfg: &ReplayConfig) -> Vec<PlannedOp> {
                 match f.direction {
                     Direction::Store => {
                         seq += 1;
-                        let (seed, size) = if rng.random::<f64>() < DUPLICATE_PROB {
+                        let (pool, size) = if rng.random::<f64>() < DUPLICATE_PROB {
                             // Popular content has a fixed identity: the
-                            // same seed always means the same bytes (and
+                            // same pick always means the same bytes (and
                             // size), otherwise nothing would ever dedup.
-                            let seed = rng.random_range(0..POPULAR_POOL);
-                            (seed, popular_size(seed))
+                            let pick = rng.random_range(0..POPULAR_POOL);
+                            (Some(pick), popular_size(pick))
                         } else {
-                            (1_000_000 + seq, f.size.max(1))
+                            (None, f.size.max(1))
                         };
                         has_store = true;
                         ops.push(PlannedOp {
                             user: user.user_id,
                             at_ms: session.start_ms,
-                            kind: PlannedKind::Store { seq, seed, size },
+                            kind: PlannedKind::Store { seq, size, pool },
                         });
                     }
                     Direction::Retrieve => {
@@ -578,7 +579,7 @@ fn plan_ops(gen: &TraceGenerator, cfg: &ReplayConfig) -> Vec<PlannedOp> {
                         // weather uses the fallback only when the user has
                         // no planned store, which is exactly when the old
                         // loop drew it from stream A.
-                        let fallback_seed = if has_store {
+                        let fallback = if has_store {
                             fallback_rng.random_range(0..POPULAR_POOL)
                         } else {
                             rng.random_range(0..POPULAR_POOL)
@@ -586,7 +587,7 @@ fn plan_ops(gen: &TraceGenerator, cfg: &ReplayConfig) -> Vec<PlannedOp> {
                         ops.push(PlannedOp {
                             user: user.user_id,
                             at_ms: session.start_ms,
-                            kind: PlannedKind::Retrieve { fallback_seed },
+                            kind: PlannedKind::Retrieve { fallback },
                         });
                     }
                 }
@@ -654,8 +655,8 @@ impl ReplayEngine {
     }
 
     /// Runs planned retrieve `i`: the last file `op`'s user stored, or
-    /// popular-pool object `fallback_seed` for a user who owns none.
-    fn retrieve(&mut self, i: usize, op: &PlannedOp, fallback_seed: u64) {
+    /// popular-pool object `fallback` for a user who owns none.
+    fn retrieve(&mut self, i: usize, op: &PlannedOp, fallback: u8) {
         let (user, now_ms) = (op.user, op.at_ms);
         self.obs.inc(self.ids.retrieves);
         match self.owned.get(&user) {
@@ -664,7 +665,7 @@ impl ReplayEngine {
                 self.book_retrieve(i, got);
             }
             None => {
-                let seed = fallback_seed;
+                let seed = u64::from(fallback);
                 // Ensure the shared object exists (first toucher uploads
                 // it), then serve it. A fault anywhere — including the
                 // internal seeding store — defeats the user-visible
@@ -678,7 +679,7 @@ impl ReplayEngine {
                         // The seeding client hashes its manifest inline.
                         let content = Content::Synthetic {
                             seed,
-                            size: popular_size(seed),
+                            size: popular_size(fallback),
                         };
                         let manifest = FileManifest::build(name.as_str(), &content);
                         if self.svc.store(owner, manifest, now_ms).is_err() {
@@ -721,53 +722,51 @@ fn book_profile_flows(
     // upload path is clamped at the unscaled 64 KB (§4.1).
     const UPLOAD_RWND: u64 = 65_535;
     const DOWNLOAD_RWND: u64 = 2 * 1024 * 1024;
-    let mut per_fe: Vec<Vec<usize>> = vec![Vec::new(); cfg.frontends];
+    // The plan holds each user's ops in one run: every run's front-end,
+    // looked up once, and plan range, grouped by front-end in plan order.
+    let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
-        // A zero-byte op is metadata-only (deduplicated store), failed or
-        // empty: nothing crossed the network.
-        if eng.op_bytes[i] > 0 {
-            per_fe[eng.svc.metadata().closest_frontend(op.user)].push(i);
+        match runs.last_mut() {
+            Some((_, run)) if ops[run.start].user == op.user => run.end = i + 1,
+            _ => runs.push((eng.svc.metadata().closest_frontend(op.user), i..i + 1)),
         }
     }
+    runs.sort_by_key(|(fe, _)| *fe);
+    // A run's ops that moved bytes: a zero-byte op is metadata-only
+    // (deduplicated store), failed or empty.
+    let op_bytes = &eng.op_bytes;
+    let moving = |run: &Range<usize>| run.clone().filter(move |&i| op_bytes[i] > 0);
     let recomputes = eng.obs.counter("net.profile.recomputes");
     let peak = eng.obs.histogram("net.profile.peak_active");
     let mut ids: BTreeMap<&'static str, (CounterId, CounterId, HistId)> = BTreeMap::new();
-    // The last user's profile name and upload and download caps. A user's
-    // ops are contiguous in their front-end's list, which keeps plan
-    // order, so each user's draws are made once.
-    let mut last: Option<(u64, &'static str, u64, u64)> = None;
-    for op_ids in per_fe.iter().filter(|ops| !ops.is_empty()) {
-        let (flows, flow_names): (Vec<FairFlowSpec>, Vec<&'static str>) = op_ids
-            .iter()
-            .map(|&i| {
-                let op = &ops[i];
-                let (name, up, down) = match last {
-                    Some((user, name, up, down)) if user == op.user => (name, up, down),
-                    _ => {
-                        let profile = mix.draw(cfg.seed, op.user);
-                        let link = profile.user_link(cfg.seed, op.user);
-                        let up = access_cap_bps(&link, UPLOAD_RWND);
-                        let down = access_cap_bps(&link, DOWNLOAD_RWND);
-                        last = Some((op.user, profile.name, up, down));
-                        (profile.name, up, down)
-                    }
-                };
-                let rate_cap_bps = match op.kind {
+    for home in runs.chunk_by(|a, b| a.0 == b.0) {
+        let mut flows = Vec::with_capacity(home.iter().map(|(_, run)| moving(run).count()).sum());
+        for (_, run) in home {
+            let user = ops[run.start].user;
+            let link = mix.draw(cfg.seed, user).user_link(cfg.seed, user);
+            let up = access_cap_bps(&link, UPLOAD_RWND);
+            let down = access_cap_bps(&link, DOWNLOAD_RWND);
+            flows.extend(moving(run).map(|i| FairFlowSpec {
+                arrival: op_deadline_us(ops[i].at_ms),
+                bytes: op_bytes[i],
+                rate_cap_bps: match ops[i].kind {
                     PlannedKind::Store { .. } => up,
                     PlannedKind::Retrieve { .. } => down,
-                };
-                let spec = FairFlowSpec {
-                    arrival: op_deadline_us(op.at_ms),
-                    bytes: eng.op_bytes[i],
-                    rate_cap_bps,
-                };
-                (spec, name)
-            })
-            .unzip();
+                },
+            }));
+        }
+        if flows.is_empty() {
+            continue;
+        }
         let out = simulate_fair_share(cfg.frontend_link_bps, &flows)?;
         eng.obs.add(recomputes, out.recomputes);
         eng.obs.observe(peak, out.peak_active);
-        for ((spec, name), &duration) in flows.iter().zip(flow_names).zip(&out.durations) {
+        // Each flow's profile name, drawn again per run rather than kept.
+        let named = home.iter().flat_map(|(_, run)| {
+            let name = mix.draw(cfg.seed, ops[run.start].user).name;
+            moving(run).map(move |i| (i, name))
+        });
+        for ((i, name), &duration) in named.zip(&out.durations) {
             let (flows_id, bytes_id, time_id) = *ids.entry(name).or_insert_with(|| {
                 (
                     eng.obs.counter(&format!("net.profile.flows.{name}")),
@@ -777,7 +776,7 @@ fn book_profile_flows(
                 )
             });
             eng.obs.inc(flows_id);
-            eng.obs.add(bytes_id, spec.bytes);
+            eng.obs.add(bytes_id, op_bytes[i]);
             eng.obs.observe(time_id, duration);
         }
     }
@@ -790,6 +789,11 @@ mod tests {
     use mcs_faults::FaultPlanConfig;
     use mcs_sim::EventQueue;
     use mcs_trace::TraceConfig;
+
+    /// The content seed `hash_stores` gives planned store `seq`.
+    fn content_seed(seq: u64, pool: Option<u8>) -> u64 {
+        pool.map_or(1_000_000 + seq, u64::from)
+    }
 
     fn small_gen(seed: u64) -> TraceGenerator {
         TraceGenerator::new(TraceConfig {
@@ -953,12 +957,13 @@ mod tests {
             let op = &ops[i];
             events[eng.svc.metadata().closest_frontend(op.user)] += 1;
             match op.kind {
-                PlannedKind::Store { seq: n, seed, size } => {
+                PlannedKind::Store { seq: n, size, pool } => {
+                    let seed = content_seed(n, pool);
                     let content = Content::Synthetic { seed, size };
                     let manifest = FileManifest::build(store_path(op.user, n), &content);
                     eng.store(i, op, n, manifest);
                 }
-                PlannedKind::Retrieve { fallback_seed } => eng.retrieve(i, op, fallback_seed),
+                PlannedKind::Retrieve { fallback } => eng.retrieve(i, op, fallback),
             }
         }
         let steps = eng.obs.counter("sim.steps");
@@ -1046,8 +1051,9 @@ mod tests {
                 let client = s.spawn(|| hash_stores(&ops, order.iter(), 3, tx));
                 let mut handover = Handover::new(blocks, client);
                 for i in order.iter() {
-                    if let PlannedKind::Store { seq, seed, size } = ops[i].kind {
+                    if let PlannedKind::Store { seq, size, pool } = ops[i].kind {
                         let name = store_path(ops[i].user, seq);
+                        let seed = content_seed(seq, pool);
                         let want =
                             FileManifest::build(name.clone(), &Content::Synthetic { seed, size });
                         assert_eq!(handover.manifest(name, size), want, "store {stores}");
@@ -1067,8 +1073,8 @@ mod tests {
             at_ms: 0,
             kind: PlannedKind::Store {
                 seq: 1,
-                seed: 5,
                 size: 10,
+                pool: Some(5),
             },
         }];
         thread::scope(|s| {
@@ -1159,7 +1165,7 @@ mod tests {
     #[test]
     fn planned_op_stays_small() {
         // One per trace op: a million on a paper-sized week.
-        assert!(std::mem::size_of::<PlannedOp>() <= 48);
+        assert!(std::mem::size_of::<PlannedOp>() <= 40);
     }
 
     #[test]

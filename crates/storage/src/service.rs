@@ -27,7 +27,7 @@ use mcs_faults::{unit_coin, ConfigError, FaultPlan, RetryPolicy};
 use mcs_obs::{CounterId, HistId, Registry};
 use mcs_stats::rng::split_seed;
 
-use crate::content::FileManifest;
+use crate::content::{chunk_count, FileManifest};
 use crate::error::ServiceError;
 use crate::frontend::FrontEnd;
 use crate::md5::Digest;
@@ -290,24 +290,34 @@ impl StorageService {
     /// operation* moved: in [`RetryMode::Resume`], chunks an earlier
     /// stalled upload left on the front-end are not sent again (and not
     /// counted).
+    ///
+    /// A manifest that does not list one chunk digest per chunk of its
+    /// size is [`ServiceError::MalformedManifest`], before anything
+    /// changes.
     pub fn store(
         &mut self,
         user: UserId,
         manifest: FileManifest,
         now_ms: u64,
     ) -> Result<StoreOutcome, ServiceError> {
+        let expected = chunk_count(manifest.size);
+        if manifest.chunk_count() != expected {
+            return Err(ServiceError::MalformedManifest {
+                chunks: manifest.chunk_count(),
+                expected,
+            });
+        }
         // The schedule leaves `self` for the operation, so the engine can
         // read it while booking into `self`.
         let Some(faults) = self.faults.take() else {
-            return Ok(match self.metadata.begin_store(user, &manifest, now_ms) {
+            return Ok(match self.metadata.begin_store(user, &manifest) {
                 StoreDecision::Deduplicated => StoreOutcome::DEDUPLICATED,
                 StoreDecision::Upload { frontend } => {
                     self.frontends[frontend].put_file(&manifest, now_ms);
-                    let bytes_uploaded = manifest.size;
-                    self.metadata.complete_upload(manifest, frontend);
+                    self.metadata.complete_upload(&manifest, frontend);
                     StoreOutcome {
                         deduplicated: false,
-                        bytes_uploaded,
+                        bytes_uploaded: manifest.size,
                         frontend: Some(frontend),
                     }
                 }
@@ -459,7 +469,7 @@ impl StorageService {
         // Dedup pre-check *before* mutating the namespace, so a store that
         // later fails on the data path leaves no dangling link.
         if self.metadata.knows(&manifest.file_digest) {
-            let decision = self.metadata.begin_store(user, &manifest, op.t);
+            let decision = self.metadata.begin_store(user, &manifest);
             debug_assert_eq!(decision, StoreDecision::Deduplicated);
             return Ok(StoreOutcome::DEDUPLICATED);
         }
@@ -522,11 +532,11 @@ impl StorageService {
                     }
                     match stall {
                         None => {
-                            let decision = self.metadata.begin_store(user, &manifest, op.t);
+                            let decision = self.metadata.begin_store(user, &manifest);
                             debug_assert!(matches!(decision, StoreDecision::Upload { .. }));
                             let bytes_uploaded = *uploaded;
                             self.frontends[fe].retain_file(&manifest);
-                            self.metadata.complete_upload(manifest, fe);
+                            self.metadata.complete_upload(&manifest, fe);
                             return Ok(StoreOutcome {
                                 deduplicated: false,
                                 bytes_uploaded,
@@ -637,12 +647,11 @@ impl StorageService {
     /// Garbage-collects contents no namespace links anymore; returns bytes
     /// reclaimed across the fleet.
     pub fn collect_garbage(&mut self) -> u64 {
-        let mut freed = 0;
-        for (manifest, fe) in self.metadata.orphans() {
-            freed += self.frontends[fe].reclaim_file(&manifest);
-            self.metadata.forget(&manifest.file_digest);
-        }
-        freed
+        self.metadata
+            .collect_unlinked()
+            .iter()
+            .map(|(manifest, fe)| self.frontends[*fe].reclaim_file(manifest))
+            .sum()
     }
 
     /// Metadata server view.
@@ -846,6 +855,59 @@ mod tests {
         let got = svc.retrieve(1, "empty.txt", 6).expect("resolves");
         assert_eq!(got.bytes_downloaded, 0);
         assert!(svc.frontends().iter().all(|f| f.missing_gets == 0));
+    }
+
+    #[test]
+    fn malformed_manifests_are_rejected_before_anything_changes() {
+        // Two digests for a 10-byte file (one chunk), and none for a
+        // 1.5 MiB file (three chunks).
+        let mut extra = FileManifest::build("tiny", &Content::Synthetic { seed: 1, size: 10 });
+        extra.chunk_digests.push(extra.chunk_digests[0]);
+        let mut bare = FileManifest::build(
+            "photo",
+            &Content::Synthetic {
+                seed: 2,
+                size: 3 * CHUNK_SIZE,
+            },
+        );
+        bare.chunk_digests.clear();
+        let empty = FileManifest::build("empty", &Content::Synthetic { seed: 3, size: 0 });
+        for faulted in [false, true] {
+            let mut svc = StorageService::new(2, 24).unwrap();
+            if faulted {
+                svc.set_fault_plan(quiet_plan(2), RetryPolicy::default(), RetryMode::Resume)
+                    .unwrap();
+            }
+            let err = svc.store(1, extra.clone(), 0).unwrap_err();
+            assert_eq!(
+                err,
+                ServiceError::MalformedManifest {
+                    chunks: 2,
+                    expected: 1
+                }
+            );
+            assert!(!err.is_fault());
+            assert_eq!(
+                svc.store(1, bare.clone(), 0),
+                Err(ServiceError::MalformedManifest {
+                    chunks: 0,
+                    expected: 3
+                })
+            );
+            // Nothing changed: no path, no content, no chunk, no count,
+            // no operation keyed.
+            assert!(svc.metadata().list(1).is_empty(), "faulted: {faulted}");
+            assert_eq!(svc.metadata().distinct_contents(), 0);
+            assert!(svc.frontends().iter().all(|f| f.chunk_puts == 0));
+            let counters = svc.metrics().snapshot().counters;
+            assert!(counters.values().all(|&n| n == 0), "faulted: {faulted}");
+            assert_eq!(svc.op_seq, 0);
+            // An empty file has one chunk, and its one digest is accepted.
+            assert_eq!(empty.chunk_count(), 1);
+            let out = svc.store(1, empty.clone(), 0).unwrap();
+            assert_eq!(out.bytes_uploaded, 0);
+            assert_eq!(svc.retrieve(1, "empty", 1).unwrap().bytes_downloaded, 0);
+        }
     }
 
     #[test]

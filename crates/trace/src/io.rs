@@ -11,7 +11,8 @@
 //!   `Result<LogRecord, ReadError>` without ever holding the full trace. A
 //!   strict read is `stream.collect::<Result<Vec<_>, _>>()`; a lossy read
 //!   is [`collect_records_lossy`], which quarantines record-level damage
-//!   under an [`ErrorBudget`].
+//!   under an [`ErrorBudget`]. CSV is read as bytes, so a line that is not
+//!   UTF-8 is record-level damage too, not the end of the file.
 //! * [`TraceWriter`] is push-style, so a shard can be produced without
 //!   materialising it. [`crate::TraceGenerator::write_shards_observed`]
 //!   writes a generated trace through it, one file or many.
@@ -236,7 +237,8 @@ impl<R: BufRead> RecordStream<R> {
     pub fn new(r: R, format: TraceFormat) -> Self {
         Self(match format {
             TraceFormat::Csv => Decoder::Csv(CsvRecords {
-                lines: r.lines(),
+                reader: r,
+                line: Vec::new(),
                 line_no: 0,
                 done: false,
             }),
@@ -258,13 +260,36 @@ impl<R: BufRead> Iterator for RecordStream<R> {
 
 /// The CSV reader: one record per line after [`CSV_HEADER`], blank lines
 /// skipped. Line numbers in diagnostics are 1-based and count every
-/// physical line. A malformed line is a record-level `Err` and the stream
-/// continues; an I/O error, or a first line that is not the header, ends
-/// it. Empty input is an empty trace.
+/// physical line. Lines are read as bytes into one reused buffer, without
+/// their `\n` or `\r\n`, and decoded lossily: no field parses a
+/// replacement character, so a line that is not UTF-8 is a malformed line.
+/// A malformed line is a record-level `Err` and the stream continues; an
+/// I/O error, or a first line that is not the header, ends it. Empty input
+/// is an empty trace.
 struct CsvRecords<R: BufRead> {
-    lines: io::Lines<R>,
+    reader: R,
+    /// The current line's bytes.
+    line: Vec<u8>,
     line_no: usize,
     done: bool,
+}
+
+impl<R: BufRead> CsvRecords<R> {
+    /// Reads the next physical line into `self.line`, stripping its `\n`
+    /// or `\r\n` as [`BufRead::lines`] does; `false` at the end of input.
+    fn read_line(&mut self) -> io::Result<bool> {
+        self.line.clear();
+        if self.reader.read_until(b'\n', &mut self.line)? == 0 {
+            return Ok(false);
+        }
+        if self.line.last() == Some(&b'\n') {
+            self.line.pop();
+            if self.line.last() == Some(&b'\r') {
+                self.line.pop();
+            }
+        }
+        Ok(true)
+    }
 }
 
 impl<R: BufRead> Iterator for CsvRecords<R> {
@@ -272,14 +297,15 @@ impl<R: BufRead> Iterator for CsvRecords<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         while !self.done {
-            match self.lines.next() {
-                None => self.done = true,
-                Some(Err(e)) => {
+            match self.read_line() {
+                Ok(false) => self.done = true,
+                Err(e) => {
                     self.done = true;
                     return Some(Err(e.into()));
                 }
-                Some(Ok(line)) => {
+                Ok(true) => {
                     self.line_no += 1;
+                    let line = String::from_utf8_lossy(&self.line);
                     if self.line_no == 1 {
                         if line.trim() != CSV_HEADER {
                             self.done = true;
@@ -777,6 +803,48 @@ mod tests {
                 field: "timestamp"
             }
         ));
+    }
+
+    #[test]
+    fn lossy_csv_quarantines_a_line_that_is_not_utf8() {
+        // One 0xff byte in the second of three record lines ("ios").
+        let mut buf = encode(&sample_records(), TraceFormat::Csv);
+        let at = buf.windows(3).position(|w| w == b"ios").unwrap();
+        buf[at + 1] = 0xff;
+        let got = read_lossy(&buf, TraceFormat::Csv, ErrorBudget::default()).unwrap();
+        let recs = sample_records();
+        assert_eq!(got.records, [recs[0], recs[2]]);
+        assert_eq!(got.quarantined.len(), 1);
+        assert!(matches!(
+            got.quarantined[0],
+            ReadError::Field {
+                line: 3,
+                field: "device type"
+            }
+        ));
+        // A strict read stops at that line with the same error.
+        let err = read(&buf, TraceFormat::Csv).unwrap_err();
+        assert!(matches!(err, ReadError::Field { line: 3, .. }));
+        // A header that is not UTF-8 is still a bad header.
+        buf[2] = 0xff;
+        let err = read_lossy(&buf, TraceFormat::Csv, ErrorBudget::default()).unwrap_err();
+        assert!(matches!(err, ReadError::BadHeader));
+    }
+
+    #[test]
+    fn csv_reads_crlf_lines() {
+        let text = String::from_utf8(encode(&sample_records(), TraceFormat::Csv)).unwrap();
+        let crlf = text.replace('\n', "\r\n");
+        assert_eq!(
+            read(crlf.as_bytes(), TraceFormat::Csv).unwrap(),
+            sample_records()
+        );
+        // The last line needs no line ending.
+        let bare = text.trim_end();
+        assert_eq!(
+            read(bare.as_bytes(), TraceFormat::Csv).unwrap(),
+            sample_records()
+        );
     }
 
     #[test]

@@ -36,6 +36,11 @@ cargo test --offline --locked -q
 # with the replay golden digests (replay_golden_digests), which pin every
 # replay output: service stats, chunk MD5s and the fair-share pass.
 cargo test --offline --locked --release -q -p mcs-storage
+# The trace decoders in release mode too, where length arithmetic wraps
+# instead of panicking (as in perfbench and for users): the mutated-file
+# loop (prop_mutated_files_read_as_records_or_typed_errors) and the CSV
+# reader's quarantine of a line that is not UTF-8.
+cargo test --offline --locked --release -q -p mcs-trace
 # The replay integration tests in release too: there the client stage
 # hashes manifests on its own thread at the speed perfbench runs it, and
 # races the dispatch loop it hands them to.

@@ -29,8 +29,22 @@ fn round_trip(records: &[LogRecord], format: TraceFormat) -> Result<Vec<LogRecor
 fn trace_survives_file_round_trip_and_analysis_agrees() {
     let gen = small_generator(11);
     let records: Vec<LogRecord> = gen.iter_user_records().flatten().collect();
+    let back = round_trip(&records, TraceFormat::Csv).unwrap();
+    assert_eq!(back, records);
 
-    assert_eq!(round_trip(&records, TraceFormat::Csv).unwrap(), records);
+    // The read-back trace, regrouped into one block per user, analyses to
+    // the same findings and the same metrics as the generator it came
+    // from.
+    let blocks: Vec<Vec<LogRecord>> = back
+        .chunk_by(|a, b| a.user_id == b.user_id)
+        .map(<[LogRecord]>::to_vec)
+        .collect();
+    let cfg = PipelineConfig::default();
+    let (mut want_reg, mut got_reg) = (Registry::new(), Registry::new());
+    let Ok((want, _)) = analyze(&gen, &cfg, &mut want_reg);
+    let Ok((got, _)) = analyze(&blocks, &cfg, &mut got_reg);
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    assert_eq!(got_reg.snapshot().to_json(), want_reg.snapshot().to_json());
 }
 
 #[test]
